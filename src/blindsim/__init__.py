@@ -5,8 +5,6 @@ from .detector import (
     ClickCause,
     ClickRecord,
     DetectorParams,
-    DetectorState,
-    Mode,
     calibrate_dead_time,
     process_timeline,
 )

@@ -8,17 +8,21 @@ BLINDSIM_SEED overrides the config seed; --seed overrides both.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import os
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
+from functools import reduce
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .engine import ExperimentConfig, Scenario, run_experiment, set_config_value, sweep
+from .engine import ExperimentConfig, Scenario, run_experiment, sweep, tally_verdicts
 from .errors import BlindsimError
 from .manifest import (
     RunManifest,
+    config_from_flat,
     config_to_flat,
     load_config_text,
     read_trial_records,
@@ -83,10 +87,6 @@ def _build_config(
             except OSError as e:
                 raise _IOFailure(f"cannot read config: {e}") from e
             config = load_config_text(text)
-            if scenario is not None:
-                config = replace(config, scenario=_SCENARIOS[scenario])
-            if protocol is not None:
-                config = set_config_value(config, "plan.strategy", _PROTOCOLS[protocol])
         else:
             config = preset_config(
                 _SCENARIOS[scenario or "normal"],
@@ -94,44 +94,28 @@ def _build_config(
                 trials=trials if trials is not None else 1000,
                 seed=seed if seed is not None else 1,
             )
+        # Every override is edited as config-file text and parsed once,
+        # exactly like a config file.
+        flat = config_to_flat(config)
+        if scenario is not None:
+            flat["scenario"] = _SCENARIOS[scenario].value
+        if protocol is not None:
+            flat["plan.strategy"] = _PROTOCOLS[protocol].value
         if trials is not None:
-            config = replace(config, trials=trials)
-        config = replace(config, seed=_resolve_seed(seed, config.seed))
+            flat["trials"] = str(trials)
+        flat["seed"] = str(_resolve_seed(seed, config.seed))
         for item in overrides:
             if "=" not in item:
                 raise _fail_config(f"--set expects dotted.path=value, got {item!r}")
             path, _, value = item.partition("=")
-            current = _get_path(config, path.strip())
-            parsed = _parse_like(current, value.strip(), path.strip())
-            config = set_config_value(config, path.strip(), parsed)
+            flat[path.strip()] = value.strip()
+        config = config_from_flat(flat)
         config.validate()
         return config
     except click.ClickException:
         raise
     except BlindsimError as e:
         raise _fail_config(str(e)) from e
-
-
-def _get_path(config: ExperimentConfig, path: str):
-    obj = config
-    for part in path.split("."):
-        try:
-            obj = getattr(obj, part)
-        except AttributeError as e:
-            raise _fail_config(f"unknown parameter path {path!r}") from e
-    return obj
-
-
-def _parse_like(current, text: str, path: str):
-    if current is None or isinstance(current, float):
-        return None if text == "none" else float(text)
-    if isinstance(current, bool):
-        return text.lower() in ("true", "1", "yes")
-    if isinstance(current, int):
-        return int(float(text))
-    if hasattr(type(current), "__members__"):  # Enum
-        return type(current)(text.upper())
-    return text
 
 
 def _attach_salt_null(config: ExperimentConfig):
@@ -278,31 +262,24 @@ def analyze(results_dir):
         manifest = RunManifest.loads(manifest_path.read_text())
         config = manifest.config()
         records = read_trial_records(root / "trials.jsonl")
+        decisions, accuracy = tally_verdicts(
+            (v["decision"] for rec in records for v in rec["verdicts"]),
+            config.scenario,
+            config.plan.strategy,
+        )
     except (OSError, BlindsimError, ValueError, KeyError) as e:
         raise _IOFailure(f"corrupt results directory: {e}") from e
 
-    from .engine import expected_decisions
-
-    expected = expected_decisions(config.scenario, config.plan.strategy)
-    decisions: dict[str, int] = {}
-    correct = 0
-    total = 0
-    for rec in records:
-        for v in rec["verdicts"]:
-            d = v["decision"]
-            decisions[d] = decisions.get(d, 0) + 1
-            total += 1
-            if expected and d in {e.value for e in expected}:
-                correct += 1
+    total = sum(decisions.values())
     click.echo(f"scenario = {config.scenario.value}")
     click.echo(f"strategy = {config.plan.strategy.value}")
     click.echo(f"trials = {len(records)}")
     click.echo(f"verdicts = {total}")
     for d in sorted(decisions):
         click.echo(f"decision.{d} = {decisions[d]}")
-    if expected and total:
-        click.echo(f"accuracy = {correct / total:.6f}")
-        wrong = total - correct
+    if not math.isnan(accuracy):
+        click.echo(f"accuracy = {accuracy:.6f}")
+        wrong = round(total * (1 - accuracy))  # accuracy is good/total: rounds back exactly
         low, high = clopper_pearson_interval(wrong, total)
         if config.scenario == Scenario.NORMAL:
             label = "miss_rate"  # healthy detector failing its own self-test
@@ -326,9 +303,10 @@ def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outd
     """Re-run the experiment across parameter values and tabulate metrics."""
     config = _build_config(config_path, scenario, protocol, trials, seed, ())
     try:
-        parsed = _parse_values(values)
-        current = _get_path(config, param)
-        typed = [_parse_like(current, str(v), param) for v in parsed]
+        # each value text is parsed like a config file line for that field
+        flat = config_to_flat(config)
+        points = [config_from_flat({**flat, param: text}) for text in _parse_values(values)]
+        typed = [reduce(getattr, param.split("."), point) for point in points]
         rows = sweep(config, param, typed, threads=threads)
     except BlindsimError as e:
         raise _fail_config(str(e)) from e
@@ -338,7 +316,7 @@ def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outd
         lines = ["value,accuracy,error_rate,verdicts"]
         for row in rows:
             verdicts = ";".join(f"{k}:{v}" for k, v in row.decisions)
-            lines.append(f"{row.value!r},{row.accuracy!r},{row.error_rate!r},{verdicts}")
+            lines.append(f"{row.value!r},{row.accuracy!r},{1.0 - row.accuracy!r},{verdicts}")
         (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
@@ -346,21 +324,31 @@ def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outd
         click.echo(f"{param} = {row.value}: accuracy = {row.accuracy}")
 
 
-def _parse_values(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise _fail_config("range values need start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise _fail_config("range step must be > 0")
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(v)
-            v += step
-        return out
-    return [float(p) for p in text.split(",") if p.strip()]
+def _parse_values(text: str) -> list[str]:
+    """Value texts of a comma list, or of an inclusive start:stop:step range.
+
+    Range points are stepped in decimal arithmetic, so 0.1:0.3:0.1 gives
+    0.1, 0.2, 0.3 without binary floating-point drift.
+    """
+    if ":" not in text:
+        return [p.strip() for p in text.split(",") if p.strip()]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise _fail_config("range values need start:stop:step")
+    try:
+        start, stop, step = (Decimal(p.strip()) for p in parts)
+    except InvalidOperation as e:
+        raise _fail_config(f"range values need three numbers, got {text!r}") from e
+    if not all(d.is_finite() for d in (start, stop, step)):
+        raise _fail_config(f"range values must be finite, got {text!r}")
+    if step <= 0:
+        raise _fail_config("range step must be > 0")
+    out = []
+    v = start
+    while v <= stop:
+        out.append(str(v))
+        v += step
+    return out
 
 
 if __name__ == "__main__":

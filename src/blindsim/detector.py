@@ -65,28 +65,6 @@ class ClickRecord:
         return to_seconds(self.time_ps)
 
 
-class Mode(Enum):
-    ARMED = "ARMED"
-    DEAD = "DEAD"
-    BLINDED = "BLINDED"
-
-
-@dataclass
-class DetectorState:
-    """Mutable simulation state, exposed for introspection and tests."""
-
-    dead_until_ps: int = 0  # exclusive end of the current dead window
-    incident_cw_power: float = 0.0
-    pending_afterpulses: list[int] | None = None
-
-    def mode(self, now_ps: int, blind_power: float) -> Mode:
-        if self.incident_cw_power >= blind_power:
-            return Mode.BLINDED
-        if now_ps < self.dead_until_ps:
-            return Mode.DEAD
-        return Mode.ARMED
-
-
 @dataclass(frozen=True)
 class DetectorParams:
     """Behavioral parameters; defaults are the reference operating point."""
@@ -100,7 +78,6 @@ class DetectorParams:
     fake_energy: float = 1.0e-15  # joules; pulses at or above this always click
     recovery_click_prob: float = 1.0
     noise_rate: float = 0.0  # electrical noise clicks/second, active while blinded
-    max_rate_ref: float = 5.0e5  # documented saturation rate, for validation only
 
     def validate(self) -> None:
         if not 0 <= self.efficiency <= 1:
@@ -121,8 +98,6 @@ class DetectorParams:
             raise ValidationError("recovery_click_prob", "must lie in [0, 1]")
         if self.noise_rate < 0:
             raise ValidationError("noise_rate", "must be >= 0")
-        if self.max_rate_ref < 0:
-            raise ValidationError("max_rate_ref", "must be >= 0")
 
 
 # Processing priority of coincident events.  Stimuli come before power
@@ -238,8 +213,7 @@ def process_timeline(
     rng_exponential = rng.exponential
     clicks_append = clicks.append
 
-    state = DetectorState(pending_afterpulses=[])
-    ap_heap = state.pending_afterpulses
+    ap_heap: list[int] = []
     dead_until = 0
     blinded = False
     crossing_idx = 0
@@ -283,7 +257,6 @@ def process_timeline(
                 click(t, ClickCause.NOISE)
         else:  # _CW
             _, power, down = edges[idx]
-            state.incident_cw_power = power
             blinded = power >= blind_power
             if down:
                 u = u_recovery[crossing_idx]
@@ -291,7 +264,6 @@ def process_timeline(
                 if t >= dead_until and u < recovery_prob:
                     click(t, ClickCause.RECOVERY)
 
-    state.dead_until_ps = dead_until
     return clicks
 
 
@@ -305,9 +277,8 @@ def calibrate_dead_time(
     ``rate`` is the steady-state click rate the detector sustains.  Every
     click is followed by exactly one dead window and dead windows cannot
     overlap, so over a long horizon the dead fraction equals
-    rate * dead_time for any afterpulse configuration.  The value is
-    found by bisecting that renewal identity; the result is exact to the
-    picosecond time base and well inside the 0.5 % contract.
+    rate * dead_time for any afterpulse configuration, and the dead time
+    is the closed form (1 - target_armed_fraction) / rate.
     """
     params.validate()
     if not 0 < target_armed_fraction < 1:
@@ -320,18 +291,4 @@ def calibrate_dead_time(
     if rate == 0:
         # Idle detector is always armed; any positive dead time works.
         return smallest
-
-    def armed_fraction(dead_time: float) -> float:
-        cycle = 1.0 / rate  # mean renewal cycle: one click plus its dead window
-        return 1.0 - dead_time / cycle
-
-    lo, hi = 0.0, 1.0 / rate
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if armed_fraction(mid) > target_armed_fraction:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 / rate:
-            break
-    return max(smallest, 0.5 * (lo + hi))
+    return max(smallest, (1.0 - target_armed_fraction) / rate)

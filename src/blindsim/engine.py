@@ -135,6 +135,22 @@ def expected_decisions(scenario: Scenario, strategy: Strategy) -> frozenset[Deci
     return frozenset()
 
 
+def tally_verdicts(decisions, scenario: Scenario, strategy: Strategy) -> tuple[Counter, float]:
+    """Decision counts and accuracy of a run's verdict decisions.
+
+    Accuracy is the fraction of decisions in ``expected_decisions``; it
+    is nan when there are no decisions or the scenario defines no
+    correct one.
+    """
+    counts = Counter(Decision(d).value for d in decisions)
+    expected = expected_decisions(scenario, strategy)
+    total = sum(counts.values())
+    if not expected or not total:
+        return counts, float("nan")
+    good = sum(n for d, n in counts.items() if Decision(d) in expected)
+    return counts, good / total
+
+
 def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     """Scheduled plans and the merged optical timeline of one trial.
 
@@ -216,24 +232,18 @@ class ExperimentResult:
     trials: tuple[TrialResult, ...]
     histograms: dict[str, Histogram]
 
+    def _tally(self) -> tuple[Counter, float]:
+        return tally_verdicts(
+            (v.decision for tr in self.trials for v in tr.verdicts),
+            self.config.scenario,
+            self.config.plan.strategy,
+        )
+
     def decision_counts(self) -> Counter:
-        counter: Counter = Counter()
-        for tr in self.trials:
-            for v in tr.verdicts:
-                counter[v.decision.value] += 1
-        return counter
+        return self._tally()[0]
 
     def accuracy(self) -> float:
-        expected = expected_decisions(self.config.scenario, self.config.plan.strategy)
-        if not expected:
-            return float("nan")
-        total = 0
-        good = 0
-        for tr in self.trials:
-            for v in tr.verdicts:
-                total += 1
-                good += v.decision in expected
-        return good / total if total else float("nan")
+        return self._tally()[1]
 
     def summary(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -329,7 +339,6 @@ def set_config_value(config: ExperimentConfig, path: str, value: Any) -> Experim
 class SweepRow:
     value: float
     accuracy: float
-    error_rate: float  # fraction of verdicts contradicting the scenario
     decisions: tuple[tuple[str, int], ...]
     summary: dict[str, Any]
 
@@ -342,12 +351,10 @@ def sweep(
     for value in values:
         cfg = set_config_value(config, parameter_path, value)
         result = run_experiment(cfg, threads=threads)
-        accuracy = result.accuracy()
         rows.append(
             SweepRow(
                 value=value,
-                accuracy=accuracy,
-                error_rate=1.0 - accuracy,
+                accuracy=result.accuracy(),
                 decisions=tuple(sorted(result.decision_counts().items())),
                 summary=result.summary(),
             )

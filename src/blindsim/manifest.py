@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -81,18 +82,16 @@ def _parse_scalar(text: str, annotation: Any, key: str) -> Any:
         try:
             return int(text)
         except ValueError:
-            try:
-                f = float(text)
-            except ValueError as e:
-                raise ConfigError(f"{key}: expected an integer, got {text!r}") from e
-            if f != int(f):
-                raise ConfigError(f"{key}: expected an integer, got {text!r}")
-            return int(f)
-    if target is float:
+            pass  # integral numbers such as 1e3 are accepted below
+    if target in (int, float):
         try:
-            return float(text)
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected a number, got {text!r}") from e
+            number = float(text)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number) or (target is int and not number.is_integer()):
+            kind = "an integer" if target is int else "a finite number"
+            raise ConfigError(f"{key}: expected {kind}, got {text!r}")
+        return int(number) if target is int else number
     if target is str:
         return text
     raise ConfigError(f"{key}: unsupported field type {annotation!r}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
 
 from .errors import ValidationError
 
@@ -212,17 +211,34 @@ def binomial_tail(n: int, p: float, k: int, side: str = "lower") -> float:
 def clopper_pearson_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> tuple[float, float]:
-    """Exact binomial confidence interval for a success probability."""
+    """Exact binomial confidence interval for a success probability.
+
+    Each bound solves its defining tail equation by bisection on
+    ``binomial_tail``: P(X >= s | low) = alpha/2 and P(X <= s | high) = alpha/2.
+    """
     if trials < 0 or successes < 0 or successes > trials:
         raise ValidationError("successes", "need 0 <= successes <= trials")
     if not 0 < confidence < 1:
         raise ValidationError("confidence", "must lie in (0, 1)")
-    alpha = 1.0 - confidence
-    low = 0.0 if successes == 0 else float(
-        _beta.ppf(alpha / 2, successes, trials - successes + 1)
+    tail = (1.0 - confidence) / 2
+
+    def root(rising) -> float:
+        # bisect the sign change of an increasing function of p to the last bit
+        lo, hi = 0.0, 1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            if rising(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+
+    low = 0.0 if successes == 0 else root(
+        lambda p: binomial_tail(trials, p, successes, "upper") - tail
     )
-    high = 1.0 if successes == trials else float(
-        _beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
+    high = 1.0 if successes == trials else root(
+        lambda p: tail - binomial_tail(trials, p, successes, "lower")
     )
     return low, high
 

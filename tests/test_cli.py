@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from blindsim.cli import main
-from blindsim.engine import ExperimentConfig
+import blindsim
+from blindsim.cli import _build_config, main
+from blindsim.engine import ExperimentConfig, run_experiment
 from blindsim.manifest import (
     RunManifest,
     config_from_flat,
@@ -148,6 +151,41 @@ class TestSimulateCommand:
         manifest = RunManifest.loads((out / "manifest.txt").read_text())
         assert manifest.config().plan.count_threshold == 60
 
+    @pytest.mark.parametrize(
+        "override,field",
+        [
+            ("plan.count_threshold=abc", "plan.count_threshold"),
+            ("plan.count_threshold=2.7", "plan.count_threshold"),
+            ("attack.allow_fakes_without_blinding=maybe",
+             "attack.allow_fakes_without_blinding"),
+            ("signal_rate=nan", "signal_rate"),
+            ("trial_duration=inf", "trial_duration"),
+            ("detector.dark_rate=nan", "detector.dark_rate"),
+        ],
+    )
+    def test_bad_set_value_is_a_config_error(self, tmp_path, override, field):
+        result = run_cli(
+            "simulate", "--protocol", "flag", "--trials", "2",
+            "--out", str(tmp_path / "x"), "--set", override,
+        )
+        assert result.exit_code == 1
+        assert field in result.output
+
+    @pytest.mark.parametrize(
+        "scenario,protocol",
+        [
+            ("normal", "salt"), ("manipulated", "salt"),
+            ("normal", "flag"), ("manipulated", "flag"),
+            ("normal", "self-blind"), ("manipulated", "self-blind"),
+            ("recovery", "self-blind"),
+        ],
+    )
+    def test_set_own_text_round_trips_every_leaf(self, scenario, protocol):
+        config = _build_config(None, scenario, protocol, 7, 3, ())
+        for path, text in config_to_flat(config).items():
+            rebuilt = _build_config(None, scenario, protocol, 7, 3, (f"{path}={text}",))
+            assert rebuilt == config, path
+
 
 class TestFigureCommand:
     def test_unknown_figure_exits_one(self, tmp_path):
@@ -198,6 +236,22 @@ class TestAnalyzeCommand:
         assert "accuracy" in first.output
         assert "undetected_rate" in first.output
 
+    def test_analyze_matches_experiment_summary(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(
+            "simulate", "--scenario", "manipulated", "--protocol", "flag",
+            "--trials", "60", "--seed", "32", "--out", str(out),
+        )
+        config = RunManifest.loads((out / "manifest.txt").read_text()).config()
+        summary = run_experiment(config).summary()
+        lines = run_cli("analyze", str(out)).output.splitlines()
+        decisions = {
+            line.split(" = ")[0][len("decision."):]: int(line.split(" = ")[1])
+            for line in lines if line.startswith("decision.")
+        }
+        assert decisions == summary["decisions"]
+        assert f"accuracy = {summary['accuracy']:.6f}" in lines
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path):
@@ -223,6 +277,28 @@ class TestSweepCommand:
         )
         assert result.exit_code == 0
         assert len((out / "sweep.csv").read_text().strip().splitlines()) == 4
+
+    def test_decimal_range_has_no_float_drift(self, tmp_path):
+        out = tmp_path / "sweep"
+        result = run_cli(
+            "sweep", "--scenario", "normal", "--protocol", "flag",
+            "--trials", "3", "--seed", "8",
+            "--param", "signal_rate", "--values", "0.1:0.3:0.1",
+            "--out", str(out),
+        )
+        assert result.exit_code == 0
+        rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.1", "0.2", "0.3"]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(blindsim.__file__).resolve().parents[1])
+    code = "import sys, blindsim.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestHistogramCsv:

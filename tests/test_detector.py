@@ -11,7 +11,6 @@ from blindsim import (
     CwSegment,
     CwSource,
     DetectorParams,
-    Mode,
     OpticalTimeline,
     Photon,
     PhotonSource,
@@ -23,7 +22,7 @@ from blindsim import (
     process_timeline,
     stream,
 )
-from blindsim.detector import DetectorState
+from blindsim.presets import MAX_RATE
 from blindsim.units import to_ps
 
 
@@ -260,7 +259,7 @@ class TestDeterminismAndDeadTime:
         params = DetectorParams(
             efficiency=1.0,
             dark_rate=0.0,
-            dead_time=1.0 / DetectorParams().max_rate_ref,
+            dead_time=1.0 / MAX_RATE,
             afterpulse_prob=0.4,
         )
         duration = 0.05
@@ -268,7 +267,7 @@ class TestDeterminismAndDeadTime:
         timeline = gen_signal_photons(rate, duration, stream(33, "ph"))
         clicks = process_timeline(params, timeline, stream(33, "det"))
         out_rate = len(clicks) / duration
-        assert out_rate == pytest.approx(params.max_rate_ref, rel=0.10)
+        assert out_rate == pytest.approx(MAX_RATE, rel=0.10)
         # and the renewal prediction itself is matched tightly
         predicted = rate / (1.0 + rate * params.dead_time)
         assert out_rate == pytest.approx(predicted, rel=0.02)
@@ -368,13 +367,6 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             params.validate()
         assert err.value.field == field
-
-    def test_state_mode_reflects_power_and_dead_window(self):
-        state = DetectorState(dead_until_ps=100, incident_cw_power=0.0)
-        assert state.mode(50, blind_power=1e-9) is Mode.DEAD
-        assert state.mode(150, blind_power=1e-9) is Mode.ARMED
-        state.incident_cw_power = 2e-9
-        assert state.mode(50, blind_power=1e-9) is Mode.BLINDED
 
 
 class TestCalibrateDeadTime:

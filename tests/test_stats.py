@@ -179,6 +179,19 @@ class TestClopperPearson:
         assert binomial_tail(n, low, s, "upper") == pytest.approx(0.025, rel=1e-6)
         assert binomial_tail(n, high, s, "lower") == pytest.approx(0.025, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "s,n", [(3, 17), (250, 1000), (7426, 7608), (0, 50), (50, 50)]
+    )
+    def test_bounds_match_beta_quantiles(self, s, n):
+        # independent oracle: the bounds are quantiles of beta distributions
+        from scipy.stats import beta
+
+        low, high = clopper_pearson_interval(s, n, 0.95)
+        want_low = 0.0 if s == 0 else beta.ppf(0.025, s, n - s + 1)
+        want_high = 1.0 if s == n else beta.ppf(0.975, s + 1, n - s)
+        assert low == pytest.approx(want_low, rel=1e-9, abs=0.0)
+        assert high == pytest.approx(want_high, rel=1e-9, abs=0.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
             clopper_pearson_interval(5, 3)
