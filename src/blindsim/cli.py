@@ -30,7 +30,7 @@ from .manifest import (
     write_histogram_csv,
     write_trials_jsonl,
 )
-from .presets import FIGURE_TRIALS, preset_config, reference_detector, signal_rate_for
+from .presets import FIGURE_TRIALS, SIGNAL_RATE, preset_config, reference_detector
 from .rng import stream
 from .selftest import Strategy
 from .stats import clopper_pearson_interval, count_distribution_oracle
@@ -208,6 +208,8 @@ def figure(name, outdir, seed, trials, threads):
         raise _fail_config(
             f"unknown figure {name!r}; choose from {', '.join(sorted(FIGURE_TRIALS))}"
         )
+    if trials is not None and trials < 1:
+        raise _fail_config("trials: must be >= 1")
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -216,11 +218,10 @@ def figure(name, outdir, seed, trials, threads):
     seed = _resolve_seed(seed, 1)
     try:
         if name == "fig3b":
-            n = trials or FIGURE_TRIALS[name][0]
-            detector = reference_detector()
+            n = FIGURE_TRIALS[name][0] if trials is None else trials
             hist = count_distribution_oracle(
-                detector,
-                signal_rate_for(detector),
+                reference_detector(),
+                SIGNAL_RATE,
                 200e-6,
                 n_trials=n,
                 rng=stream(seed, "fig3b"),
@@ -234,8 +235,8 @@ def figure(name, outdir, seed, trials, threads):
                     "fig6": Strategy.SELF_BLIND}[name]
         n_normal, n_manip = FIGURE_TRIALS[name]
         for scenario, n, label in (
-            (Scenario.NORMAL, trials or n_normal, "normal"),
-            (Scenario.MANIPULATED, trials or n_manip, "manipulated"),
+            (Scenario.NORMAL, n_normal if trials is None else trials, "normal"),
+            (Scenario.MANIPULATED, n_manip if trials is None else trials, "manipulated"),
         ):
             config = preset_config(scenario, strategy, trials=n, seed=seed)
             result = run_experiment(config, threads=threads)

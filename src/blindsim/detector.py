@@ -36,7 +36,7 @@ from heapq import heappush, heappop
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .optics import OpticalTimeline, PhotonSource, PulseSource
 from .units import PS_PER_SECOND, to_ps, to_seconds
 
@@ -80,6 +80,11 @@ class DetectorParams:
     noise_rate: float = 0.0  # electrical noise clicks/second, active while blinded
 
     def validate(self) -> None:
+        require_finite(
+            self, "efficiency", "dark_rate", "dead_time", "afterpulse_prob",
+            "afterpulse_tau", "blind_power", "fake_energy", "recovery_click_prob",
+            "noise_rate",
+        )
         if not 0 <= self.efficiency <= 1:
             raise ValidationError("efficiency", "must lie in [0, 1]")
         if not 0 <= self.afterpulse_prob < 1:

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any
 
 from .detector import DetectorParams, process_timeline
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .optics import AttackScenario, gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
 from .rng import stream
 from .selftest import (
@@ -57,6 +57,9 @@ class ExperimentConfig:
         self.detector.validate()
         self.attack.validate()
         self.plan.validate()
+        require_finite(
+            self, "signal_rate", "duty_cycle", "trial_duration", "trials", "seed"
+        )
         if self.signal_rate < 0:
             raise ValidationError("signal_rate", "must be >= 0")
         if not 0 <= self.duty_cycle < 1:

@@ -19,7 +19,7 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .units import to_ps, to_seconds
 
 if TYPE_CHECKING:
@@ -139,6 +139,10 @@ class AttackScenario:
     allow_fakes_without_blinding: bool = False
 
     def validate(self) -> None:
+        require_finite(
+            self, "blind_power_level", "fake_pulse_rate", "fake_peak_power",
+            "fake_width", optional=("stop_blind_at",),
+        )
         if self.blind_power_level < 0:
             raise ValidationError("blind_power_level", "must be >= 0")
         if self.fake_pulse_rate < 0:

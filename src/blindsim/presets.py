@@ -10,18 +10,20 @@ clicks with 2 ns, 3 uW fake-state pulses
 Dead time is tied to published response probabilities rather than set by
 hand: the flag-pulse experiments ran at a 93.4 % armed fraction and the
 self-blinding experiments at 97.6 %, so the corresponding presets
-calibrate dead time to each target at the 5e4/s operating rate.  Source
-rates are calibrated by deterministic pilot simulation and cached.
+calibrate dead time to each target at the 5e4/s operating rate.  The
+photon rates that realise those click rates are frozen constants, found
+by ``engine.calibrate_source_rate`` (a deterministic pilot-simulation
+bisection) and recomputed by a test; the same function calibrates a
+custom detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 
 from .detector import DetectorParams, calibrate_dead_time
 from .errors import ConfigError
-from .engine import ExperimentConfig, Scenario, calibrate_source_rate
+from .engine import ExperimentConfig, Scenario
 from .optics import AttackScenario
 from .selftest import SelfTestPlan, Strategy
 
@@ -42,6 +44,15 @@ SALT_THRESHOLD = 50
 # Electrical noise tuned to ~8 residual clicks across 7608 self-blind windows.
 SELF_BLIND_NOISE_RATE = 5.26
 
+# Photon arrival rates giving CLICK_RATE on the flag-pulse detector
+# (also used by salt and fig3b) and on the self-blind detector.
+SIGNAL_RATE = 28645.833333333336
+SELF_BLIND_SIGNAL_RATE = 26909.72222222222
+# Salt rate lifting the flag detector's in-test click rate to
+# SALT_TEST_RATE.  Signal and salt photons superpose into one Poisson
+# stream, so it is the calibrated total minus SIGNAL_RATE.
+SALT_RATE = 1221354.1666666667
+
 
 def reference_detector(
     armed_fraction: float = FLAG_ARMED_FRACTION, noise_rate: float = 0.0
@@ -54,23 +65,6 @@ def reference_detector(
     base = DetectorParams(noise_rate=noise_rate)
     dead = calibrate_dead_time(base, armed_fraction, rate=CLICK_RATE)
     return replace(base, dead_time=dead, noise_rate=noise_rate)
-
-
-@lru_cache(maxsize=None)
-def signal_rate_for(params: DetectorParams, target: float = CLICK_RATE) -> float:
-    """Cached pilot-calibrated photon arrival rate for a target click rate."""
-    return calibrate_source_rate(params, target)
-
-
-@lru_cache(maxsize=None)
-def salt_rate_for(params: DetectorParams) -> float:
-    """Salt arrival rate lifting the in-test click rate to SALT_TEST_RATE.
-
-    Signal and salt photons superpose into one Poisson stream, so the
-    extra rate is the difference of two calibrated totals.
-    """
-    total = calibrate_source_rate(params, SALT_TEST_RATE, duration=0.1)
-    return max(0.0, total - signal_rate_for(params))
 
 
 def manipulation_attack(stop_blind_at: float | None = None) -> AttackScenario:
@@ -87,13 +81,10 @@ def manipulation_attack(stop_blind_at: float | None = None) -> AttackScenario:
 def salt_config(
     scenario: Scenario, trials: int, seed: int, trial_duration: float = 2 * WINDOW
 ) -> ExperimentConfig:
-    detector = reference_detector(FLAG_ARMED_FRACTION)
-    signal = signal_rate_for(detector)
-    salt = salt_rate_for(detector)
     plan = SelfTestPlan(
         strategy=Strategy.SALT,
         test_duration=WINDOW,
-        salt_rate=salt,
+        salt_rate=SALT_RATE,
         count_threshold=SALT_THRESHOLD,
         null_mean=SALT_TEST_RATE * WINDOW,
     )
@@ -101,10 +92,10 @@ def salt_config(
         manipulation_attack() if scenario == Scenario.MANIPULATED else AttackScenario()
     )
     return ExperimentConfig(
-        detector=detector,
+        detector=reference_detector(FLAG_ARMED_FRACTION),
         attack=attack,
         plan=plan,
-        signal_rate=signal,
+        signal_rate=SIGNAL_RATE,
         duty_cycle=WINDOW / trial_duration,
         trial_duration=trial_duration,
         trials=trials,
@@ -116,7 +107,6 @@ def salt_config(
 def flag_pulse_config(
     scenario: Scenario, trials: int, seed: int, trial_duration: float = WINDOW
 ) -> ExperimentConfig:
-    detector = reference_detector(FLAG_ARMED_FRACTION)
     plan = SelfTestPlan(
         strategy=Strategy.FLAG_PULSE,
         test_duration=FLAG_WIDTH,
@@ -127,10 +117,10 @@ def flag_pulse_config(
         manipulation_attack() if scenario == Scenario.MANIPULATED else AttackScenario()
     )
     return ExperimentConfig(
-        detector=detector,
+        detector=reference_detector(FLAG_ARMED_FRACTION),
         attack=attack,
         plan=plan,
-        signal_rate=signal_rate_for(detector),
+        signal_rate=SIGNAL_RATE,
         duty_cycle=FLAG_WIDTH / trial_duration,
         trial_duration=trial_duration,
         trials=trials,
@@ -162,7 +152,7 @@ def self_blind_config(
         detector=detector,
         attack=attack,
         plan=plan,
-        signal_rate=signal_rate_for(detector),
+        signal_rate=SELF_BLIND_SIGNAL_RATE,
         duty_cycle=WINDOW / trial_duration,
         trial_duration=trial_duration,
         trials=trials,

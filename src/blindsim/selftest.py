@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .detector import ClickRecord
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .stats import Histogram, binomial_tail, poisson_tail
 from .units import to_ps, to_seconds
 
@@ -73,6 +73,12 @@ class SelfTestPlan:
     null_in_blind_mean: float = 1e-3  # expected noise clicks while self-blinded
 
     def validate(self) -> None:
+        require_finite(
+            self, "test_start", "test_duration", "salt_rate", "response_window",
+            "count_threshold", "flag_pulse_energy", "self_blind_power",
+            "null_response_prob", "alt_response_prob", "null_onset_prob",
+            "null_in_blind_mean", optional=("flag_photon_number", "null_mean"),
+        )
         if self.test_start < 0:
             raise ValidationError("test_start", "must be >= 0")
         if self.test_duration <= 0:

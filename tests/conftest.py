@@ -2,11 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from blindsim.presets import (
-    reference_detector,
-    salt_rate_for,
-    signal_rate_for,
-)
+from blindsim.presets import SALT_RATE, SIGNAL_RATE, reference_detector
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -25,10 +21,10 @@ def ref_detector():
 
 
 @pytest.fixture(scope="session")
-def ref_signal_rate(ref_detector):
-    return signal_rate_for(ref_detector)
+def ref_signal_rate():
+    return SIGNAL_RATE
 
 
 @pytest.fixture(scope="session")
-def ref_salt_rate(ref_detector):
-    return salt_rate_for(ref_detector)
+def ref_salt_rate():
+    return SALT_RATE

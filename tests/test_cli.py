@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,13 @@ class TestFigureCommand:
         assert hist.mean() == pytest.approx(10.0, abs=1.0)
         assert "mean =" in result.output
 
+    @pytest.mark.parametrize("name", ["fig3b", "fig4"])
+    def test_zero_trials_exits_one(self, tmp_path, name):
+        result = run_cli("figure", name, "--trials", "0", "--out", str(tmp_path / "x"))
+        assert result.exit_code == 1
+        assert "trials" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_fig4_small_run(self, tmp_path):
         result = run_cli(
             "figure", "fig4", "--trials", "60", "--seed", "2", "--out", str(tmp_path),
@@ -292,13 +300,30 @@ class TestSweepCommand:
 
 
 def test_cli_import_leaves_scipy_out():
+    # A fresh interpreter: importing the CLI loads no scipy, and building
+    # every protocol x scenario preset runs no detector simulation.
     src = str(Path(blindsim.__file__).resolve().parents[1])
-    code = "import sys, blindsim.cli; print('scipy' in sys.modules)"
+    code = textwrap.dedent("""
+        import sys, blindsim.cli
+        print('scipy' in sys.modules)
+        from blindsim import Scenario, Strategy, engine, presets
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a preset ran a detector simulation")
+
+        engine.process_timeline = no_simulation
+        pairs = [(sc, st) for sc in (Scenario.NORMAL, Scenario.MANIPULATED)
+                 for st in Strategy]
+        pairs.append((Scenario.RECOVERY_ATTACK, Strategy.SELF_BLIND))
+        for scenario, strategy in pairs:
+            presets.preset_config(scenario, strategy, trials=3, seed=1)
+        print(len(pairs))
+    """)
     proc = subprocess.run(
         [sys.executable, "-c", code], env={"PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "7"]
 
 
 class TestHistogramCsv:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from blindsim import (
     process_timeline,
     stream,
 )
+from blindsim import presets
+from blindsim.engine import calibrate_source_rate, realized_click_rate
 from blindsim.presets import MAX_RATE
 from blindsim.units import to_ps
 
@@ -412,3 +416,32 @@ class TestCalibrateDeadTime:
                         and c.cause is ClickCause.FLAG)
         frac = responses / len(probes)
         assert frac == pytest.approx(0.934, abs=0.02)
+
+
+class TestSourceRates:
+    def test_preset_rates_match_calibration(self):
+        flag = presets.reference_detector(presets.FLAG_ARMED_FRACTION)
+        self_blind = presets.reference_detector(
+            presets.ONSET_ARMED_FRACTION, noise_rate=presets.SELF_BLIND_NOISE_RATE
+        )
+        signal = calibrate_source_rate(flag, presets.CLICK_RATE)
+        assert presets.SIGNAL_RATE == signal
+        assert presets.SELF_BLIND_SIGNAL_RATE == calibrate_source_rate(
+            self_blind, presets.CLICK_RATE
+        )
+        total = calibrate_source_rate(flag, presets.SALT_TEST_RATE, duration=0.1)
+        assert presets.SALT_RATE == total - signal
+
+    @pytest.mark.parametrize("dead_time", [4.8e-7, 1.32e-6])
+    @pytest.mark.parametrize("photon_rate", [5e4, 5e5])
+    def test_dead_time_matches_mueller_rate(self, dead_time, photon_rate):
+        # Mueller (1973): a non-paralysable dead time turns a Poisson
+        # stream of rate lam into clicks at lam / (1 + lam tau), with
+        # renewal count variance lam t / (1 + lam tau)^3 over time t.
+        params = DetectorParams(dark_rate=0.0, afterpulse_prob=0.0, dead_time=dead_time)
+        duration = 0.5
+        lam = params.efficiency * photon_rate
+        expected = lam / (1 + lam * dead_time)
+        sigma = math.sqrt(lam * duration / (1 + lam * dead_time) ** 3) / duration
+        got = realized_click_rate(params, photon_rate, duration)
+        assert abs(got - expected) < 4 * sigma

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -194,6 +196,26 @@ class TestConfigValidation:
         )
         with pytest.raises(ValidationError):
             cfg.validate()
+
+
+def numeric_leaves(cls=ExperimentConfig, prefix=""):
+    """Dotted paths of every int or float (possibly optional) config leaf."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        ann = hints[f.name]
+        if is_dataclass(ann):
+            yield from numeric_leaves(ann, f"{prefix}{f.name}.")
+        elif {int, float} & set(get_args(ann) or (ann,)):
+            yield prefix + f.name
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc"])
+@pytest.mark.parametrize("path", list(numeric_leaves()))
+def test_non_finite_or_non_numeric_leaf_rejected(path, bad):
+    cfg = set_config_value(ExperimentConfig(), path, bad)
+    with pytest.raises(ValidationError) as err:
+        cfg.validate()
+    assert err.value.field == path.rsplit(".", 1)[-1]
 
 
 class TestThreadInvariance:
