@@ -109,9 +109,7 @@ def _build_config(
                 raise _fail_config(f"--set expects dotted.path=value, got {item!r}")
             path, _, value = item.partition("=")
             flat[path.strip()] = value.strip()
-        config = config_from_flat(flat)
-        config.validate()
-        return config
+        return config_from_flat(flat)
     except click.ClickException:
         raise
     except BlindsimError as e:

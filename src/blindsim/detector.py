@@ -37,7 +37,7 @@ from heapq import heappush, heappop
 import numpy as np
 
 from .errors import ValidationError, require_finite
-from .optics import OpticalTimeline, PhotonSource, PulseSource
+from .optics import OpticalTimeline, PhotonSource, PulseSource, _poisson_arrival_ps
 from .units import PS_PER_SECOND, to_ps, to_seconds
 
 
@@ -79,7 +79,7 @@ class DetectorParams:
     recovery_click_prob: float = 1.0
     noise_rate: float = 0.0  # electrical noise clicks/second, active while blinded
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(
             self, "efficiency", "dark_rate", "dead_time", "afterpulse_prob",
             "afterpulse_tau", "blind_power", "fake_energy", "recovery_click_prob",
@@ -157,7 +157,6 @@ def process_timeline(
     fixed order, then dark and noise candidates, and only afterpulse
     scheduling draws from the stream during the event walk.
     """
-    params.validate()
     timeline.validate()
     clicks: list[ClickRecord] = []
     dur = timeline.duration_ps
@@ -179,17 +178,9 @@ def process_timeline(
     u_photon = rng.random(len(photons)) if photons else None
     u_pulse = rng.random(len(pulses)) if pulses else None
     u_recovery = rng.random(n_crossings) if n_crossings else None
-    def thinned_times(rate: float):
-        # candidate arrival times for a state-gated Poisson click source;
-        # clipped to keep the half-open horizon exact under rounding
-        n = rng.poisson(rate * to_seconds(dur)) if rate > 0 else 0
-        if not n:
-            return None
-        times = np.sort((rng.random(n) * dur).astype(np.int64))
-        return np.minimum(times, dur - 1)
-
-    dark_times = thinned_times(params.dark_rate)
-    noise_times = thinned_times(params.noise_rate)
+    # candidate times of the state-gated Poisson click sources
+    dark_times = _poisson_arrival_ps(params.dark_rate, dur, rng)
+    noise_times = _poisson_arrival_ps(params.noise_rate, dur, rng)
 
     # Per-pulse precomputation: forced click above the fake-state energy
     # threshold; otherwise the armed-response probability.
@@ -207,10 +198,8 @@ def process_timeline(
     events: list[tuple[int, int, int]] = []
     events.extend((p.time_ps, _PHOTON, i) for i, p in enumerate(photons))
     events.extend((pu.time_ps, _PULSE, i) for i, pu in enumerate(pulses))
-    if dark_times is not None:
-        events.extend((int(t), _DARK, 0) for t in dark_times)
-    if noise_times is not None:
-        events.extend((int(t), _NOISE, 0) for t in noise_times)
+    events.extend((int(t), _DARK, 0) for t in dark_times)
+    events.extend((int(t), _NOISE, 0) for t in noise_times)
     events.extend((t, _CW, i) for i, (t, _, _) in enumerate(edges) if t < dur)
     events.sort()
 
@@ -285,7 +274,6 @@ def calibrate_dead_time(
     rate * dead_time for any afterpulse configuration, and the dead time
     is the closed form (1 - target_armed_fraction) / rate.
     """
-    params.validate()
     if not 0 < target_armed_fraction < 1:
         raise ValidationError(
             "target_armed_fraction", "must lie strictly between 0 and 1"

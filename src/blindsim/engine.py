@@ -53,12 +53,10 @@ class ExperimentConfig:
     seed: int = 1
     scenario: Scenario = Scenario.NORMAL
 
-    def validate(self) -> None:
-        self.detector.validate()
-        self.attack.validate()
-        self.plan.validate()
+    def __post_init__(self) -> None:
         require_finite(
-            self, "signal_rate", "duty_cycle", "trial_duration", "trials", "seed"
+            self, "signal_rate", "duty_cycle", "trial_duration", "trials", "seed",
+            integers=("trials", "seed"),
         )
         if self.signal_rate < 0:
             raise ValidationError("signal_rate", "must be >= 0")
@@ -160,7 +158,6 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     Exposed separately from run_trial so callers can inspect the exact
     stimuli and detector output behind a verdict.
     """
-    config.validate()
     if trial_index < 0 or trial_index >= config.trials:
         raise ValidationError("trial_index", "outside configured trial range")
     seed = config.seed
@@ -307,7 +304,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     ``threads`` is an execution hint only; results are keyed by trial
     index and identical for any thread count.
     """
-    config.validate()
     indices = range(config.trials)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -21,22 +21,31 @@ class ValidationError(BlindsimError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def require_finite(obj, *names: str, optional: tuple[str, ...] = ()) -> None:
+def require_finite(
+    obj, *names: str, optional: tuple[str, ...] = (), integers: tuple[str, ...] = ()
+) -> None:
     """Reject attributes of ``obj`` that are not finite numbers.
 
-    Attributes listed in ``optional`` may also be None.
+    Attributes listed in ``optional`` may also be None; those listed in
+    ``integers`` must be ints.  Nothing is coerced.
     """
     for name in names + optional:
         value = getattr(obj, name)
         if value is None and name in optional:
             continue
         try:
-            # ints are finite, and math.isfinite overflows on huge ones
-            ok = type(value) is int or math.isfinite(value)
+            # ints are finite, and math.isfinite overflows on huge ones;
+            # a bool is not a number here
+            ok = type(value) is int or (
+                name not in integers
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+            )
         except TypeError:
             ok = False
         if not ok:
-            raise ValidationError(name, f"must be a finite number, got {value!r}")
+            kind = "an integer" if name in integers else "a finite number"
+            raise ValidationError(name, f"must be {kind}, got {value!r}")
 
 
 class ConfigError(BlindsimError, ValueError):

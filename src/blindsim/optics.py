@@ -138,7 +138,7 @@ class AttackScenario:
     stop_blind_at: float | None = None  # attacker ceases at this time
     allow_fakes_without_blinding: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(
             self, "blind_power_level", "fake_pulse_rate", "fake_peak_power",
             "fake_width", optional=("stop_blind_at",),
@@ -200,7 +200,6 @@ def gen_attack(
     Fake pulses are emitted while the attack is active, i.e. over
     [0, stop_blind_at) when the attacker ceases early.
     """
-    scenario.validate()
     duration_ps = to_ps(duration)
     stop_ps = duration_ps
     if scenario.stop_blind_at is not None:
@@ -250,8 +249,6 @@ def gen_le_schedule(
     stop_ps = min(duration_ps, start_ps + span_ps)
 
     if plan.strategy == Strategy.SALT:
-        if plan.salt_rate < 0:
-            raise ValidationError("salt_rate", "must be >= 0")
         times = _poisson_arrival_ps(plan.salt_rate, stop_ps - start_ps, rng)
         photons = tuple(Photon(int(t) + start_ps, PhotonSource.SALT) for t in times)
         return OpticalTimeline(duration_ps=duration_ps, photons=photons)

@@ -72,12 +72,13 @@ class SelfTestPlan:
     null_onset_prob: float = 0.976  # self-blind onset click probability
     null_in_blind_mean: float = 1e-3  # expected noise clicks while self-blinded
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(
             self, "test_start", "test_duration", "salt_rate", "response_window",
             "count_threshold", "flag_pulse_energy", "self_blind_power",
             "null_response_prob", "alt_response_prob", "null_onset_prob",
             "null_in_blind_mean", optional=("flag_photon_number", "null_mean"),
+            integers=("count_threshold", "flag_photon_number"),
         )
         if self.test_start < 0:
             raise ValidationError("test_start", "must be >= 0")
@@ -89,6 +90,10 @@ class SelfTestPlan:
             raise ValidationError("response_window", "must be > 0")
         if self.count_threshold < 0:
             raise ValidationError("count_threshold", "must be >= 0")
+        if self.flag_photon_number is not None and self.flag_photon_number < 1:
+            raise ValidationError("flag_photon_number", "must be >= 1")
+        if self.null_mean is not None and self.null_mean <= 0:
+            raise ValidationError("null_mean", "must be > 0")
         if self.null_mean is not None and self.count_threshold >= self.null_mean:
             raise ValidationError(
                 "count_threshold", "must sit below the calibrated normal mean"
@@ -97,6 +102,11 @@ class SelfTestPlan:
             raise ValidationError("flag_pulse_energy", "must be > 0")
         if self.self_blind_power <= 0:
             raise ValidationError("self_blind_power", "must be > 0")
+        for name in ("null_response_prob", "alt_response_prob", "null_onset_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValidationError(name, "must lie in [0, 1]")
+        if self.null_in_blind_mean < 0:
+            raise ValidationError("null_in_blind_mean", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -191,7 +201,7 @@ def evaluate_flag_pulse(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Ve
     count = _count_between(clicks, a, b)
     seen = count > 0
     decision = Decision.NORMAL if seen else Decision.NEGATIVE_MANIPULATION
-    p = 1.0 if seen else max(0.0, 1.0 - plan.null_response_prob)
+    p = 1.0 if seen else 1.0 - plan.null_response_prob
     return Verdict(decision, count, flag_seen=seen, p_value=p)
 
 
@@ -255,7 +265,7 @@ def evaluate_self_blind(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Ve
         decision = Decision.POSITIVE_MANIPULATION
     else:
         decision = Decision.BOTH
-    p_flag = 1.0 if flag_seen else max(0.0, 1.0 - plan.null_onset_prob)
+    p_flag = 1.0 if flag_seen else 1.0 - plan.null_onset_prob
     p_blind = (
         poisson_tail(plan.null_in_blind_mean, in_blind, "upper")
         if in_blind > 0

@@ -162,6 +162,10 @@ class TestSimulateCommand:
             ("signal_rate=nan", "signal_rate"),
             ("trial_duration=inf", "trial_duration"),
             ("detector.dark_rate=nan", "detector.dark_rate"),
+            ("plan.flag_photon_number=0", "flag_photon_number"),
+            ("plan.null_response_prob=1.5", "null_response_prob"),
+            ("plan.null_in_blind_mean=-1", "null_in_blind_mean"),
+            ("plan.null_mean=-5", "null_mean"),
         ],
     )
     def test_bad_set_value_is_a_config_error(self, tmp_path, override, field):

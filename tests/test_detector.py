@@ -367,9 +367,8 @@ class TestValidation:
         ],
     )
     def test_bad_params_rejected(self, field, value):
-        params = DetectorParams(**{field: value})
         with pytest.raises(ValidationError) as err:
-            params.validate()
+            DetectorParams(**{field: value})
         assert err.value.field == field
 
 

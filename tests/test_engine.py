@@ -5,6 +5,7 @@ from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blindsim import (
     AttackScenario,
@@ -19,6 +20,7 @@ from blindsim import (
     sweep,
 )
 from blindsim.engine import expected_decisions, set_config_value
+from blindsim.manifest import config_from_flat, config_to_flat
 from blindsim.presets import (
     flag_pulse_config,
     salt_config,
@@ -176,46 +178,75 @@ class TestSweep:
 
 class TestConfigValidation:
     def test_trials_must_be_positive(self):
-        cfg = ExperimentConfig(trials=0)
         with pytest.raises(ValidationError) as err:
-            cfg.validate()
+            ExperimentConfig(trials=0)
         assert err.value.field == "trials"
 
     def test_normal_scenario_rejects_attacks(self):
-        cfg = ExperimentConfig(
-            scenario=Scenario.NORMAL,
-            attack=AttackScenario(blind_power_level=1e-9),
-        )
         with pytest.raises(ValidationError):
-            cfg.validate()
+            ExperimentConfig(
+                scenario=Scenario.NORMAL,
+                attack=AttackScenario(blind_power_level=1e-9),
+            )
 
     def test_self_blind_power_must_blind(self):
-        cfg = ExperimentConfig(
-            scenario=Scenario.CUSTOM,
-            plan=SelfTestPlan(strategy=Strategy.SELF_BLIND, self_blind_power=1e-12),
-        )
         with pytest.raises(ValidationError):
-            cfg.validate()
+            ExperimentConfig(
+                scenario=Scenario.CUSTOM,
+                plan=SelfTestPlan(strategy=Strategy.SELF_BLIND, self_blind_power=1e-12),
+            )
 
 
 def numeric_leaves(cls=ExperimentConfig, prefix=""):
-    """Dotted paths of every int or float (possibly optional) config leaf."""
+    """Dotted path and type (int or float) of every numeric, possibly optional, leaf."""
     hints = get_type_hints(cls)
     for f in fields(cls):
         ann = hints[f.name]
         if is_dataclass(ann):
             yield from numeric_leaves(ann, f"{prefix}{f.name}.")
-        elif {int, float} & set(get_args(ann) or (ann,)):
-            yield prefix + f.name
+        elif kinds := {int, float} & set(get_args(ann) or (ann,)):
+            yield prefix + f.name, kinds.pop()
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc"])
-@pytest.mark.parametrize("path", list(numeric_leaves()))
+@pytest.mark.parametrize(
+    "path,bad",
+    [
+        (path, bad)
+        for path, kind in numeric_leaves()
+        for bad in [float("nan"), float("inf"), "abc", True] + ([2.5] if kind is int else [])
+    ],
+)
 def test_non_finite_or_non_numeric_leaf_rejected(path, bad):
-    cfg = set_config_value(ExperimentConfig(), path, bad)
     with pytest.raises(ValidationError) as err:
-        cfg.validate()
+        set_config_value(ExperimentConfig(), path, bad)
     assert err.value.field == path.rsplit(".", 1)[-1]
+
+
+# A cross-field invariant names one field of the pair.  At the default
+# config (SALT plan, NORMAL scenario) a single numeric leaf can break
+# only these three, each naming the partner field.
+_PARTNER = {
+    "attack.blind_power_level": "scenario",  # NORMAL carries no attack
+    "detector.fake_energy": "flag_pulse_energy",  # flag pulse stays below it
+    "plan.null_mean": "count_threshold",  # threshold sits below the mean
+}
+
+
+@pytest.mark.parametrize("path,kind", list(numeric_leaves()))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_numeric_leaf_is_valid_by_construction(path, kind, data):
+    # A float leaf's text form parses back as a float, so an int beyond
+    # 2**53 would come back rounded; ints are drawn where floats hold
+    # them exactly.  Int leaves take arbitrary ints.
+    ints = st.integers() if kind is int else st.integers(-(2**53), 2**53)
+    value = data.draw(st.floats() | ints, label="value")
+    try:
+        cfg = set_config_value(ExperimentConfig(), path, value)
+    except ValidationError as err:
+        assert err.field in {path.rsplit(".", 1)[-1], _PARTNER.get(path)}
+    else:
+        assert config_from_flat(config_to_flat(cfg)) == cfg
 
 
 class TestThreadInvariance:

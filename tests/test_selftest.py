@@ -351,4 +351,22 @@ class TestDecisionErrorRates:
 
     def test_plan_threshold_must_sit_below_calibrated_mean(self):
         with pytest.raises(ValidationError):
-            salt_plan(count_threshold=120, null_mean=100.0).validate()
+            salt_plan(count_threshold=120, null_mean=100.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("null_response_prob", 1.5),
+            ("null_response_prob", -0.1),
+            ("alt_response_prob", 1.01),
+            ("null_onset_prob", -0.5),
+            ("null_in_blind_mean", -1.0),
+            ("null_mean", -5.0),
+            ("null_mean", 0.0),
+            ("flag_photon_number", 0),
+        ],
+    )
+    def test_decision_model_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValidationError) as err:
+            SelfTestPlan(strategy=Strategy.FLAG_PULSE, **{field: value})
+        assert err.value.field == field
