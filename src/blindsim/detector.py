@@ -59,11 +59,6 @@ class ClickRecord:
     time_ps: int
     cause: ClickCause
 
-    @property
-    def time(self) -> float:
-        """Timestamp in seconds."""
-        return to_seconds(self.time_ps)
-
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -261,11 +256,7 @@ def process_timeline(
     return clicks
 
 
-def calibrate_dead_time(
-    params: DetectorParams,
-    target_armed_fraction: float,
-    rate: float = 5.0e4,
-) -> float:
+def calibrate_dead_time(target_armed_fraction: float, rate: float = 5.0e4) -> float:
     """Dead time for which the detector is armed the target fraction of time.
 
     ``rate`` is the steady-state click rate the detector sustains.  Every

@@ -153,7 +153,7 @@ def tally_verdicts(decisions, scenario: Scenario, strategy: Strategy) -> tuple[C
 
 
 def build_trial_timeline(config: ExperimentConfig, trial_index: int):
-    """Scheduled plans and the merged optical timeline of one trial.
+    """Scheduled test start times and the merged optical timeline of one trial.
 
     Exposed separately from run_trial so callers can inspect the exact
     stimuli and detector output behind a verdict.
@@ -161,24 +161,22 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     if trial_index < 0 or trial_index >= config.trials:
         raise ValidationError("trial_index", "outside configured trial range")
     seed = config.seed
-    plans = schedule_tests(
+    plan = config.plan
+    starts = schedule_tests(
         config.trial_duration,
         config.duty_cycle,
-        config.plan.strategy,
+        plan,
         stream(seed, trial_index, "schedule"),
-        template=config.plan,
     )
     attack = config.attack
     if (
         config.scenario == Scenario.RECOVERY_ATTACK
         and attack.stop_blind_at is None
-        and plans
+        and starts
     ):
         # Worst case for the defender: the attacker releases its blinding
         # light in the middle of the self-test interval.
-        attack = replace(
-            attack, stop_blind_at=plans[0].test_start + plans[0].test_duration / 2
-        )
+        attack = replace(attack, stop_blind_at=starts[0] + plan.test_duration / 2)
     fragments = [
         gen_signal_photons(
             config.signal_rate, config.trial_duration, stream(seed, trial_index, "signal")
@@ -186,32 +184,33 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
         gen_attack(attack, config.trial_duration, stream(seed, trial_index, "attack")),
     ]
     le_rng = stream(seed, trial_index, "le")
-    for plan in plans:
+    for start in starts:
         fragments.append(
             gen_le_schedule(
                 plan,
+                start,
                 config.trial_duration,
                 le_rng,
                 fake_energy=config.detector.fake_energy,
             )
         )
-    return plans, merge_timelines(*fragments)
+    return starts, merge_timelines(*fragments)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """One deterministic trial; reproducible from (config, trial_index)."""
-    plans, timeline = build_trial_timeline(config, trial_index)
+    starts, timeline = build_trial_timeline(config, trial_index)
     seed = config.seed
     clicks = process_timeline(
         config.detector, timeline, stream(seed, trial_index, "detector")
     )
 
     evaluator = _EVALUATORS[config.plan.strategy]
-    verdicts = tuple(evaluator(plan, clicks) for plan in plans)
+    verdicts = tuple(evaluator(config.plan, start, clicks) for start in starts)
     offsets: list[int] = []
     span_ps = to_ps(_OFFSET_SPAN)
-    for plan in plans:
-        a = to_ps(plan.test_start)
+    for start in starts:
+        a = to_ps(start)
         offsets.extend(
             c.time_ps - a for c in clicks if a <= c.time_ps < a + span_ps
         )
@@ -301,8 +300,9 @@ def _build_histograms(config: ExperimentConfig, trials: tuple[TrialResult, ...])
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run all trials and aggregate summary histograms.
 
-    ``threads`` is an execution hint only; results are keyed by trial
-    index and identical for any thread count.
+    ``threads`` is an execution hint only; trials come back in index
+    order (``Executor.map`` keeps input order) and are identical for any
+    thread count.
     """
     indices = range(config.trials)
     if threads > 1:
@@ -310,7 +310,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             trials = tuple(pool.map(lambda i: run_trial(config, i), indices))
     else:
         trials = tuple(run_trial(config, i) for i in indices)
-    trials = tuple(sorted(trials, key=lambda t: t.index))
     return ExperimentResult(
         config=config, trials=trials, histograms=_build_histograms(config, trials)
     )

@@ -19,7 +19,7 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ConfigError, ValidationError, require_finite
 from .units import to_ps, to_seconds
 
 if TYPE_CHECKING:
@@ -224,12 +224,13 @@ def gen_attack(
 
 def gen_le_schedule(
     plan: "SelfTestPlan",
+    test_start: float,
     duration: float,
     rng: np.random.Generator,
     *,
     fake_energy: float | None = None,
 ) -> OpticalTimeline:
-    """Light-emitter schedule implementing one scheduled self-test.
+    """Light-emitter schedule of one self-test starting at ``test_start``.
 
     SALT: salt photon arrivals at ``plan.salt_rate`` over the test
     interval.  FLAG_PULSE: a single few-photon pulse of width
@@ -243,8 +244,10 @@ def gen_le_schedule(
     """
     from .selftest import Strategy
 
+    if test_start < 0:
+        raise ValidationError("test_start", "must be >= 0")
     duration_ps = to_ps(duration)
-    start_ps = to_ps(plan.test_start)
+    start_ps = to_ps(test_start)
     span_ps = to_ps(plan.test_duration)
     stop_ps = min(duration_ps, start_ps + span_ps)
 
@@ -276,8 +279,6 @@ def gen_le_schedule(
 
 
 def _check_flag_energy(energy: float, fake_energy: float | None) -> None:
-    from .errors import ConfigError
-
     if fake_energy is not None and energy >= fake_energy:
         raise ConfigError(
             f"flag pulse energy {energy:.3g} J reaches the fake-state threshold "

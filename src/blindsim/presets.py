@@ -19,8 +19,6 @@ custom detector.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .detector import DetectorParams, calibrate_dead_time
 from .errors import ConfigError
 from .engine import ExperimentConfig, Scenario
@@ -62,9 +60,10 @@ def reference_detector(
     ``armed_fraction`` fixes the dead time via the renewal identity at
     the 5e4/s click rate.
     """
-    base = DetectorParams(noise_rate=noise_rate)
-    dead = calibrate_dead_time(base, armed_fraction, rate=CLICK_RATE)
-    return replace(base, dead_time=dead, noise_rate=noise_rate)
+    return DetectorParams(
+        dead_time=calibrate_dead_time(armed_fraction, rate=CLICK_RATE),
+        noise_rate=noise_rate,
+    )
 
 
 def manipulation_attack(stop_blind_at: float | None = None) -> AttackScenario:

@@ -13,13 +13,13 @@ light emitter:
   flag betrays external blinding, including the case where a recovery
   transient would otherwise be hidden by the local blinding light.
 
-Verdicts are a pure function of the plan and the observable click
-timestamps.  Ground-truth cause labels on clicks are never consulted.
+Verdicts are a pure function of the plan, the test start and the
+observable click timestamps.  Ground-truth cause labels on clicks are never consulted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence
 
@@ -47,7 +47,7 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class SelfTestPlan:
-    """One scheduled self-test.
+    """Self-test protocol; ``schedule_tests`` draws its start times.
 
     ``test_duration`` is the counting interval T for SALT and SELF_BLIND
     and the pulse width for FLAG_PULSE.  The ``null_*`` fields describe
@@ -57,7 +57,6 @@ class SelfTestPlan:
     """
 
     strategy: Strategy
-    test_start: float = 0.0
     test_duration: float = 200e-6
     salt_rate: float = 0.0  # salt photon arrival rate during the interval
     response_window: float = 60e-9
@@ -74,14 +73,12 @@ class SelfTestPlan:
 
     def __post_init__(self) -> None:
         require_finite(
-            self, "test_start", "test_duration", "salt_rate", "response_window",
+            self, "test_duration", "salt_rate", "response_window",
             "count_threshold", "flag_pulse_energy", "self_blind_power",
             "null_response_prob", "alt_response_prob", "null_onset_prob",
             "null_in_blind_mean", optional=("flag_photon_number", "null_mean"),
             integers=("count_threshold", "flag_photon_number"),
         )
-        if self.test_start < 0:
-            raise ValidationError("test_start", "must be >= 0")
         if self.test_duration <= 0:
             raise ValidationError("test_duration", "must be > 0")
         if self.salt_rate < 0:
@@ -125,11 +122,10 @@ def _count_between(clicks: Sequence[ClickRecord], a_ps: int, b_ps: int) -> int:
 def schedule_tests(
     trial_duration: float,
     duty_cycle: float,
-    strategy: Strategy,
+    plan: SelfTestPlan,
     rng: np.random.Generator,
-    template: SelfTestPlan | None = None,
-) -> list[SelfTestPlan]:
-    """Randomly placed, non-overlapping test intervals.
+) -> list[float]:
+    """Start times in seconds of randomly placed, non-overlapping tests.
 
     The number of intervals is duty_cycle * trial_duration / T; starts
     are uniform conditioned on non-overlap (sorted uniform draws plus
@@ -139,13 +135,10 @@ def schedule_tests(
         raise ValidationError("duty_cycle", "must lie in [0, 1)")
     if trial_duration < 0:
         raise ValidationError("trial_duration", "must be >= 0")
-    tmpl = template if template is not None else SelfTestPlan(strategy=strategy)
-    if tmpl.strategy != strategy:
-        tmpl = replace(tmpl, strategy=strategy)
     dur_ps = to_ps(trial_duration)
-    span = to_ps(tmpl.test_duration)
+    span = to_ps(plan.test_duration)
     # a flag pulse owns at least its response window so windows never overlap
-    occupancy = max(span, to_ps(tmpl.response_window))
+    occupancy = max(span, to_ps(plan.response_window))
     n = int(round(duty_cycle * dur_ps / span)) if span > 0 else 0
     if n == 0:
         return []
@@ -153,14 +146,12 @@ def schedule_tests(
         raise ValidationError("duty_cycle", "intervals do not fit the trial")
     slack = dur_ps - n * occupancy
     starts = np.sort(rng.integers(0, slack + 1, size=n))
-    plans = []
-    for i, s in enumerate(starts):
-        start_ps = int(s) + i * occupancy
-        plans.append(replace(tmpl, test_start=to_seconds(start_ps)))
-    return plans
+    return [to_seconds(int(s) + i * occupancy) for i, s in enumerate(starts)]
 
 
-def evaluate_salt(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Verdict:
+def evaluate_salt(
+    plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
+) -> Verdict:
     """Count clicks in the test interval and compare with the threshold.
 
     A count at or above the threshold certifies normal operation; below
@@ -171,7 +162,7 @@ def evaluate_salt(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Verdict:
     """
     if plan.strategy != Strategy.SALT:
         raise ConfigError(f"evaluate_salt needs a SALT plan, got {plan.strategy}")
-    a = to_ps(plan.test_start)
+    a = to_ps(test_start)
     b = a + to_ps(plan.test_duration)
     count = _count_between(clicks, a, b)
     if plan.salt_rate <= 0:
@@ -190,13 +181,15 @@ def evaluate_salt(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Verdict:
     return Verdict(decision, count, p_value=p)
 
 
-def evaluate_flag_pulse(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Verdict:
+def evaluate_flag_pulse(
+    plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
+) -> Verdict:
     """Single flag pulse: any click inside the response window passes."""
     if plan.strategy != Strategy.FLAG_PULSE:
         raise ConfigError(
             f"evaluate_flag_pulse needs a FLAG_PULSE plan, got {plan.strategy}"
         )
-    a = to_ps(plan.test_start)
+    a = to_ps(test_start)
     b = a + to_ps(plan.response_window)
     count = _count_between(clicks, a, b)
     seen = count > 0
@@ -206,7 +199,8 @@ def evaluate_flag_pulse(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Ve
 
 
 def evaluate_flag_pulse_batch(
-    plans: Sequence[SelfTestPlan],
+    plan: SelfTestPlan,
+    test_starts: Sequence[float],
     clicks: Sequence[ClickRecord],
     response_threshold: int | None = None,
 ) -> Verdict:
@@ -217,17 +211,16 @@ def evaluate_flag_pulse_batch(
     calibrated response probabilities to minimize the larger of the two
     decision error rates.
     """
-    k = len(plans)
+    k = len(test_starts)
     if k == 0:
         return Verdict(Decision.INCONCLUSIVE, 0)
     responses = sum(
-        1 for plan in plans if evaluate_flag_pulse(plan, clicks).flag_seen
+        1 for start in test_starts if evaluate_flag_pulse(plan, start, clicks).flag_seen
     )
-    tmpl = plans[0]
     if response_threshold is None:
         cal = DecisionCalibration(
-            manipulated=BinomialCounts(k, tmpl.alt_response_prob),
-            normal=BinomialCounts(k, tmpl.null_response_prob),
+            manipulated=BinomialCounts(k, plan.alt_response_prob),
+            normal=BinomialCounts(k, plan.null_response_prob),
         )
         response_threshold = choose_threshold(cal, 0, k)
     decision = (
@@ -235,11 +228,13 @@ def evaluate_flag_pulse_batch(
         if responses >= response_threshold
         else Decision.NEGATIVE_MANIPULATION
     )
-    p = binomial_tail(k, tmpl.null_response_prob, responses, "lower")
+    p = binomial_tail(k, plan.null_response_prob, responses, "lower")
     return Verdict(decision, responses, flag_seen=responses > 0, p_value=p)
 
 
-def evaluate_self_blind(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Verdict:
+def evaluate_self_blind(
+    plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
+) -> Verdict:
     """Combined onset-flag and silence check during self-blinding.
 
     flag and silence        -> NORMAL
@@ -252,7 +247,7 @@ def evaluate_self_blind(plan: SelfTestPlan, clicks: Sequence[ClickRecord]) -> Ve
         raise ConfigError(
             f"evaluate_self_blind needs a SELF_BLIND plan, got {plan.strategy}"
         )
-    a = to_ps(plan.test_start)
+    a = to_ps(test_start)
     w = a + to_ps(plan.response_window)
     b = a + to_ps(plan.test_duration)
     flag_seen = _count_between(clicks, a, w) > 0

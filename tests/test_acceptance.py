@@ -114,12 +114,12 @@ def test_criterion_5_recovery_attack():
     assert cfg.detector.recovery_click_prob == 1.0
     result = run_experiment(cfg)
     for trial in result.trials:
-        plans, timeline = build_trial_timeline(cfg, trial.index)
+        starts, timeline = build_trial_timeline(cfg, trial.index)
         clicks = process_timeline(
             cfg.detector, timeline, stream(cfg.seed, trial.index, "detector")
         )
-        a = to_ps(plans[0].test_start)
-        b = a + to_ps(plans[0].test_duration)
+        a = to_ps(starts[0])
+        b = a + to_ps(cfg.plan.test_duration)
         # the local blinding light holds the power above threshold when
         # the attacker lets go, so the recovery transient never fires
         # inside the test interval
@@ -232,7 +232,7 @@ def test_criterion_8d_label_shuffle_invariance():
     cfg = salt_config(Scenario.MANIPULATED, trials=50, seed=2037)
     rng = stream(2037, "shuffle")
     for index in range(cfg.trials):
-        plans, timeline = build_trial_timeline(cfg, index)
+        starts, timeline = build_trial_timeline(cfg, index)
         clicks = process_timeline(
             cfg.detector, timeline, stream(cfg.seed, index, "detector")
         )
@@ -241,5 +241,7 @@ def test_criterion_8d_label_shuffle_invariance():
         shuffled = [
             ClickRecord(c.time_ps, cause) for c, cause in zip(clicks, causes)
         ]
-        for plan in plans:
-            assert evaluate_salt(plan, clicks) == evaluate_salt(plan, shuffled)
+        for start in starts:
+            assert evaluate_salt(cfg.plan, start, clicks) == evaluate_salt(
+                cfg.plan, start, shuffled
+            )

@@ -19,6 +19,7 @@ from blindsim import (
     PulseSource,
     ValidationError,
     calibrate_dead_time,
+    count_distribution_oracle,
     empty_timeline,
     gen_signal_photons,
     process_timeline,
@@ -375,25 +376,23 @@ class TestValidation:
 class TestCalibrateDeadTime:
     def test_matches_renewal_oracle(self):
         # oracle: 1 - f = rate * dead_time  =>  dead_time = (1-f)/rate
-        params = DetectorParams()
-        got = calibrate_dead_time(params, 0.934, rate=5.0e4)
+        got = calibrate_dead_time(0.934, rate=5.0e4)
         assert got == pytest.approx((1 - 0.934) / 5.0e4, rel=1e-6)
 
     def test_closed_form_without_afterpulsing(self):
-        params = DetectorParams(afterpulse_prob=0.0)
-        got = calibrate_dead_time(params, 0.9, rate=5.0e4)
+        got = calibrate_dead_time(0.9, rate=5.0e4)
         assert got == pytest.approx(2.0e-6, rel=1e-6)
 
     def test_idle_detector_returns_smallest_duration(self):
-        assert calibrate_dead_time(DetectorParams(), 0.999999, rate=0.0) == 1e-12
+        assert calibrate_dead_time(0.999999, rate=0.0) == 1e-12
 
     def test_infeasible_targets_rejected(self):
         with pytest.raises(ValidationError):
-            calibrate_dead_time(DetectorParams(), 1.0)
+            calibrate_dead_time(1.0)
         with pytest.raises(ValidationError):
-            calibrate_dead_time(DetectorParams(), 0.0)
+            calibrate_dead_time(0.0)
         with pytest.raises(ValidationError):
-            calibrate_dead_time(DetectorParams(), -0.2)
+            calibrate_dead_time(-0.2)
 
     def test_simulation_cross_check(self, ref_detector, ref_signal_rate):
         # probe the armed fraction with sparse deterministic test pulses
@@ -444,3 +443,40 @@ class TestSourceRates:
         sigma = math.sqrt(lam * duration / (1 + lam * dead_time) ** 3) / duration
         got = realized_click_rate(params, photon_rate, duration)
         assert abs(got - expected) < 4 * sigma
+
+    @pytest.mark.parametrize("dead_time", [4.8e-7, 1.32e-6])
+    @pytest.mark.parametrize("photon_rate", [5e4, 5e5])
+    def test_dead_time_matches_mueller_count_distribution(self, dead_time, photon_rate):
+        # Mueller (1973): a window of length T that starts armed holds n
+        # or more clicks iff n exponential gaps plus n - 1 dead times fit
+        # in it, so P(N >= n) = P(Poisson(lam (T - (n-1) tau)) >= n) while
+        # (n-1) tau < T, and 0 beyond.
+        from scipy.stats import chisquare, poisson
+
+        params = DetectorParams(dark_rate=0.0, afterpulse_prob=0.0, dead_time=dead_time)
+        window, n_windows = 200e-6, 5000
+        lam = params.efficiency * photon_rate
+        hist = count_distribution_oracle(
+            params, photon_rate, window, n_windows, stream(44, "mueller")
+        )
+        observed = dict(zip((int(e) for e in hist.bin_edges), hist.counts))
+
+        def at_least(n):
+            live = window - (n - 1) * dead_time
+            return poisson.sf(n - 1, lam * live) if live > 0 else 0.0
+
+        # pool neighbouring counts until each bin expects at least 5
+        n_max = math.ceil(window / dead_time) + 1
+        obs_bins, exp_bins = [0], [0.0]
+        for n in range(n_max + 1):
+            if exp_bins[-1] >= 5:
+                obs_bins.append(0)
+                exp_bins.append(0.0)
+            obs_bins[-1] += observed.get(n, 0)
+            exp_bins[-1] += n_windows * (at_least(n) - at_least(n + 1))
+        if exp_bins[-1] < 5:
+            tail_obs, tail_exp = obs_bins.pop(), exp_bins.pop()
+            obs_bins[-1] += tail_obs
+            exp_bins[-1] += tail_exp
+        assert sum(obs_bins) == n_windows
+        assert chisquare(obs_bins, exp_bins).pvalue > 1e-4

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import pytest
@@ -15,17 +15,31 @@ from blindsim import (
     SelfTestPlan,
     Strategy,
     ValidationError,
+    gen_attack,
+    gen_le_schedule,
+    gen_signal_photons,
+    merge_timelines,
+    process_timeline,
     run_experiment,
     run_trial,
+    schedule_tests,
+    stream,
     sweep,
 )
-from blindsim.engine import expected_decisions, set_config_value
+from blindsim.engine import build_trial_timeline, expected_decisions, set_config_value
 from blindsim.manifest import config_from_flat, config_to_flat
 from blindsim.presets import (
     flag_pulse_config,
+    preset_config,
     salt_config,
     self_blind_config,
 )
+
+PRESET_ARMS = [
+    (scenario, strategy)
+    for scenario in (Scenario.NORMAL, Scenario.MANIPULATED)
+    for strategy in Strategy
+] + [(Scenario.RECOVERY_ATTACK, Strategy.SELF_BLIND)]
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +112,12 @@ class TestScenarioOutcomes:
             # the attacker's release happens mid-test; any recovery click
             # there would betray the model failing to superpose the local
             # blinding light (the local release at test end is legitimate)
-            plans, timeline = build_trial_timeline(cfg, trial.index)
+            starts, timeline = build_trial_timeline(cfg, trial.index)
             clicks = process_timeline(
                 cfg.detector, timeline, stream(cfg.seed, trial.index, "detector")
             )
-            a = to_ps(plans[0].test_start)
-            b = a + to_ps(plans[0].test_duration)
+            a = to_ps(starts[0])
+            b = a + to_ps(cfg.plan.test_duration)
             assert not any(
                 c.cause is ClickCause.RECOVERY and a <= c.time_ps < b for c in clicks
             )
@@ -256,3 +270,63 @@ class TestThreadInvariance:
         four = run_experiment(cfg, threads=4)
         assert one.trials == four.trials
         assert one.histograms == four.histograms
+
+
+@pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)
+def test_trials_construct_no_plan(scenario, strategy, monkeypatch):
+    # The plan is the run's protocol; a trial's schedule is start times.
+    cfg = preset_config(scenario, strategy, trials=20, seed=17)
+    built = []
+    validate = SelfTestPlan.__post_init__
+
+    def counting(plan):
+        built.append(plan)
+        validate(plan)
+
+    monkeypatch.setattr(SelfTestPlan, "__post_init__", counting)
+    run_experiment(cfg)
+    assert built == []
+
+
+def trial_fragments(cfg, index):
+    """One trial's timeline fragments, rebuilt with the public generators."""
+    starts = schedule_tests(
+        cfg.trial_duration, cfg.duty_cycle, cfg.plan, stream(cfg.seed, index, "schedule")
+    )
+    attack = cfg.attack
+    if cfg.scenario == Scenario.RECOVERY_ATTACK:
+        attack = replace(attack, stop_blind_at=starts[0] + cfg.plan.test_duration / 2)
+    le_rng = stream(cfg.seed, index, "le")
+    return [
+        gen_signal_photons(
+            cfg.signal_rate, cfg.trial_duration, stream(cfg.seed, index, "signal")
+        ),
+        gen_attack(attack, cfg.trial_duration, stream(cfg.seed, index, "attack")),
+        *[
+            gen_le_schedule(
+                cfg.plan, start, cfg.trial_duration, le_rng,
+                fake_energy=cfg.detector.fake_energy,
+            )
+            for start in starts
+        ],
+    ]
+
+
+@pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_fragment_order_changes_neither_timeline_nor_clicks(scenario, strategy, data):
+    # Four tests per trial, so light-emitter fragments also interleave
+    # with each other.
+    cfg = preset_config(scenario, strategy, trials=50, seed=18)
+    cfg = set_config_value(cfg, "trial_duration", 4 * cfg.trial_duration)
+    index = data.draw(st.integers(0, cfg.trials - 1), label="index")
+    fragments = trial_fragments(cfg, index)
+    assert len(fragments) == 6
+    _, timeline = build_trial_timeline(cfg, index)
+    assert merge_timelines(*fragments) == timeline
+    shuffled = data.draw(st.permutations(fragments), label="order")
+    merged = merge_timelines(*shuffled)
+    assert merged == timeline
+    clicks = process_timeline(cfg.detector, timeline, stream(cfg.seed, index, "detector"))
+    assert process_timeline(cfg.detector, merged, stream(cfg.seed, index, "detector")) == clicks

@@ -125,13 +125,12 @@ class TestLeSchedule:
     def test_salt_schedule_rate(self):
         plan = SelfTestPlan(
             strategy=Strategy.SALT,
-            test_start=100e-6,
             test_duration=200e-6,
             salt_rate=450e3,
         )
         counts = []
         for i in range(800):
-            frag = gen_le_schedule(plan, 500e-6, stream(10, i))
+            frag = gen_le_schedule(plan, 100e-6, 500e-6, stream(10, i))
             counts.append(len(frag.photons))
             for p in frag.photons:
                 assert p.source is PhotonSource.SALT
@@ -139,10 +138,8 @@ class TestLeSchedule:
         assert np.mean(counts) == pytest.approx(90.0, rel=0.05)
 
     def test_flag_pulse_schedule(self):
-        plan = SelfTestPlan(
-            strategy=Strategy.FLAG_PULSE, test_start=10e-6, test_duration=25e-9
-        )
-        frag = gen_le_schedule(plan, 100e-6, stream(11))
+        plan = SelfTestPlan(strategy=Strategy.FLAG_PULSE, test_duration=25e-9)
+        frag = gen_le_schedule(plan, 10e-6, 100e-6, stream(11))
         assert len(frag.pulses) == 1
         pulse = frag.pulses[0]
         assert pulse.width_ps == to_ps(25e-9)
@@ -151,10 +148,8 @@ class TestLeSchedule:
         assert pulse.energy == pytest.approx(plan.flag_pulse_energy, rel=1e-9)
 
     def test_self_blind_schedule(self):
-        plan = SelfTestPlan(
-            strategy=Strategy.SELF_BLIND, test_start=100e-6, test_duration=200e-6
-        )
-        frag = gen_le_schedule(plan, 500e-6, stream(12))
+        plan = SelfTestPlan(strategy=Strategy.SELF_BLIND, test_duration=200e-6)
+        frag = gen_le_schedule(plan, 100e-6, 500e-6, stream(12))
         assert len(frag.cw_segments) == 1
         seg = frag.cw_segments[0]
         assert seg.source is CwSource.LE_BLIND
@@ -171,7 +166,13 @@ class TestLeSchedule:
             flag_pulse_energy=2e-15,
         )
         with pytest.raises(ConfigError):
-            gen_le_schedule(plan, 1e-3, stream(13), fake_energy=1e-15)
+            gen_le_schedule(plan, 0.0, 1e-3, stream(13), fake_energy=1e-15)
+
+    def test_negative_start_rejected(self):
+        plan = SelfTestPlan(strategy=Strategy.SALT, salt_rate=450e3)
+        with pytest.raises(ValidationError) as err:
+            gen_le_schedule(plan, -1e-6, 1e-3, stream(14))
+        assert err.value.field == "test_start"
 
 
 class TestMergeTimelines:

@@ -30,6 +30,11 @@ from blindsim import (
 from blindsim.units import to_ps
 
 
+SALT_START = 100e-6
+FLAG_START = 10e-6
+BLIND_START = 100e-6
+
+
 def clicks_at(times_s, cause=ClickCause.SIGNAL):
     return [ClickRecord(to_ps(t), cause) for t in sorted(times_s)]
 
@@ -37,7 +42,6 @@ def clicks_at(times_s, cause=ClickCause.SIGNAL):
 def salt_plan(**overrides):
     defaults = dict(
         strategy=Strategy.SALT,
-        test_start=100e-6,
         test_duration=200e-6,
         salt_rate=450e3,
         count_threshold=50,
@@ -48,47 +52,49 @@ def salt_plan(**overrides):
 
 class TestScheduleTests:
     def test_interval_count_follows_duty_cycle(self):
-        plans = schedule_tests(1.0, 0.01, Strategy.SALT, stream(1, "sched"))
-        assert len(plans) == 50
-        for plan in plans:
-            assert plan.strategy is Strategy.SALT
-            assert 0 <= plan.test_start
-            assert plan.test_start + plan.test_duration <= 1.0
+        plan = SelfTestPlan(strategy=Strategy.SALT)
+        starts = schedule_tests(1.0, 0.01, plan, stream(1, "sched"))
+        assert len(starts) == 50
+        for start in starts:
+            assert 0 <= start
+            assert start + plan.test_duration <= 1.0
 
     def test_zero_duty_cycle_is_empty(self):
-        assert schedule_tests(1.0, 0.0, Strategy.SALT, stream(2)) == []
+        assert schedule_tests(1.0, 0.0, SelfTestPlan(strategy=Strategy.SALT), stream(2)) == []
 
     def test_intervals_do_not_overlap(self):
-        plans = schedule_tests(0.01, 0.5, Strategy.SELF_BLIND, stream(3))
-        spans = sorted((p.test_start, p.test_start + p.test_duration) for p in plans)
+        plan = SelfTestPlan(strategy=Strategy.SELF_BLIND)
+        starts = schedule_tests(0.01, 0.5, plan, stream(3))
+        spans = sorted((s, s + plan.test_duration) for s in starts)
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert start >= stop
 
     def test_seeds_give_distinct_schedules(self):
         starts = {
-            tuple(p.test_start for p in schedule_tests(1.0, 0.01, Strategy.SALT, stream(s)))
+            tuple(schedule_tests(1.0, 0.01, SelfTestPlan(strategy=Strategy.SALT), stream(s)))
             for s in range(100)
         }
         assert len(starts) == 100
 
     def test_infeasible_duty_cycle_rejected(self):
         # rounding the interval count up makes n * T exceed the trial
-        template = salt_plan(test_duration=0.35)
+        plan = salt_plan(test_duration=0.35)
         with pytest.raises(ValidationError):
-            schedule_tests(1.0, 0.9999, Strategy.SALT, stream(4), template=template)
-        template = SelfTestPlan(
+            schedule_tests(1.0, 0.9999, plan, stream(4))
+        plan = SelfTestPlan(
             strategy=Strategy.FLAG_PULSE, test_duration=25e-9, response_window=60e-9
         )
         # 25 ns pulses own a 60 ns window; a duty cycle feasible for the
         # pulse width alone can still be infeasible for the windows
         with pytest.raises(ValidationError):
-            schedule_tests(1e-6, 0.5, Strategy.FLAG_PULSE, stream(5), template=template)
+            schedule_tests(1e-6, 0.5, plan, stream(5))
 
     @given(duty=st.floats(0.0, 0.4), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_schedule_respects_bounds(self, duty, seed):
-        plans = schedule_tests(0.01, duty, Strategy.SALT, stream(seed), template=salt_plan())
-        spans = sorted((p.test_start, p.test_start + p.test_duration) for p in plans)
+        plan = salt_plan()
+        starts = schedule_tests(0.01, duty, plan, stream(seed))
+        spans = sorted((s, s + plan.test_duration) for s in starts)
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert b0 >= a1
         for start, stop in spans:
@@ -99,106 +105,104 @@ class TestEvaluateSalt:
     def test_full_count_is_normal(self):
         plan = salt_plan()
         clicks = clicks_at(np.linspace(110e-6, 290e-6, 100))
-        v = evaluate_salt(plan, clicks)
+        v = evaluate_salt(plan, SALT_START, clicks)
         assert v.decision is Decision.NORMAL
         assert v.observed_count == 100
 
     def test_starved_count_is_negative_manipulation(self):
         plan = salt_plan()
         clicks = clicks_at(np.linspace(110e-6, 290e-6, 10))
-        v = evaluate_salt(plan, clicks)
+        v = evaluate_salt(plan, SALT_START, clicks)
         assert v.decision is Decision.NEGATIVE_MANIPULATION
         assert v.observed_count == 10
 
     def test_threshold_boundary_counts_as_normal(self):
         plan = salt_plan()
         clicks = clicks_at(np.linspace(110e-6, 290e-6, 50))
-        assert evaluate_salt(plan, clicks).decision is Decision.NORMAL
+        assert evaluate_salt(plan, SALT_START, clicks).decision is Decision.NORMAL
 
     def test_out_of_window_clicks_ignored(self):
         plan = salt_plan()
         clicks = clicks_at([50e-6, 99e-6, 301e-6, 390e-6])
-        assert evaluate_salt(plan, clicks).observed_count == 0
+        assert evaluate_salt(plan, SALT_START, clicks).observed_count == 0
 
     def test_no_salt_scheduled_is_inconclusive(self):
         plan = salt_plan(salt_rate=0.0)
         clicks = clicks_at(np.linspace(110e-6, 290e-6, 100))
-        assert evaluate_salt(plan, clicks).decision is Decision.INCONCLUSIVE
+        assert evaluate_salt(plan, SALT_START, clicks).decision is Decision.INCONCLUSIVE
 
     def test_p_value_from_empirical_null(self):
         null = Histogram.from_event_counts([95, 100, 100, 105, 110])
         plan = salt_plan(null_distribution=null)
-        v = evaluate_salt(plan, clicks_at(np.linspace(110e-6, 290e-6, 100)))
+        v = evaluate_salt(plan, SALT_START, clicks_at(np.linspace(110e-6, 290e-6, 100)))
         assert v.p_value == pytest.approx(3 / 5)
-        v10 = evaluate_salt(plan, clicks_at(np.linspace(110e-6, 290e-6, 10)))
+        v10 = evaluate_salt(plan, SALT_START, clicks_at(np.linspace(110e-6, 290e-6, 10)))
         assert v10.p_value == 0.0
 
     def test_p_value_poisson_fallback(self):
         plan = salt_plan(null_mean=100.0)
-        v = evaluate_salt(plan, clicks_at(np.linspace(110e-6, 290e-6, 10)))
+        v = evaluate_salt(plan, SALT_START, clicks_at(np.linspace(110e-6, 290e-6, 10)))
         assert v.p_value < 1e-8
 
     def test_wrong_strategy_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate_salt(SelfTestPlan(strategy=Strategy.FLAG_PULSE), [])
+            evaluate_salt(SelfTestPlan(strategy=Strategy.FLAG_PULSE), SALT_START, [])
 
 
 class TestEvaluateFlagPulse:
     def flag_plan(self, **overrides):
-        defaults = dict(
-            strategy=Strategy.FLAG_PULSE, test_start=10e-6, test_duration=25e-9
-        )
+        defaults = dict(strategy=Strategy.FLAG_PULSE, test_duration=25e-9)
         defaults.update(overrides)
         return SelfTestPlan(**defaults)
 
     def test_click_in_window_is_normal(self):
         plan = self.flag_plan()
-        v = evaluate_flag_pulse(plan, clicks_at([10.02e-6]))
+        v = evaluate_flag_pulse(plan, FLAG_START, clicks_at([10.02e-6]))
         assert v.decision is Decision.NORMAL
         assert v.flag_seen is True
 
     def test_click_outside_window_is_negative(self):
         plan = self.flag_plan()
-        v = evaluate_flag_pulse(plan, clicks_at([10.2e-6]))
+        v = evaluate_flag_pulse(plan, FLAG_START, clicks_at([10.2e-6]))
         assert v.decision is Decision.NEGATIVE_MANIPULATION
         assert v.flag_seen is False
         assert v.p_value == pytest.approx(1 - plan.null_response_prob)
 
     def test_batch_normal_at_reference_fraction(self):
         # 11720 responses out of 12542 pulses
-        plans = []
+        starts = []
         clicks = []
         for i in range(12542):
             start = i * 1e-4
-            plans.append(self.flag_plan(test_start=start))
+            starts.append(start)
             if i < 11720:
                 clicks.append(start + 10e-9)
-        v = evaluate_flag_pulse_batch(plans, clicks_at(clicks))
+        v = evaluate_flag_pulse_batch(self.flag_plan(), starts, clicks_at(clicks))
         assert v.decision is Decision.NORMAL
         assert v.observed_count == 11720
 
     def test_batch_suppressed_fraction_is_negative(self):
         # 36 responses out of 12380 pulses
-        plans = []
+        starts = []
         clicks = []
         for i in range(12380):
             start = i * 1e-4
-            plans.append(self.flag_plan(test_start=start))
+            starts.append(start)
             if i < 36:
                 clicks.append(start + 10e-9)
-        v = evaluate_flag_pulse_batch(plans, clicks_at(clicks))
+        v = evaluate_flag_pulse_batch(self.flag_plan(), starts, clicks_at(clicks))
         assert v.decision is Decision.NEGATIVE_MANIPULATION
         assert v.observed_count == 36
 
     def test_empty_batch_is_inconclusive(self):
-        assert evaluate_flag_pulse_batch([], []).decision is Decision.INCONCLUSIVE
+        v = evaluate_flag_pulse_batch(self.flag_plan(), [], [])
+        assert v.decision is Decision.INCONCLUSIVE
 
 
 class TestEvaluateSelfBlind:
     def blind_plan(self, **overrides):
         defaults = dict(
             strategy=Strategy.SELF_BLIND,
-            test_start=100e-6,
             test_duration=200e-6,
             response_window=60e-9,
         )
@@ -206,25 +210,25 @@ class TestEvaluateSelfBlind:
         return SelfTestPlan(**defaults)
 
     def test_flag_and_silence_is_normal(self):
-        v = evaluate_self_blind(self.blind_plan(), clicks_at([100.00e-6]))
+        v = evaluate_self_blind(self.blind_plan(), BLIND_START, clicks_at([100.00e-6]))
         assert v.decision is Decision.NORMAL
         assert v.flag_seen and v.in_blind_clicks == 0
 
     def test_no_flag_and_silence_is_negative(self):
         # covers the suppressed-recovery attack: the missing flag alone
         # must raise the alarm
-        v = evaluate_self_blind(self.blind_plan(), [])
+        v = evaluate_self_blind(self.blind_plan(), BLIND_START, [])
         assert v.decision is Decision.NEGATIVE_MANIPULATION
 
     def test_flag_with_in_blind_clicks_is_positive(self):
         times = [100.00e-6] + list(np.linspace(110e-6, 290e-6, 10))
-        v = evaluate_self_blind(self.blind_plan(), clicks_at(times))
+        v = evaluate_self_blind(self.blind_plan(), BLIND_START, clicks_at(times))
         assert v.decision is Decision.POSITIVE_MANIPULATION
         assert v.in_blind_clicks == 10
 
     def test_no_flag_with_in_blind_clicks_is_both(self):
         times = list(np.linspace(110e-6, 290e-6, 10))
-        v = evaluate_self_blind(self.blind_plan(), clicks_at(times))
+        v = evaluate_self_blind(self.blind_plan(), BLIND_START, clicks_at(times))
         assert v.decision is Decision.BOTH
         assert v.in_blind_clicks == 10
 
@@ -235,7 +239,7 @@ class TestEvaluateSelfBlind:
     def test_decision_table_is_total_and_exclusive(self, times):
         plan = self.blind_plan()
         clicks = clicks_at(times)
-        v = evaluate_self_blind(plan, clicks)
+        v = evaluate_self_blind(plan, BLIND_START, clicks)
         a, w, b = to_ps(100e-6), to_ps(100e-6) + to_ps(60e-9), to_ps(300e-6)
         flag = any(a <= c.time_ps < w for c in clicks)
         blind = sum(1 for c in clicks if w <= c.time_ps < b)
@@ -265,14 +269,13 @@ class TestObservableOnly:
             ClickRecord(c.time_ps, cause)
             for c, cause in zip(original, shuffled_causes)
         ]
-        plans = [
-            salt_plan(),
-            SelfTestPlan(strategy=Strategy.FLAG_PULSE, test_start=50e-6),
-            SelfTestPlan(strategy=Strategy.SELF_BLIND, test_start=100e-6),
+        tests = [
+            (evaluate_salt, salt_plan(), SALT_START),
+            (evaluate_flag_pulse, SelfTestPlan(strategy=Strategy.FLAG_PULSE), 50e-6),
+            (evaluate_self_blind, SelfTestPlan(strategy=Strategy.SELF_BLIND), 100e-6),
         ]
-        evaluators = [evaluate_salt, evaluate_flag_pulse, evaluate_self_blind]
-        for plan, evaluate in zip(plans, evaluators):
-            assert evaluate(plan, original) == evaluate(plan, shuffled)
+        for evaluate, plan, start in tests:
+            assert evaluate(plan, start, original) == evaluate(plan, start, shuffled)
 
 
 class TestThresholdMonotonicity:
@@ -286,8 +289,8 @@ class TestThresholdMonotonicity:
         self, count, threshold, bump
     ):
         clicks = clicks_at(np.linspace(110e-6, 290e-6, count)) if count else []
-        low = evaluate_salt(salt_plan(count_threshold=threshold), clicks)
-        high = evaluate_salt(salt_plan(count_threshold=threshold + bump), clicks)
+        low = evaluate_salt(salt_plan(count_threshold=threshold), SALT_START, clicks)
+        high = evaluate_salt(salt_plan(count_threshold=threshold + bump), SALT_START, clicks)
         if low.decision is Decision.NEGATIVE_MANIPULATION:
             assert high.decision is Decision.NEGATIVE_MANIPULATION
 
