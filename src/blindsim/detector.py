@@ -75,11 +75,7 @@ class DetectorParams:
     noise_rate: float = 0.0  # electrical noise clicks/second, active while blinded
 
     def __post_init__(self) -> None:
-        require_finite(
-            self, "efficiency", "dark_rate", "dead_time", "afterpulse_prob",
-            "afterpulse_tau", "blind_power", "fake_energy", "recovery_click_prob",
-            "noise_rate",
-        )
+        require_finite(self)
         if not 0 <= self.efficiency <= 1:
             raise ValidationError("efficiency", "must lie in [0, 1]")
         if not 0 <= self.afterpulse_prob < 1:

@@ -10,14 +10,16 @@ execution order, and safe to run concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from typing import Any
+from operator import attrgetter
+from typing import Any, get_type_hints
 
 from .detector import DetectorParams, process_timeline
-from .errors import ValidationError, require_finite
+from .errors import ConfigError, ValidationError, require_finite
 from .optics import AttackScenario, gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
 from .rng import stream
 from .selftest import (
@@ -54,10 +56,7 @@ class ExperimentConfig:
     scenario: Scenario = Scenario.NORMAL
 
     def __post_init__(self) -> None:
-        require_finite(
-            self, "signal_rate", "duty_cycle", "trial_duration", "trials", "seed",
-            integers=("trials", "seed"),
-        )
+        require_finite(self)
         if self.signal_rate < 0:
             raise ValidationError("signal_rate", "must be >= 0")
         if not 0 <= self.duty_cycle < 1:
@@ -119,6 +118,7 @@ _EVALUATORS = {
 # Offsets are collected over this window after each test start for
 # time-resolved response histograms (10 ns bins downstream).
 _OFFSET_SPAN = 200e-9
+_TIME_PS = attrgetter("time_ps")
 
 
 def expected_decisions(scenario: Scenario, strategy: Strategy) -> frozenset[Decision]:
@@ -210,10 +210,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     offsets: list[int] = []
     span_ps = to_ps(_OFFSET_SPAN)
     for start in starts:
+        # clicks come in time order from process_timeline
         a = to_ps(start)
-        offsets.extend(
-            c.time_ps - a for c in clicks if a <= c.time_ps < a + span_ps
-        )
+        lo = bisect_left(clicks, a, key=_TIME_PS)
+        hi = bisect_left(clicks, a + span_ps, lo=lo, key=_TIME_PS)
+        offsets.extend(c.time_ps - a for c in clicks[lo:hi])
     causes = Counter(c.cause.value for c in clicks)
     return TrialResult(
         index=trial_index,
@@ -315,22 +316,52 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     )
 
 
-def _replace_path(obj: Any, path: list[str], value: Any) -> Any:
-    if not is_dataclass(obj):
-        raise ValidationError("parameter", f"cannot descend into {type(obj).__name__}")
-    name = path[0]
-    if name not in {f.name for f in fields(obj)}:
-        raise ValidationError("parameter", f"unknown field {name!r}")
-    current = getattr(obj, name)
-    if len(path) == 1:
-        return replace(obj, **{name: value})
-    return replace(obj, **{name: _replace_path(current, path[1:], value)})
+def _config_fields(cls, prefix: str = ""):
+    """(dotted path, annotation) of every config field below ``cls``, in field order."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name != "null_distribution":  # runtime-only, never serialized
+            yield prefix + f.name, hints[f.name]
+            if is_dataclass(hints[f.name]):
+                yield from _config_fields(hints[f.name], f"{prefix}{f.name}.")
+
+
+_CONFIG_FIELDS = dict(_config_fields(ExperimentConfig))
+# Every settable leaf, dotted path -> annotation, in field order: the paths
+# that configs, manifests, ``--set`` and sweeps address.
+CONFIG_LEAVES = {p: a for p, a in _CONFIG_FIELDS.items() if not is_dataclass(a)}
+
+
+def build_config(values: dict[str, Any], base: Any = None, prefix: str = "") -> Any:
+    """A config with the given leaf values, derived from ``base`` or built anew.
+
+    ``values`` maps dotted leaf paths, relative to the node at ``prefix``,
+    to typed values.  A nested object is built only when a path reaches
+    into it; the others keep ``base``'s object, or their defaults when
+    there is no base.
+    """
+    kwargs: dict[str, Any] = {}
+    nested: dict[str, dict[str, Any]] = {}
+    for path, value in values.items():
+        name, dot, rest = path.partition(".")
+        if dot:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            kwargs[name] = value
+    for name, sub_values in nested.items():
+        kwargs[name] = build_config(sub_values, getattr(base, name, None), f"{prefix}{name}.")
+    cls = _CONFIG_FIELDS[prefix[:-1]] if prefix else ExperimentConfig
+    try:
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except TypeError as e:
+        raise ConfigError(f"{prefix or 'config'}: {e}") from e
 
 
 def set_config_value(config: ExperimentConfig, path: str, value: Any) -> ExperimentConfig:
-    """Return a config with the dotted-path field replaced."""
-    parts = path.split(".")
-    return _replace_path(config, parts, value)
+    """Return a config with the dotted-path leaf replaced."""
+    if path not in CONFIG_LEAVES:
+        raise ValidationError("parameter", f"not a config leaf: {path!r}")
+    return build_config({path: value}, config)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+from functools import cache
+from typing import Any, get_args, get_type_hints
 
 
 class BlindsimError(Exception):
@@ -21,31 +24,49 @@ class ValidationError(BlindsimError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def require_finite(
-    obj, *names: str, optional: tuple[str, ...] = (), integers: tuple[str, ...] = ()
-) -> None:
-    """Reject attributes of ``obj`` that are not finite numbers.
+def field_kind(annotation) -> tuple[Any, bool]:
+    """The type a field annotated ``annotation`` holds, and whether it may be None."""
+    args = [a for a in get_args(annotation) if a is not type(None)]
+    optional = len(args) < len(get_args(annotation))
+    return (args[0] if optional and len(args) == 1 else annotation), optional
 
-    Attributes listed in ``optional`` may also be None; those listed in
-    ``integers`` must be ints.  Nothing is coerced.
+
+@cache
+def _numeric_fields(cls) -> tuple[tuple[str, type, bool], ...]:
+    """(name, int or float, may be None) of each numeric field of a dataclass."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind, optional = field_kind(hints[f.name])
+        if kind in (int, float):
+            out.append((f.name, kind, optional))
+    return tuple(out)
+
+
+def require_finite(obj) -> None:
+    """Reject numeric fields of a dataclass instance that are not finite numbers.
+
+    The type hints decide: an ``int`` field takes only ints, a ``float``
+    field takes finite numbers and the ints a float holds exactly, and a
+    ``| None`` field may also be None.  A bool is not a number here, and
+    nothing is coerced.
     """
-    for name in names + optional:
+    for name, kind, optional in _numeric_fields(type(obj)):
         value = getattr(obj, name)
-        if value is None and name in optional:
+        if value is None and optional:
             continue
         try:
-            # ints are finite, and math.isfinite overflows on huge ones;
-            # a bool is not a number here
-            ok = type(value) is int or (
-                name not in integers
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-            )
-        except TypeError:
+            if kind is int:
+                ok = type(value) is int
+            elif type(value) is int:
+                ok = float(value) == value  # float() overflows on huge ints
+            else:
+                ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
             ok = False
         if not ok:
-            kind = "an integer" if name in integers else "a finite number"
-            raise ValidationError(name, f"must be {kind}, got {value!r}")
+            expected = "an integer" if kind is int else "a finite number a float holds exactly"
+            raise ValidationError(name, f"must be {expected}, got {value!r}")
 
 
 class ConfigError(BlindsimError, ValueError):

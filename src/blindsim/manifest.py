@@ -13,17 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any
 
-from .engine import ExperimentConfig
-from .errors import ConfigError
+from .engine import CONFIG_LEAVES, ExperimentConfig, build_config
+from .errors import ConfigError, field_kind
 from .stats import Histogram
-
-# Runtime-only fields never serialized into configs or manifests.
-_SKIP_FIELDS = {"null_distribution"}
 
 
 def _format_value(value: Any) -> str:
@@ -40,29 +38,11 @@ def _format_value(value: Any) -> str:
 
 def config_to_flat(config: ExperimentConfig) -> dict[str, str]:
     """Flatten a config into dotted-path keys with text values."""
-
-    out: dict[str, str] = {}
-
-    def walk(obj: Any, prefix: str) -> None:
-        for f in fields(obj):
-            if f.name in _SKIP_FIELDS:
-                continue
-            value = getattr(obj, f.name)
-            key = f"{prefix}{f.name}"
-            if is_dataclass(value) and not isinstance(value, Enum):
-                walk(value, key + ".")
-            else:
-                out[key] = _format_value(value)
-
-    walk(config, "")
-    return out
+    return {path: _format_value(attrgetter(path)(config)) for path in CONFIG_LEAVES}
 
 
 def _parse_scalar(text: str, annotation: Any, key: str) -> Any:
-    origin = get_origin(annotation)
-    args = [a for a in get_args(annotation) if a is not type(None)]
-    optional = origin is not None and type(None) in get_args(annotation)
-    target = args[0] if optional and args else annotation
+    target, optional = field_kind(annotation)
     if text == "none":
         if optional:
             return None
@@ -99,45 +79,16 @@ def _parse_scalar(text: str, annotation: Any, key: str) -> Any:
 
 def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
     """Rebuild a config from dotted-path text values; unknown keys fail."""
-
-    def build(cls, prefix: str):
-        hints = get_type_hints(cls)
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in _SKIP_FIELDS:
-                continue
-            key = f"{prefix}{f.name}"
-            ann = hints[f.name]
-            if is_dataclass(ann) and not (isinstance(ann, type) and issubclass(ann, Enum)):
-                sub_prefix = key + "."
-                if any(k.startswith(sub_prefix) for k in flat):
-                    kwargs[f.name] = build(ann, sub_prefix)
-            elif key in flat:
-                kwargs[f.name] = _parse_scalar(flat[key], ann, key)
-        try:
-            return cls(**kwargs)
-        except TypeError as e:
-            raise ConfigError(f"{prefix or 'config'}: {e}") from e
-
-    known: set[str] = set()
-
-    def collect(cls, prefix: str) -> None:
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            if f.name in _SKIP_FIELDS:
-                continue
-            key = f"{prefix}{f.name}"
-            ann = hints[f.name]
-            if is_dataclass(ann) and not (isinstance(ann, type) and issubclass(ann, Enum)):
-                collect(ann, key + ".")
-            else:
-                known.add(key)
-
-    collect(ExperimentConfig, "")
-    unknown = set(flat) - known
+    unknown = flat.keys() - CONFIG_LEAVES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return build(ExperimentConfig, "")
+    return build_config(
+        {
+            path: _parse_scalar(flat[path], ann, path)
+            for path, ann in CONFIG_LEAVES.items()
+            if path in flat
+        }
+    )
 
 
 def dumps_flat(mapping: dict[str, str]) -> str:

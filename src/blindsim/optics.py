@@ -139,10 +139,7 @@ class AttackScenario:
     allow_fakes_without_blinding: bool = False
 
     def __post_init__(self) -> None:
-        require_finite(
-            self, "blind_power_level", "fake_pulse_rate", "fake_peak_power",
-            "fake_width", optional=("stop_blind_at",),
-        )
+        require_finite(self)
         if self.blind_power_level < 0:
             raise ValidationError("blind_power_level", "must be >= 0")
         if self.fake_pulse_rate < 0:

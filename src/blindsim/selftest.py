@@ -15,12 +15,16 @@ light emitter:
 
 Verdicts are a pure function of the plan, the test start and the
 observable click timestamps.  Ground-truth cause labels on clicks are never consulted.
+Every verdict function takes its clicks in time order, as
+``process_timeline`` returns them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -72,13 +76,7 @@ class SelfTestPlan:
     null_in_blind_mean: float = 1e-3  # expected noise clicks while self-blinded
 
     def __post_init__(self) -> None:
-        require_finite(
-            self, "test_duration", "salt_rate", "response_window",
-            "count_threshold", "flag_pulse_energy", "self_blind_power",
-            "null_response_prob", "alt_response_prob", "null_onset_prob",
-            "null_in_blind_mean", optional=("flag_photon_number", "null_mean"),
-            integers=("count_threshold", "flag_photon_number"),
-        )
+        require_finite(self)
         if self.test_duration <= 0:
             raise ValidationError("test_duration", "must be > 0")
         if self.salt_rate < 0:
@@ -106,6 +104,9 @@ class SelfTestPlan:
             raise ValidationError("null_in_blind_mean", "must be >= 0")
 
 
+_TIME_PS = attrgetter("time_ps")
+
+
 @dataclass(frozen=True)
 class Verdict:
     decision: Decision
@@ -116,7 +117,9 @@ class Verdict:
 
 
 def _count_between(clicks: Sequence[ClickRecord], a_ps: int, b_ps: int) -> int:
-    return sum(1 for c in clicks if a_ps <= c.time_ps < b_ps)
+    """Number of clicks in [a_ps, b_ps); ``clicks`` are in time order."""
+    lo = bisect_left(clicks, a_ps, key=_TIME_PS)
+    return bisect_left(clicks, b_ps, lo=lo, key=_TIME_PS) - lo
 
 
 def schedule_tests(
@@ -323,9 +326,7 @@ class DecisionCalibration:
 
 
 def decision_error_rates(
-    strategy: Strategy,
-    calibration: DecisionCalibration | None,
-    threshold: int,
+    calibration: DecisionCalibration | None, threshold: int
 ) -> tuple[float, float]:
     """Exact error probabilities of the "count >= threshold" rule.
 

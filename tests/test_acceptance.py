@@ -138,7 +138,7 @@ def test_criterion_6_decision_error_mathematics():
     calibration = DecisionCalibration(
         manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
     )
-    false_alarm, miss = decision_error_rates(Strategy.SALT, calibration, 50)
+    false_alarm, miss = decision_error_rates(calibration, 50)
     assert false_alarm < 1e-15
     assert miss < 1e-7
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import pytest
@@ -27,6 +27,7 @@ from blindsim import (
     sweep,
 )
 from blindsim.engine import build_trial_timeline, expected_decisions, set_config_value
+from blindsim.errors import require_finite
 from blindsim.manifest import config_from_flat, config_to_flat
 from blindsim.presets import (
     flag_pulse_config,
@@ -250,17 +251,45 @@ _PARTNER = {
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_numeric_leaf_is_valid_by_construction(path, kind, data):
-    # A float leaf's text form parses back as a float, so an int beyond
-    # 2**53 would come back rounded; ints are drawn where floats hold
-    # them exactly.  Int leaves take arbitrary ints.
-    ints = st.integers() if kind is int else st.integers(-(2**53), 2**53)
-    value = data.draw(st.floats() | ints, label="value")
+    value = data.draw(st.floats() | st.integers(), label="value")
     try:
         cfg = set_config_value(ExperimentConfig(), path, value)
     except ValidationError as err:
         assert err.field in {path.rsplit(".", 1)[-1], _PARTNER.get(path)}
     else:
         assert config_from_flat(config_to_flat(cfg)) == cfg
+
+
+@dataclass(frozen=True)
+class _Annotated:
+    x: float = 1.0
+    n: int = 1
+    m: int | None = 1
+    flag: bool = False
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("x", float("nan")),
+        ("x", float("inf")),
+        ("x", True),
+        pytest.param("x", 2**60 + 1, id="x-2**60+1"),  # a float cannot hold it exactly
+        pytest.param("x", 10**400, id="x-10**400"),  # float() overflows
+        ("n", 2.5),
+    ],
+)
+def test_require_finite_reads_the_annotations(field, bad):
+    with pytest.raises(ValidationError) as err:
+        _Annotated(**{field: bad})
+    assert err.value.field == field
+
+
+def test_require_finite_allows_none_and_skips_non_numeric():
+    assert _Annotated(x=2**60, m=None, flag="unchecked").m is None
 
 
 class TestThreadInvariance:

@@ -300,7 +300,7 @@ class TestDecisionErrorRates:
         cal = DecisionCalibration(
             manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
         )
-        fa, miss = decision_error_rates(Strategy.SALT, cal, 50)
+        fa, miss = decision_error_rates(cal, 50)
         # frozen 60-digit references
         assert fa == pytest.approx(1.8547268838697993006e-19, rel=1e-10)
         assert miss == pytest.approx(1.1784500720979422446e-8, rel=1e-10)
@@ -311,7 +311,7 @@ class TestDecisionErrorRates:
         cal = DecisionCalibration(
             manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
         )
-        fa, miss = decision_error_rates(Strategy.SALT, cal, 0)
+        fa, miss = decision_error_rates(cal, 0)
         assert fa == 1.0
         assert miss == 0.0
 
@@ -322,7 +322,7 @@ class TestDecisionErrorRates:
         cal = DecisionCalibration(
             manipulated=BinomialCounts(10, 0.003), normal=BinomialCounts(10, 0.934)
         )
-        fa, miss = decision_error_rates(Strategy.FLAG_PULSE, cal, 1)
+        fa, miss = decision_error_rates(cal, 1)
         assert fa == pytest.approx(1 - (1 - 0.003) ** 10, rel=1e-10)
         assert miss == pytest.approx((1 - 0.934) ** 10, rel=1e-10)
         assert fa == pytest.approx(0.0296, abs=2e-4)
@@ -330,7 +330,7 @@ class TestDecisionErrorRates:
 
     def test_uncalibrated_is_an_error(self):
         with pytest.raises(ValidationError):
-            decision_error_rates(Strategy.SALT, None, 50)
+            decision_error_rates(None, 50)
 
     def test_empirical_counts_route(self):
         null = Histogram.from_event_counts([8, 9, 10, 11, 12])
@@ -338,7 +338,7 @@ class TestDecisionErrorRates:
         cal = DecisionCalibration(
             manipulated=EmpiricalCounts(null), normal=EmpiricalCounts(alt)
         )
-        fa, miss = decision_error_rates(Strategy.SALT, cal, 50)
+        fa, miss = decision_error_rates(cal, 50)
         assert fa == 0.0
         assert miss == 0.0
 
@@ -348,9 +348,9 @@ class TestDecisionErrorRates:
         )
         t = choose_threshold(cal, 0, 150)
         assert 20 <= t <= 60
-        best = max(decision_error_rates(Strategy.SALT, cal, t))
+        best = max(decision_error_rates(cal, t))
         for other in (t - 3, t + 3):
-            assert best <= max(decision_error_rates(Strategy.SALT, cal, other))
+            assert best <= max(decision_error_rates(cal, other))
 
     def test_plan_threshold_must_sit_below_calibrated_mean(self):
         with pytest.raises(ValidationError):
