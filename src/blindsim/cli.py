@@ -12,16 +12,23 @@ import math
 import os
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
-from functools import reduce
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .engine import ExperimentConfig, Scenario, run_experiment, sweep, tally_verdicts
+from .engine import (
+    CONFIG_LEAVES,
+    ExperimentConfig,
+    Scenario,
+    run_experiment,
+    sweep,
+    tally_verdicts,
+)
 from .errors import BlindsimError
 from .manifest import (
     RunManifest,
+    _parse_scalar,
     config_from_flat,
     config_to_flat,
     load_config_text,
@@ -301,11 +308,11 @@ def analyze(results_dir):
 def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outdir, threads):
     """Re-run the experiment across parameter values and tabulate metrics."""
     config = _build_config(config_path, scenario, protocol, trials, seed, ())
+    if param not in CONFIG_LEAVES:
+        raise _fail_config(f"unknown config keys: {param}")
     try:
         # each value text is parsed like a config file line for that field
-        flat = config_to_flat(config)
-        points = [config_from_flat({**flat, param: text}) for text in _parse_values(values)]
-        typed = [reduce(getattr, param.split("."), point) for point in points]
+        typed = [_parse_scalar(text, CONFIG_LEAVES[param], param) for text in _parse_values(values)]
         rows = sweep(config, param, typed, threads=threads)
     except BlindsimError as e:
         raise _fail_config(str(e)) from e

@@ -4,8 +4,11 @@ run_trial builds one trial end to end: schedule the self-tests, generate
 legitimate light, attacker light, and light-emitter schedules, merge the
 fragments, run the detector, and evaluate every scheduled test.  Each
 trial derives its own random streams from (master seed, trial index,
-module tag), so trials are reproducible in isolation, independent of
-execution order, and safe to run concurrently.
+module tag), so trials are reproducible in isolation and independent of
+execution order.  The streams come from ``rng.trial_stream``, which
+re-keys one generator per thread and tag, so trials are safe to run
+concurrently on different threads: no two threads share a generator,
+and each of a trial's five streams has its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Any, get_type_hints
 from .detector import DetectorParams, process_timeline
 from .errors import ConfigError, ValidationError, require_finite
 from .optics import AttackScenario, gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
-from .rng import stream
+from .rng import trial_stream as stream  # perfbench traces engine.stream
 from .selftest import (
     Decision,
     SelfTestPlan,
@@ -375,10 +378,13 @@ class SweepRow:
 def sweep(
     config: ExperimentConfig, parameter_path: str, values, threads: int = 1
 ) -> list[SweepRow]:
-    """Run one experiment per parameter value and tabulate verdict metrics."""
+    """Run one experiment per parameter value and tabulate verdict metrics.
+
+    Every point's config is built, and so validated, before any runs.
+    """
+    points = [(value, set_config_value(config, parameter_path, value)) for value in values]
     rows = []
-    for value in values:
-        cfg = set_config_value(config, parameter_path, value)
+    for value, cfg in points:
         result = run_experiment(cfg, threads=threads)
         rows.append(
             SweepRow(

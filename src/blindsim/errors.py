@@ -1,9 +1,10 @@
-"""Exception types and the finite-number check shared across the package."""
+"""Exception types and the field-kind check shared across the package."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
+from enum import Enum
 from functools import cache
 from typing import Any, get_args, get_type_hints
 
@@ -32,32 +33,42 @@ def field_kind(annotation) -> tuple[Any, bool]:
 
 
 @cache
-def _numeric_fields(cls) -> tuple[tuple[str, type, bool], ...]:
-    """(name, int or float, may be None) of each numeric field of a dataclass."""
+def _checked_fields(cls) -> tuple[tuple[str, type, bool], ...]:
+    """(name, kind, may be None) of each int, float, bool or Enum field of a dataclass."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         kind, optional = field_kind(hints[f.name])
-        if kind in (int, float):
+        if kind in (int, float, bool) or (isinstance(kind, type) and issubclass(kind, Enum)):
             out.append((f.name, kind, optional))
     return tuple(out)
 
 
+_EXPECTED = {
+    int: "an integer",
+    float: "a finite number a float holds exactly",
+    bool: "true or false",
+}
+
+
 def require_finite(obj) -> None:
-    """Reject numeric fields of a dataclass instance that are not finite numbers.
+    """Reject fields of a dataclass instance that do not hold their annotated kind.
 
     The type hints decide: an ``int`` field takes only ints, a ``float``
-    field takes finite numbers and the ints a float holds exactly, and a
-    ``| None`` field may also be None.  A bool is not a number here, and
-    nothing is coerced.
+    field takes finite numbers and the ints a float holds exactly, a
+    ``bool`` field takes only ``True`` or ``False``, an Enum field takes
+    only a member of its Enum, and a ``| None`` field may also be None.
+    A bool is not a number here, and nothing is coerced.
     """
-    for name, kind, optional in _numeric_fields(type(obj)):
+    for name, kind, optional in _checked_fields(type(obj)):
         value = getattr(obj, name)
         if value is None and optional:
             continue
         try:
-            if kind is int:
-                ok = type(value) is int
+            if kind in (int, bool):
+                ok = type(value) is kind
+            elif kind is not float:  # an Enum
+                ok = isinstance(value, kind)
             elif type(value) is int:
                 ok = float(value) == value  # float() overflows on huge ints
             else:
@@ -65,7 +76,7 @@ def require_finite(obj) -> None:
         except (TypeError, OverflowError):
             ok = False
         if not ok:
-            expected = "an integer" if kind is int else "a finite number a float holds exactly"
+            expected = _EXPECTED.get(kind) or f"a member of {kind.__name__}"
             raise ValidationError(name, f"must be {expected}, got {value!r}")
 
 

@@ -4,8 +4,8 @@ Configs are ``dotted.path = value`` lines, one scalar per line, with the
 same dotted paths the sweep command addresses.  All durations are
 seconds, powers watts, energies joules; scientific notation is allowed.
 A run manifest is the same format with ``config.`` prefixed entries plus
-run metadata and SHA-256 digests of every output file, which is enough
-to bit-reproduce the run.
+run metadata, the Python and numpy versions, and SHA-256 digests of
+every output file, which is enough to bit-reproduce the run.
 """
 
 from __future__ import annotations
@@ -13,11 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .engine import CONFIG_LEAVES, ExperimentConfig, build_config
 from .errors import ConfigError, field_kind
@@ -135,6 +138,10 @@ class RunManifest:
             "run.started_utc": self.started_utc,
             "run.finished_utc": self.finished_utc,
             "run.threads": str(self.threads),
+            # Generator streams, and the Philox state layout that rng
+            # re-keys, are tied to the numpy version.
+            "env.python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "env.numpy": np.__version__,
         }
         for k, v in self.config_flat.items():
             lines[f"config.{k}"] = v

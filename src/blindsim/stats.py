@@ -313,25 +313,6 @@ class Histogram:
                 total += c
         return total / self.n_samples
 
-    def percentile(self, q: float) -> float:
-        """Smallest bin-low value whose cumulative fraction reaches q."""
-        if self.n_samples == 0:
-            return math.nan
-        need = q * self.n_samples
-        acc = 0
-        for low, c in zip(self.bin_edges[:-1], self.counts):
-            acc += c
-            if acc >= need:
-                return low
-        return self.bin_edges[-2]
-
-    def support(self) -> tuple[float, float]:
-        """(min, max) bin-low values holding any samples."""
-        occupied = [low for low, c in zip(self.bin_edges[:-1], self.counts) if c > 0]
-        if not occupied:
-            return (math.nan, math.nan)
-        return (occupied[0], occupied[-1])
-
     def to_csv_rows(self):
         for low, high, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
             yield (low, high, c)

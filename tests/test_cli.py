@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -63,9 +64,16 @@ class TestConfigRoundTrip:
             config_flat=config_to_flat(config),
             digests={"trials.jsonl": "ab" * 32},
         )
-        loaded = RunManifest.loads(manifest.dumps())
+        text = manifest.dumps()
+        flat = parse_flat(text)
+        assert flat["env.python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert flat["env.numpy"] == np.__version__
+        loaded = RunManifest.loads(text)
         assert loaded == manifest
         assert loaded.config() == config
+        # a manifest written before the env.* keys existed still loads
+        older = "".join(line for line in text.splitlines(True) if not line.startswith("env."))
+        assert RunManifest.loads(older) == manifest
 
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nseed = 5\ntrials = 2\n"
@@ -222,7 +230,8 @@ class TestFigureCommand:
         assert result.exit_code == 0
         normal = read_histogram_csv(tmp_path / "hist_fig4_normal_test_counts.csv")
         manip = read_histogram_csv(tmp_path / "hist_fig4_manipulated_test_counts.csv")
-        assert normal.support()[0] > manip.support()[1]
+        # from_event_counts occupies its first and last bins
+        assert normal.bin_edges[0] > manip.bin_edges[-2]
 
 
 class TestAnalyzeCommand:
@@ -301,6 +310,25 @@ class TestSweepCommand:
         assert result.exit_code == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.1", "0.2", "0.3"]
+
+    @pytest.mark.parametrize(
+        "param,values,named",
+        [
+            ("bogus", "1,2", "bogus"),
+            ("plan.count_threshold", "40,abc", "plan.count_threshold"),
+            ("scenario", "normal,bogus", "scenario"),
+            ("trials", "2,0", "trials"),
+        ],
+    )
+    def test_bad_point_exits_one_naming_the_field(self, tmp_path, param, values, named):
+        out = tmp_path / "sweep"
+        result = run_cli(
+            "sweep", "--protocol", "salt", "--trials", "3",
+            "--param", param, "--values", values, "--out", str(out),
+        )
+        assert result.exit_code == 1
+        assert named in result.output
+        assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -85,13 +85,13 @@ class TestScenarioOutcomes:
         assert normal_salt_result.accuracy() == 1.0
         h = normal_salt_result.histograms["test_counts"]
         assert h.mean() == pytest.approx(100.0, abs=5.0)
-        assert h.percentile(0.01) > 60
+        assert h.lower_tail(60) < 0.01
 
     def test_manipulated_salt_trials_fail(self, manipulated_salt_result):
         assert manipulated_salt_result.accuracy() == 1.0
         h = manipulated_salt_result.histograms["test_counts"]
         assert h.mean() == pytest.approx(10.0, abs=2.0)
-        assert h.percentile(0.99) < 40
+        assert h.lower_tail(39) >= 0.99
 
     def test_manipulated_self_blind_seen_as_positive_or_both(self):
         result = run_experiment(self_blind_config(Scenario.MANIPULATED, 200, seed=9))
@@ -260,6 +260,26 @@ def test_numeric_leaf_is_valid_by_construction(path, kind, data):
         assert config_from_flat(config_to_flat(cfg)) == cfg
 
 
+@pytest.mark.parametrize(
+    "path,bad",
+    [
+        ("scenario", "bogus"),
+        ("scenario", "NORMAL"),  # the member's value, not the member
+        ("scenario", Strategy.SALT),
+        ("plan.strategy", "bogus"),
+        ("plan.strategy", "SALT"),
+        ("plan.strategy", None),
+        ("attack.allow_fakes_without_blinding", "no"),
+        ("attack.allow_fakes_without_blinding", 1),
+        ("attack.allow_fakes_without_blinding", None),
+    ],
+)
+def test_enum_or_bool_leaf_takes_only_its_kind(path, bad):
+    with pytest.raises(ValidationError) as err:
+        set_config_value(ExperimentConfig(), path, bad)
+    assert err.value.field == path.rsplit(".", 1)[-1]
+
+
 @dataclass(frozen=True)
 class _Annotated:
     x: float = 1.0
@@ -280,6 +300,8 @@ class _Annotated:
         pytest.param("x", 2**60 + 1, id="x-2**60+1"),  # a float cannot hold it exactly
         pytest.param("x", 10**400, id="x-10**400"),  # float() overflows
         ("n", 2.5),
+        ("flag", "unchecked"),
+        ("flag", 0),
     ],
 )
 def test_require_finite_reads_the_annotations(field, bad):
@@ -288,8 +310,8 @@ def test_require_finite_reads_the_annotations(field, bad):
     assert err.value.field == field
 
 
-def test_require_finite_allows_none_and_skips_non_numeric():
-    assert _Annotated(x=2**60, m=None, flag="unchecked").m is None
+def test_require_finite_allows_none():
+    assert _Annotated(x=2**60, m=None, flag=True).m is None
 
 
 class TestThreadInvariance:

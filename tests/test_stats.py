@@ -224,8 +224,6 @@ class TestHistogram:
         assert h.variance() == pytest.approx(1.5)
         assert h.lower_tail(0) == pytest.approx(0.5)
         assert h.lower_tail(3) == pytest.approx(1.0)
-        assert h.percentile(0.5) == 0.0
-        assert h.support() == (0.0, 3.0)
 
     def test_single_trial(self):
         h = Histogram.from_event_counts([7])
