@@ -28,6 +28,7 @@ from .engine import (
 from .errors import BlindsimError
 from .manifest import (
     RunManifest,
+    _format_value,
     _parse_scalar,
     config_from_flat,
     config_to_flat,
@@ -166,6 +167,18 @@ def _write_run(outdir: Path, config: ExperimentConfig, result, extra_hists, thre
         raise _IOFailure(f"cannot write results: {e}") from e
 
 
+def _check_threads(ctx, param, threads: int) -> int:
+    if threads < 1:
+        raise _fail_config("threads: must be >= 1")
+    return threads
+
+
+_threads_option = click.option(
+    "--threads", type=int, default=1, callback=_check_threads,
+    help="Worker processes (capped at the CPU count).",
+)
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -181,7 +194,7 @@ def main():
 @click.option("--protocol", type=click.Choice(sorted(_PROTOCOLS)), default=None)
 @click.option("--out", "outdir", type=click.Path(), default="out",
               help="Output directory.")
-@click.option("--threads", type=int, default=1, help="Worker thread hint.")
+@_threads_option
 @click.option("--set", "overrides", multiple=True, metavar="PATH=VALUE",
               help="Override a config field by dotted path.")
 def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, overrides):
@@ -206,7 +219,7 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
 @click.option("--seed", type=int, default=None)
 @click.option("--trials", type=int, default=None,
               help="Override the preset trial counts (all arms).")
-@click.option("--threads", type=int, default=1)
+@_threads_option
 def figure(name, outdir, seed, trials, threads):
     """Reproduce a bundled demonstration data set (fig3b, fig4, fig5, fig6)."""
     if name not in FIGURE_TRIALS:
@@ -304,7 +317,7 @@ def analyze(results_dir):
 @click.option("--values", required=True,
               help="Comma list (a,b,c) or range (start:stop:step).")
 @click.option("--out", "outdir", type=click.Path(), default="out")
-@click.option("--threads", type=int, default=1)
+@_threads_option
 def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outdir, threads):
     """Re-run the experiment across parameter values and tabulate metrics."""
     config = _build_config(config_path, scenario, protocol, trials, seed, ())
@@ -322,12 +335,14 @@ def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outd
         lines = ["value,accuracy,error_rate,verdicts"]
         for row in rows:
             verdicts = ";".join(f"{k}:{v}" for k, v in row.decisions)
-            lines.append(f"{row.value!r},{row.accuracy!r},{1.0 - row.accuracy!r},{verdicts}")
+            lines.append(
+                f"{_format_value(row.value)},{row.accuracy!r},{1.0 - row.accuracy!r},{verdicts}"
+            )
         (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
     for row in rows:
-        click.echo(f"{param} = {row.value}: accuracy = {row.accuracy}")
+        click.echo(f"{param} = {_format_value(row.value)}: accuracy = {row.accuracy}")
 
 
 def _parse_values(text: str) -> list[str]:

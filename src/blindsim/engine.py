@@ -5,24 +5,23 @@ legitimate light, attacker light, and light-emitter schedules, merge the
 fragments, run the detector, and evaluate every scheduled test.  Each
 trial derives its own random streams from (master seed, trial index,
 module tag), so trials are reproducible in isolation and independent of
-execution order.  The streams come from ``rng.trial_stream``, which
-re-keys one generator per thread and tag, so trials are safe to run
-concurrently on different threads: no two threads share a generator,
-and each of a trial's five streams has its own.
+execution order.  run_experiment can therefore split the trial range
+into contiguous shares and run them in forked worker processes: any
+split gives the same trials.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Any, get_type_hints
 
 from .detector import DetectorParams, process_timeline
-from .errors import ConfigError, ValidationError, require_finite
+from .errors import BlindsimError, ConfigError, ValidationError, require_finite
 from .optics import AttackScenario, gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
 from .rng import trial_stream as stream  # perfbench traces engine.stream
 from .selftest import (
@@ -301,19 +300,72 @@ def _build_histograms(config: ExperimentConfig, trials: tuple[TrialResult, ...])
     return hists
 
 
+def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> list[TrialResult]:
+    """Trials ``lo`` to ``hi - 1`` of a run, in index order."""
+    return [run_trial(config, i) for i in range(lo, hi)]
+
+
+def _worker(send, config: ExperimentConfig, lo: int, hi: int) -> None:
+    """Body of a worker process: send ``(ok, trials or the exception)``."""
+    try:
+        out = (True, _run_trials(config, lo, hi))
+    except Exception as e:
+        out = (False, e)
+    send.send(out)
+
+
+def _run_forked(config: ExperimentConfig, workers: int) -> list[TrialResult]:
+    """All trials, in contiguous shares: share 0 here, the others in forked children."""
+    import multiprocessing  # costs import time only when a run forks
+
+    ctx = multiprocessing.get_context("fork")
+    n = config.trials
+    bounds = [n * j // workers for j in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(send, config, lo, hi))
+            proc.start()
+            send.close()  # the child holds the only write end, so its death reads as EOF
+            children.append((proc, recv, lo, hi))
+        trials = _run_trials(config, 0, bounds[1])
+        for proc, recv, lo, hi in children:
+            try:
+                ok, payload = recv.recv()
+            except EOFError:
+                raise BlindsimError(
+                    f"worker for trials {lo}..{hi - 1} exited without a result"
+                ) from None
+            proc.join()
+            if not ok:
+                raise payload
+            trials.extend(payload)
+        return trials
+    finally:
+        for proc, recv, _, _ in children:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run all trials and aggregate summary histograms.
 
-    ``threads`` is an execution hint only; trials come back in index
-    order (``Executor.map`` keeps input order) and are identical for any
-    thread count.
+    ``threads`` is the number of worker processes, capped at the trial
+    count and the CPU count.  With more than one, the trial range is
+    split into contiguous shares: this process runs the first and forked
+    children (POSIX only) run the rest.  Trials come back in index order
+    and are identical for any worker count.
     """
-    indices = range(config.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = tuple(pool.map(lambda i: run_trial(config, i), indices))
+    if threads < 1:
+        raise ValidationError("threads", "must be >= 1")
+    workers = min(threads, config.trials, os.cpu_count() or 1)
+    if workers > 1:
+        trials = tuple(_run_forked(config, workers))
     else:
-        trials = tuple(run_trial(config, i) for i in indices)
+        trials = tuple(_run_trials(config, 0, config.trials))
     return ExperimentResult(
         config=config, trials=trials, histograms=_build_histograms(config, trials)
     )
@@ -369,7 +421,7 @@ def set_config_value(config: ExperimentConfig, path: str, value: Any) -> Experim
 
 @dataclass(frozen=True)
 class SweepRow:
-    value: float
+    value: Any
     accuracy: float
     decisions: tuple[tuple[str, int], ...]
     summary: dict[str, Any]

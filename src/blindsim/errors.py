@@ -22,7 +22,12 @@ class ValidationError(BlindsimError, ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):
+        # pickled by its constructor arguments, so it crosses process boundaries
+        return type(self), (self.field, self.message)
 
 
 def field_kind(annotation) -> tuple[Any, bool]:

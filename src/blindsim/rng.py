@@ -15,7 +15,10 @@ module tag) and re-keys it on every call.  The object it returns is
 reused by that thread's next call with the same tag, so it is only for
 code that is done with a stream before asking for the next one of that
 tag, such as one trial's five streams.  ``stream`` returns an
-independent generator on every call.
+independent generator on every call.  ``engine.run_experiment`` runs
+trials in parallel as processes, each with its own copy; the generators
+are kept per thread so that library callers may still run trials on
+threads of their own.
 """
 
 from __future__ import annotations

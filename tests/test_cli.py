@@ -12,9 +12,10 @@ from click.testing import CliRunner
 
 import blindsim
 from blindsim.cli import _build_config, main
-from blindsim.engine import ExperimentConfig, run_experiment
+from blindsim.engine import CONFIG_LEAVES, ExperimentConfig, run_experiment
 from blindsim.manifest import (
     RunManifest,
+    _parse_scalar,
     config_from_flat,
     config_to_flat,
     load_config_text,
@@ -311,6 +312,23 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.1", "0.2", "0.3"]
 
+    def test_enum_sweep_writes_config_text(self, tmp_path):
+        out = tmp_path / "sweep"
+        result = run_cli(
+            "sweep", "--scenario", "normal", "--protocol", "salt",
+            "--trials", "4", "--seed", "8",
+            "--param", "scenario", "--values", "normal,manipulated",
+            "--out", str(out),
+        )
+        assert result.exit_code == 0
+        assert "scenario = NORMAL: accuracy" in result.output
+        rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        values = [row.split(",")[0] for row in rows]
+        assert values == ["NORMAL", "MANIPULATED"]
+        assert [_parse_scalar(v, CONFIG_LEAVES["scenario"], "scenario") for v in values] == [
+            Scenario.NORMAL, Scenario.MANIPULATED,
+        ]
+
     @pytest.mark.parametrize(
         "param,values,named",
         [
@@ -331,13 +349,32 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--trials", "2"],
+        ["figure", "fig3b", "--trials", "10"],
+        ["sweep", "--trials", "2", "--param", "seed", "--values", "1,2"],
+    ],
+    ids=["simulate", "figure", "sweep"],
+)
+def test_fewer_than_one_worker_exits_one(tmp_path, command, threads):
+    out = tmp_path / "x"
+    result = run_cli(*command, "--threads", threads, "--out", str(out))
+    assert result.exit_code == 1
+    assert "threads" in result.output
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
-    # A fresh interpreter: importing the CLI loads no scipy, and building
-    # every protocol x scenario preset runs no detector simulation.
+    # A fresh interpreter: importing the CLI loads no scipy and no
+    # multiprocessing (only a parallel run needs it), and building every
+    # protocol x scenario preset runs no detector simulation.
     src = str(Path(blindsim.__file__).resolve().parents[1])
     code = textwrap.dedent("""
         import sys, blindsim.cli
-        print('scipy' in sys.modules)
+        print('scipy' in sys.modules, 'multiprocessing' in sys.modules)
         from blindsim import Scenario, Strategy, engine, presets
 
         def no_simulation(*args, **kwargs):
@@ -355,7 +392,7 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env={"PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.split() == ["False", "7"]
+    assert proc.stdout.split() == ["False", "False", "7"]
 
 
 class TestHistogramCsv:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import pickle
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -15,6 +18,7 @@ from blindsim import (
     SelfTestPlan,
     Strategy,
     ValidationError,
+    engine,
     gen_attack,
     gen_le_schedule,
     gen_signal_photons,
@@ -26,8 +30,13 @@ from blindsim import (
     stream,
     sweep,
 )
-from blindsim.engine import build_trial_timeline, expected_decisions, set_config_value
-from blindsim.errors import require_finite
+from blindsim.engine import (
+    _run_trials,
+    build_trial_timeline,
+    expected_decisions,
+    set_config_value,
+)
+from blindsim.errors import BlindsimError, require_finite
 from blindsim.manifest import config_from_flat, config_to_flat
 from blindsim.presets import (
     flag_pulse_config,
@@ -314,13 +323,81 @@ def test_require_finite_allows_none():
     assert _Annotated(x=2**60, m=None, flag=True).m is None
 
 
-class TestThreadInvariance:
+def test_validation_error_survives_pickling():
+    # a trial that raises in a worker process reaches the caller pickled
+    err = pickle.loads(pickle.dumps(ValidationError("trials", "must be >= 1")))
+    assert type(err) is ValidationError
+    assert err.field == "trials"
+    assert str(err) == "trials: must be >= 1"
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Report 8 CPUs, so that ``threads > 1`` forks workers on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+class TestWorkerInvariance:
     def test_results_identical_across_thread_counts(self):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=60, seed=16)
         one = run_experiment(cfg, threads=1)
         four = run_experiment(cfg, threads=4)
         assert one.trials == four.trials
         assert one.histograms == four.histograms
+
+    @pytest.mark.parametrize("strategy", [Strategy.SALT, Strategy.SELF_BLIND])
+    def test_any_contiguous_split_gives_the_serial_trials(self, strategy):
+        cfg = preset_config(Scenario.NORMAL, strategy, trials=24, seed=18)
+        serial = [run_trial(cfg, i) for i in range(cfg.trials)]
+        for workers in (1, 2, 3, 8):
+            bounds = [cfg.trials * j // workers for j in range(workers + 1)]
+            shares = list(zip(bounds, bounds[1:]))
+            runs = {lo: _run_trials(cfg, lo, hi) for lo, hi in reversed(shares)}
+            assert [t for lo, _ in shares for t in runs[lo]] == serial, workers
+
+    def test_trial_raising_in_a_worker_reaches_the_caller(self, forking, monkeypatch):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+        caller = os.getpid()
+
+        def run_trial_failing_late(config, i):
+            if i >= 5:  # the second of two shares runs in a child
+                raise ValidationError("trial_index", f"raised in process {os.getpid()}")
+            return run_trial(config, i)
+
+        monkeypatch.setattr(engine, "run_trial", run_trial_failing_late)
+        with pytest.raises(ValidationError) as err:
+            run_experiment(cfg, threads=2)
+        assert err.value.field == "trial_index"
+        assert int(str(err.value).rsplit(" ", 1)[1]) != caller
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_without_a_result_names_its_trials(self, forking, monkeypatch):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+
+        def run_trial_dying_late(config, i):
+            if i >= 5:  # only ever in the child: ``forking`` makes two shares
+                os._exit(3)
+            return run_trial(config, i)
+
+        monkeypatch.setattr(engine, "run_trial", run_trial_dying_late)
+        with pytest.raises(BlindsimError, match=r"trials 5\.\.9"):
+            run_experiment(cfg, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_run(self, forking):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+        assert run_experiment(cfg, threads=2).trials == run_experiment(cfg).trials
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, threads):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=2, seed=19)
+        with pytest.raises(ValidationError) as err:
+            run_experiment(cfg, threads=threads)
+        assert err.value.field == "threads"
+        with pytest.raises(ValidationError) as err:
+            sweep(cfg, "seed", [1, 2], threads=threads)
+        assert err.value.field == "threads"
 
 
 @pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)

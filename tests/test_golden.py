@@ -1,7 +1,7 @@
 """Golden digests: the preset arms write byte-identical outputs.
 
 Every protocol x scenario arm named in ``perfbench/golden.json`` is run
-at that file's seed and trial count, with 1 and 2 worker threads, and
+at that file's seed and trial count, with 1 and 2 worker processes, and
 its ``trials.jsonl`` and ``hist_*.csv`` (written with the
 ``blindsim.manifest`` writers) must hash to the frozen SHA-256 values.
 The file is only read here; ``perfbench/freeze_golden.py`` writes it.
