@@ -29,7 +29,6 @@ from .optics import (
     Photon,
     PhotonSource,
     PulseSource,
-    empty_timeline,
     gen_attack,
     gen_le_schedule,
     gen_signal_photons,

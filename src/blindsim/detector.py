@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ValidationError, require_finite
 from .optics import OpticalTimeline, PhotonSource, PulseSource, _poisson_arrival_ps
-from .units import PS_PER_SECOND, to_ps, to_seconds
+from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
 
 
 class ClickCause(str, Enum):
@@ -80,20 +80,20 @@ class DetectorParams:
             raise ValidationError("efficiency", "must lie in [0, 1]")
         if not 0 <= self.afterpulse_prob < 1:
             raise ValidationError("afterpulse_prob", "must lie in [0, 1)")
-        if self.dark_rate < 0:
-            raise ValidationError("dark_rate", "must be >= 0")
-        if self.dead_time <= 0:
-            raise ValidationError("dead_time", "must be > 0")
-        if self.afterpulse_tau < 0:
-            raise ValidationError("afterpulse_tau", "must be >= 0")
+        if not 0 <= self.dark_rate <= PS_PER_SECOND:
+            raise ValidationError("dark_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
+        if not 0 < self.dead_time <= MAX_SECONDS:
+            raise ValidationError("dead_time", f"must lie in (0, {MAX_SECONDS:g}] s")
+        if not 0 <= self.afterpulse_tau <= MAX_SECONDS:
+            raise ValidationError("afterpulse_tau", f"must lie in [0, {MAX_SECONDS:g}] s")
         if self.blind_power <= 0:
             raise ValidationError("blind_power", "must be > 0")
         if self.fake_energy <= 0:
             raise ValidationError("fake_energy", "must be > 0")
         if not 0 <= self.recovery_click_prob <= 1:
             raise ValidationError("recovery_click_prob", "must lie in [0, 1]")
-        if self.noise_rate < 0:
-            raise ValidationError("noise_rate", "must be >= 0")
+        if not 0 <= self.noise_rate <= PS_PER_SECOND:
+            raise ValidationError("noise_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
 
 
 # Processing priority of coincident events.  Stimuli come before power

@@ -35,7 +35,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import to_ps, to_seconds
+from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
 
 
 class Scenario(str, Enum):
@@ -59,12 +59,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.signal_rate < 0:
-            raise ValidationError("signal_rate", "must be >= 0")
+        if not 0 <= self.signal_rate <= PS_PER_SECOND:
+            raise ValidationError("signal_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
         if not 0 <= self.duty_cycle < 1:
             raise ValidationError("duty_cycle", "must lie in [0, 1)")
-        if self.trial_duration < 0:
-            raise ValidationError("trial_duration", "must be >= 0")
+        if not 0 <= self.trial_duration <= MAX_SECONDS:
+            raise ValidationError("trial_duration", f"must lie in [0, {MAX_SECONDS:g}] s")
         if self.trials < 1:
             raise ValidationError("trials", "must be >= 1")
         if self.scenario == Scenario.NORMAL and self.attack.blind_power_level > 0:
@@ -424,7 +424,6 @@ class SweepRow:
     value: Any
     accuracy: float
     decisions: tuple[tuple[str, int], ...]
-    summary: dict[str, Any]
 
 
 def sweep(
@@ -443,7 +442,6 @@ def sweep(
                 value=value,
                 accuracy=result.accuracy(),
                 decisions=tuple(sorted(result.decision_counts().items())),
-                summary=result.summary(),
             )
         )
     return rows

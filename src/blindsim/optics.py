@@ -20,7 +20,7 @@ from typing import NamedTuple, TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
-from .units import to_ps, to_seconds
+from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
 
 if TYPE_CHECKING:
     from .selftest import SelfTestPlan
@@ -118,10 +118,6 @@ class OpticalTimeline:
             last = pu.time_ps
 
 
-def empty_timeline(duration: float) -> OpticalTimeline:
-    return OpticalTimeline(duration_ps=to_ps(duration))
-
-
 @dataclass(frozen=True)
 class AttackScenario:
     """Eavesdropper activity: CW blinding plus fake-state pulses.
@@ -142,14 +138,14 @@ class AttackScenario:
         require_finite(self)
         if self.blind_power_level < 0:
             raise ValidationError("blind_power_level", "must be >= 0")
-        if self.fake_pulse_rate < 0:
-            raise ValidationError("fake_pulse_rate", "must be >= 0")
+        if not 0 <= self.fake_pulse_rate <= PS_PER_SECOND:
+            raise ValidationError("fake_pulse_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
         if self.fake_peak_power < 0:
             raise ValidationError("fake_peak_power", "must be >= 0")
-        if self.fake_width <= 0:
-            raise ValidationError("fake_width", "must be > 0")
-        if self.stop_blind_at is not None and self.stop_blind_at < 0:
-            raise ValidationError("stop_blind_at", "must be >= 0")
+        if not 0 < self.fake_width <= MAX_SECONDS:
+            raise ValidationError("fake_width", f"must lie in (0, {MAX_SECONDS:g}] s")
+        if self.stop_blind_at is not None and not 0 <= self.stop_blind_at <= MAX_SECONDS:
+            raise ValidationError("stop_blind_at", f"must lie in [0, {MAX_SECONDS:g}] s")
         if (
             self.fake_pulse_rate > 0
             and self.blind_power_level == 0

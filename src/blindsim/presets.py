@@ -66,20 +66,17 @@ def reference_detector(
     )
 
 
-def manipulation_attack(stop_blind_at: float | None = None) -> AttackScenario:
+def manipulation_attack() -> AttackScenario:
     """Blinding plus fake states mimicking the legitimate event rate."""
     return AttackScenario(
         blind_power_level=BLIND_POWER,
         fake_pulse_rate=CLICK_RATE,
         fake_peak_power=FAKE_PEAK_POWER,
         fake_width=FAKE_WIDTH,
-        stop_blind_at=stop_blind_at,
     )
 
 
-def salt_config(
-    scenario: Scenario, trials: int, seed: int, trial_duration: float = 2 * WINDOW
-) -> ExperimentConfig:
+def salt_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
     plan = SelfTestPlan(
         strategy=Strategy.SALT,
         test_duration=WINDOW,
@@ -95,17 +92,15 @@ def salt_config(
         attack=attack,
         plan=plan,
         signal_rate=SIGNAL_RATE,
-        duty_cycle=WINDOW / trial_duration,
-        trial_duration=trial_duration,
+        duty_cycle=0.5,
+        trial_duration=2 * WINDOW,
         trials=trials,
         seed=seed,
         scenario=scenario,
     )
 
 
-def flag_pulse_config(
-    scenario: Scenario, trials: int, seed: int, trial_duration: float = WINDOW
-) -> ExperimentConfig:
+def flag_pulse_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
     plan = SelfTestPlan(
         strategy=Strategy.FLAG_PULSE,
         test_duration=FLAG_WIDTH,
@@ -120,17 +115,15 @@ def flag_pulse_config(
         attack=attack,
         plan=plan,
         signal_rate=SIGNAL_RATE,
-        duty_cycle=FLAG_WIDTH / trial_duration,
-        trial_duration=trial_duration,
+        duty_cycle=FLAG_WIDTH / WINDOW,
+        trial_duration=WINDOW,
         trials=trials,
         seed=seed,
         scenario=scenario,
     )
 
 
-def self_blind_config(
-    scenario: Scenario, trials: int, seed: int, trial_duration: float = 2 * WINDOW
-) -> ExperimentConfig:
+def self_blind_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
     detector = reference_detector(ONSET_ARMED_FRACTION, noise_rate=SELF_BLIND_NOISE_RATE)
     plan = SelfTestPlan(
         strategy=Strategy.SELF_BLIND,
@@ -152,8 +145,8 @@ def self_blind_config(
         attack=attack,
         plan=plan,
         signal_rate=SELF_BLIND_SIGNAL_RATE,
-        duty_cycle=WINDOW / trial_duration,
-        trial_duration=trial_duration,
+        duty_cycle=0.5,
+        trial_duration=2 * WINDOW,
         trials=trials,
         seed=seed,
         scenario=scenario,

@@ -32,7 +32,7 @@ import numpy as np
 from .detector import ClickRecord
 from .errors import ConfigError, ValidationError, require_finite
 from .stats import Histogram, binomial_tail, poisson_tail
-from .units import to_ps, to_seconds
+from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
 
 
 class Strategy(str, Enum):
@@ -77,12 +77,12 @@ class SelfTestPlan:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.test_duration <= 0:
-            raise ValidationError("test_duration", "must be > 0")
-        if self.salt_rate < 0:
-            raise ValidationError("salt_rate", "must be >= 0")
-        if self.response_window <= 0:
-            raise ValidationError("response_window", "must be > 0")
+        if not 0 < self.test_duration <= MAX_SECONDS:
+            raise ValidationError("test_duration", f"must lie in (0, {MAX_SECONDS:g}] s")
+        if not 0 <= self.salt_rate <= PS_PER_SECOND:
+            raise ValidationError("salt_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
+        if not 0 < self.response_window <= MAX_SECONDS:
+            raise ValidationError("response_window", f"must lie in (0, {MAX_SECONDS:g}] s")
         if self.count_threshold < 0:
             raise ValidationError("count_threshold", "must be >= 0")
         if self.flag_photon_number is not None and self.flag_photon_number < 1:

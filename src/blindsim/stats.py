@@ -1,10 +1,12 @@
 """Counting-statistics toolkit.
 
-Exact Poisson and binomial tail probabilities (log-space recurrences with
-compensated summation, stable up to k = 1e6), integer-bin histograms,
+Exact Poisson and binomial tail probabilities, integer-bin histograms,
 exact binomial confidence intervals, and a brute-force oracle for the
 detector's click-count distribution used to calibrate decision
-thresholds.
+thresholds.  One outward walk of pmf ratios serves both tails: it sums
+the far side of the mean from a log-space anchor with compensated
+summation (stable up to k = 1e6) and gets a near-side tail as its
+complement.
 """
 
 from __future__ import annotations
@@ -78,24 +80,44 @@ def _log_binomial_pmf(n: int, i: int, p: float) -> float:
     return corr + scale - side(i, p) - side(j, 1.0 - p)
 
 
-def _sum_ratio_chain(start: float, ratio_of_next, max_steps: int) -> float:
-    """Sum start * (1 + r1 + r1*r2 + ...) with compensated summation.
+def _point_mass(at: int, k: int, side: str) -> float:
+    """Tail of the degenerate law that puts all its mass on ``at``."""
+    return float(k >= at if side == "lower" else k <= at)
 
-    ``ratio_of_next(step)`` returns term_{step+1} / term_{step} relative
-    to the anchor term.  Terms are accumulated relative to the anchor so
-    the partial sums stay O(1).
+
+def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, down, up) -> float:
+    """P(X <= k) for side="lower", P(X >= k) for "upper", on support [0, top].
+
+    ``down(i)`` is pmf(i-1)/pmf(i) and ``up(i)`` is pmf(i+1)/pmf(i);
+    ``top`` is None for an unbounded support.  Only the far side of the
+    mean is summed, outward from its anchor pmf where the terms shrink,
+    relative to the anchor and with compensated summation; a near-side
+    tail is one minus the far tail that starts next to k.
     """
+    if side == "lower":
+        near = k >= mean
+        kk, downward = (k + 1, False) if near else (k, True)
+    else:
+        near = k <= mean
+        kk, downward = (k - 1, True) if near else (k, False)
+    inside = kk >= 0 and (top is None or kk <= top)
+    anchor = math.exp(log_pmf(kk)) if inside else 0.0
     terms = [1.0]
-    t = 1.0
-    for step in range(max_steps):
-        r = ratio_of_next(step)
-        if r <= 0:
-            break
-        t *= r
-        if t < _REL_CUTOFF:
-            break
-        terms.append(t)
-    return start * math.fsum(terms)
+    # an anchor that underflows leaves only terms that are smaller still
+    if anchor != 0.0:
+        if downward:
+            indices, ratio = range(kk, max(0, kk - _MAX_TERMS), -1), down
+        else:
+            end = kk + _MAX_TERMS if top is None else min(top, kk + _MAX_TERMS)
+            indices, ratio = range(kk, end), up
+        t = 1.0
+        for i in indices:
+            t *= ratio(i)
+            if t < _REL_CUTOFF:
+                break
+            terms.append(t)
+    far = anchor * math.fsum(terms)
+    return min(1.0, max(0.0, 1.0 - far)) if near else far
 
 
 def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
@@ -108,39 +130,13 @@ def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
         raise ValidationError("side", "must be 'lower' or 'upper'")
     k = int(k)
     if mean == 0:
-        if side == "lower":
-            return 1.0
-        return 1.0 if k == 0 else 0.0
-
-    def log_pmf(i: int) -> float:
-        return _log_poisson_pmf(mean, i)
-
-    def lower(kk: int) -> float:
-        # sum downward from kk; ratios i/mean shrink fast below the mean
-        if kk < 0:
-            return 0.0
-        anchor = math.exp(log_pmf(kk))
-        if anchor == 0.0 and kk < mean:
-            return 0.0
-        return _sum_ratio_chain(
-            anchor,
-            lambda step: (kk - step) / mean if kk - step > 0 else 0.0,
-            min(kk + 1, _MAX_TERMS),
-        )
-
-    def upper(kk: int) -> float:
-        anchor = math.exp(log_pmf(kk))
-        return _sum_ratio_chain(
-            anchor, lambda step: mean / (kk + step + 1), _MAX_TERMS
-        )
-
-    if side == "lower":
-        if k >= mean:
-            return min(1.0, max(0.0, 1.0 - upper(k + 1)))
-        return lower(k)
-    if k <= mean:
-        return min(1.0, max(0.0, 1.0 - lower(k - 1)))
-    return upper(k)
+        return _point_mass(0, k, side)
+    return _tail(
+        k, side, mean, None,
+        lambda i: _log_poisson_pmf(mean, i),
+        lambda i: i / mean,
+        lambda i: mean / (i + 1),
+    )
 
 
 def binomial_tail(n: int, p: float, k: int, side: str = "lower") -> float:
@@ -154,58 +150,15 @@ def binomial_tail(n: int, p: float, k: int, side: str = "lower") -> float:
     if side not in ("lower", "upper"):
         raise ValidationError("side", "must be 'lower' or 'upper'")
     n, k = int(n), int(k)
-    if p == 0:
-        if side == "lower":
-            return 1.0
-        return 1.0 if k == 0 else 0.0
-    if p == 1:
-        if side == "upper":
-            return 1.0
-        return 1.0 if k == n else 0.0
-
+    if p == 0 or p == 1:
+        return _point_mass(n * int(p), k, side)
     logit = math.log(p) - math.log1p(-p)
-
-    def log_pmf(i: int) -> float:
-        return _log_binomial_pmf(n, i, p)
-
-    def lower(kk: int) -> float:
-        if kk < 0:
-            return 0.0
-        anchor = math.exp(log_pmf(kk))
-        # term_{i-1}/term_i = i / (n - i + 1) * (1-p)/p
-        return _sum_ratio_chain(
-            anchor,
-            lambda step: (
-                (kk - step) / (n - (kk - step) + 1) * math.exp(-logit)
-                if kk - step > 0
-                else 0.0
-            ),
-            min(kk + 1, _MAX_TERMS),
-        )
-
-    def upper(kk: int) -> float:
-        if kk > n:
-            return 0.0
-        anchor = math.exp(log_pmf(kk))
-        # term_{i+1}/term_i = (n - i) / (i + 1) * p/(1-p)
-        return _sum_ratio_chain(
-            anchor,
-            lambda step: (
-                (n - (kk + step)) / (kk + step + 1) * math.exp(logit)
-                if kk + step < n
-                else 0.0
-            ),
-            min(n - kk + 1, _MAX_TERMS),
-        )
-
-    mean = n * p
-    if side == "lower":
-        if k >= mean:
-            return min(1.0, max(0.0, 1.0 - upper(k + 1)))
-        return lower(k)
-    if k <= mean:
-        return min(1.0, max(0.0, 1.0 - lower(k - 1)))
-    return upper(k)
+    return _tail(
+        k, side, n * p, n,
+        lambda i: _log_binomial_pmf(n, i, p),
+        lambda i: i / (n - i + 1) * math.exp(-logit),
+        lambda i: (n - i) / (i + 1) * math.exp(logit),
+    )
 
 
 def clopper_pearson_interval(

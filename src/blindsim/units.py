@@ -10,6 +10,11 @@ at the boundary.
 from __future__ import annotations
 
 PS_PER_SECOND = 10**12
+# Longest duration a config may hold: its picosecond count fits an int64
+# (2**63 - 1 ps is about 9.22e6 s).  Config rates are bounded by one event
+# per picosecond, so rate x duration stays below numpy's Poisson limit
+# (about 9.22e18).
+MAX_SECONDS = 9.2e6
 
 
 def to_ps(seconds: float) -> int:

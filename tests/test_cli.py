@@ -175,11 +175,31 @@ class TestSimulateCommand:
             ("plan.null_response_prob=1.5", "null_response_prob"),
             ("plan.null_in_blind_mean=-1", "null_in_blind_mean"),
             ("plan.null_mean=-5", "null_mean"),
+            # finite, but beyond int64 picoseconds or numpy's Poisson range
+            ("trial_duration=1e300", "trial_duration"),
+            ("detector.dead_time=1e300", "dead_time"),
+            ("detector.afterpulse_tau=1e300", "afterpulse_tau"),
+            ("attack.fake_width=1e300", "fake_width"),
+            ("attack.stop_blind_at=1e300", "stop_blind_at"),
+            ("plan.test_duration=1e300", "test_duration"),
+            ("plan.response_window=1e300", "response_window"),
+            ("signal_rate=1e300", "signal_rate"),
+            ("plan.salt_rate=1e300", "salt_rate"),
+            ("detector.dark_rate=1e300", "dark_rate"),
+            ("detector.noise_rate=1e300", "noise_rate"),
+            ("attack.fake_pulse_rate=1e300", "fake_pulse_rate"),
         ],
     )
     def test_bad_set_value_is_a_config_error(self, tmp_path, override, field):
+        # each leaf is set in a run whose physics reads it
+        preset = {
+            "fake_width": ("--protocol", "flag", "--scenario", "manipulated"),
+            "fake_pulse_rate": ("--protocol", "flag", "--scenario", "manipulated"),
+            "stop_blind_at": ("--protocol", "self-blind", "--scenario", "recovery"),
+            "salt_rate": ("--protocol", "salt"),
+        }.get(field, ("--protocol", "flag"))
         result = run_cli(
-            "simulate", "--protocol", "flag", "--trials", "2",
+            "simulate", *preset, "--trials", "2",
             "--out", str(tmp_path / "x"), "--set", override,
         )
         assert result.exit_code == 1

@@ -20,7 +20,6 @@ from blindsim import (
     ValidationError,
     calibrate_dead_time,
     count_distribution_oracle,
-    empty_timeline,
     gen_signal_photons,
     process_timeline,
     stream,
@@ -49,7 +48,7 @@ class TestDarkCounts:
         # empty timeline, 0.2 s, 7e3/s dark rate: mean count 1400.
         # Dead time is kept negligible so no counts are eaten.
         params = quiet_params(dark_rate=7.0e3)
-        timeline = empty_timeline(0.2)
+        timeline = OpticalTimeline(duration_ps=to_ps(0.2))
         counts = [
             len(process_timeline(params, timeline, stream(3, i, "det")))
             for i in range(60)
@@ -64,7 +63,7 @@ class TestDarkCounts:
 
     def test_no_stimulus_no_noise_means_no_clicks(self):
         params = quiet_params(dark_rate=0.0)
-        timeline = empty_timeline(0.2)
+        timeline = OpticalTimeline(duration_ps=to_ps(0.2))
         for seed in range(25):
             assert process_timeline(params, timeline, stream(seed, "det")) == []
 

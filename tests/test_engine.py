@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
+import signal
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -44,6 +46,7 @@ from blindsim.presets import (
     salt_config,
     self_blind_config,
 )
+from blindsim.units import MAX_SECONDS, to_ps
 
 PRESET_ARMS = [
     (scenario, strategy)
@@ -220,6 +223,14 @@ class TestConfigValidation:
                 plan=SelfTestPlan(strategy=Strategy.SELF_BLIND, self_blind_power=1e-12),
             )
 
+    def test_longest_accepted_duration_fits_int64_picoseconds(self):
+        # construction only: a trial this long would allocate gigabytes
+        cfg = ExperimentConfig(trial_duration=MAX_SECONDS)
+        assert to_ps(cfg.trial_duration) <= 2**63 - 1
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(trial_duration=math.nextafter(MAX_SECONDS, math.inf))
+        assert err.value.field == "trial_duration"
+
 
 def numeric_leaves(cls=ExperimentConfig, prefix=""):
     """Dotted path and type (int or float) of every numeric, possibly optional, leaf."""
@@ -337,6 +348,22 @@ def forking(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
+@pytest.fixture
+def bounded_wait():
+    """Fail the test after 60 s, so that a blocked ``recv()`` cannot hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestWorkerInvariance:
     def test_results_identical_across_thread_counts(self):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=60, seed=16)
@@ -355,7 +382,9 @@ class TestWorkerInvariance:
             runs = {lo: _run_trials(cfg, lo, hi) for lo, hi in reversed(shares)}
             assert [t for lo, _ in shares for t in runs[lo]] == serial, workers
 
-    def test_trial_raising_in_a_worker_reaches_the_caller(self, forking, monkeypatch):
+    def test_trial_raising_in_a_worker_reaches_the_caller(
+        self, forking, bounded_wait, monkeypatch
+    ):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
         caller = os.getpid()
 
@@ -371,7 +400,9 @@ class TestWorkerInvariance:
         assert int(str(err.value).rsplit(" ", 1)[1]) != caller
         assert multiprocessing.active_children() == []
 
-    def test_worker_dying_without_a_result_names_its_trials(self, forking, monkeypatch):
+    def test_worker_dying_without_a_result_names_its_trials(
+        self, forking, bounded_wait, monkeypatch
+    ):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
 
         def run_trial_dying_late(config, i):
@@ -384,7 +415,7 @@ class TestWorkerInvariance:
             run_experiment(cfg, threads=2)
         assert multiprocessing.active_children() == []
 
-    def test_no_worker_outlives_the_run(self, forking):
+    def test_no_worker_outlives_the_run(self, forking, bounded_wait):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
         assert run_experiment(cfg, threads=2).trials == run_experiment(cfg).trials
         assert multiprocessing.active_children() == []

@@ -18,7 +18,6 @@ from blindsim import (
     SelfTestPlan,
     Strategy,
     ValidationError,
-    empty_timeline,
     gen_attack,
     gen_le_schedule,
     gen_signal_photons,
@@ -178,7 +177,7 @@ class TestLeSchedule:
 class TestMergeTimelines:
     def test_merge_with_empty_is_identity(self):
         tl = gen_signal_photons(1e5, 1e-3, stream(14))
-        merged = merge_timelines(empty_timeline(1e-3), tl)
+        merged = merge_timelines(OpticalTimeline(duration_ps=to_ps(1e-3)), tl)
         assert merged == tl
 
     def test_merge_is_commutative(self):
@@ -206,7 +205,10 @@ class TestMergeTimelines:
 
     def test_mismatched_durations_rejected(self):
         with pytest.raises(ValidationError):
-            merge_timelines(empty_timeline(1e-3), empty_timeline(2e-3))
+            merge_timelines(
+                OpticalTimeline(duration_ps=to_ps(1e-3)),
+                OpticalTimeline(duration_ps=to_ps(2e-3)),
+            )
 
     @given(
         rate_a=st.floats(0, 2e5),
@@ -241,5 +243,5 @@ class TestTimelineValidation:
             tl.validate()
 
     def test_duration_property_round_trips(self):
-        tl = empty_timeline(123.456e-6)
+        tl = OpticalTimeline(duration_ps=to_ps(123.456e-6))
         assert to_ps(tl.duration) == tl.duration_ps

@@ -111,6 +111,9 @@ class TestPoissonTail:
             poisson_tail(1.0, -2)
         with pytest.raises(ValidationError):
             poisson_tail(1.0, 2, "sideways")
+        with pytest.raises(ValidationError) as err:
+            poisson_tail(0.0, 2, "sideways")  # the degenerate law checks it too
+        assert err.value.field == "side"
 
 
 class TestBinomialTail:
@@ -118,6 +121,12 @@ class TestBinomialTail:
         assert binomial_tail(10, 0.0, 1, "upper") == 0.0
         assert binomial_tail(10, 0.0, 0, "upper") == 1.0
         assert binomial_tail(10, 1.0, 10, "lower") == 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_unit_p_is_all_mass_at_n(self, n):
+        for k in range(n + 1):
+            assert binomial_tail(n, 1.0, k, "upper") == 1.0
+            assert binomial_tail(n, 1.0, k, "lower") == float(k == n)
 
     def test_exact_rational_case(self):
         # sum_{i>=5} C(10,i) / 2^10 = 638/1024
@@ -154,6 +163,16 @@ class TestBinomialTail:
             binomial_tail(10, 1.5, 3)
         with pytest.raises(ValidationError):
             binomial_tail(10, 0.5, 11)
+        for n, p, side, field in [
+            (-1, 0.5, "lower", "n"),
+            (2.5, 0.5, "lower", "n"),
+            (10, 0.5, "sideways", "side"),
+            (10, 0.0, "sideways", "side"),  # degenerate laws check it too
+            (10, 1.0, "sideways", "side"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                binomial_tail(n, p, 0, side)
+            assert err.value.field == field
 
 
 class TestClopperPearson:
