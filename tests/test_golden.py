@@ -5,6 +5,12 @@ at that file's seed and trial count, with 1 and 2 worker processes, and
 its ``trials.jsonl`` and ``hist_*.csv`` (written with the
 ``blindsim.manifest`` writers) must hash to the frozen SHA-256 values.
 The file is only read here; ``perfbench/freeze_golden.py`` writes it.
+
+``CLI_DIGESTS`` covers what ``run_experiment`` does not: the salt null
+oracle that ``simulate`` attaches (its p-values and
+``hist_salt_null.csv``) and ``figure fig3b``.  Those runs go through the
+command line, and every output but ``manifest.txt`` must hash to the
+values frozen here.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from blindsim.cli import main
 from blindsim.engine import Scenario, run_experiment
 from blindsim.manifest import write_histogram_csv, write_trials_jsonl
 from blindsim.presets import preset_config
@@ -58,3 +66,30 @@ def test_preset_arm_matches_golden_digests(arm, threads, tmp_path):
     )
     result = run_experiment(config, threads=threads)
     assert _digests(result, tmp_path / "out") == GOLDEN["digests"][arm]
+
+
+CLI_DIGESTS = {
+    "simulate --protocol salt --scenario normal --trials 20 --seed 5": {
+        "hist_clicks_per_trial.csv": "28496caeb6db13a35f4aa56cb73baf1f5e6005755ae0dfbec7ebfb638bb22a57",
+        "hist_salt_null.csv": "ceb6760f6c3767c9c551c1f5aa29ccb781d9a75304f10fcd0282cb2da2b25148",
+        "hist_test_counts.csv": "19c3a467fa08bdc5c0c1f36476a68f41e2a8c1c45b958bc59ce5fb0ebe82dd5f",
+        "trials.jsonl": "8639af6ecdbd0c81286430d21eb802f51cd50306a57dccfa9316188a27c84159",
+    },
+    "figure fig3b --trials 500 --seed 5": {
+        "hist_fig3b_counts.csv": "ff76b522edf4e4517214486ee41eb505fec0b6f618de6d5e3d473bd2614ac4d5",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_cli_run_matches_golden_digests(command, tmp_path):
+    result = CliRunner().invoke(
+        main, command.split() + ["--out", str(tmp_path)], catch_exceptions=False
+    )
+    assert result.exit_code == 0, result.output
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+        if p.name != "manifest.txt"  # carries wall-clock timestamps
+    }
+    assert digests == CLI_DIGESTS[command]
