@@ -54,6 +54,7 @@ _PROTOCOLS = {
     "flag": Strategy.FLAG_PULSE,
     "self-blind": Strategy.SELF_BLIND,
 }
+_MAX_SWEEP_POINTS = 10_000
 
 
 class _IOFailure(click.ClickException):
@@ -349,10 +350,15 @@ def _parse_values(text: str) -> list[str]:
     """Value texts of a comma list, or of an inclusive start:stop:step range.
 
     Range points are stepped in decimal arithmetic, so 0.1:0.3:0.1 gives
-    0.1, 0.2, 0.3 without binary floating-point drift.
+    0.1, 0.2, 0.3 without binary floating-point drift.  A range is
+    counted before it is built; there must be 1 to ``_MAX_SWEEP_POINTS``
+    values.
     """
     if ":" not in text:
-        return [p.strip() for p in text.split(",") if p.strip()]
+        out = [p.strip() for p in text.split(",") if p.strip()]
+        if not out:
+            raise _fail_config("values: need at least one value")
+        return out
     parts = text.split(":")
     if len(parts) != 3:
         raise _fail_config("range values need start:stop:step")
@@ -364,6 +370,14 @@ def _parse_values(text: str) -> list[str]:
         raise _fail_config(f"range values must be finite, got {text!r}")
     if step <= 0:
         raise _fail_config("range step must be > 0")
+    if stop < start:
+        raise _fail_config("values: need at least one value")
+    try:
+        n = int((stop - start) // step) + 1
+    except InvalidOperation:  # the quotient has more digits than the decimal context
+        n = math.inf
+    if n > _MAX_SWEEP_POINTS:
+        raise _fail_config(f"values: a range may hold at most {_MAX_SWEEP_POINTS} points")
     out = []
     v = start
     while v <= stop:

@@ -356,6 +356,11 @@ class TestSweepCommand:
             ("plan.count_threshold", "40,abc", "plan.count_threshold"),
             ("scenario", "normal,bogus", "scenario"),
             ("trials", "2,0", "trials"),
+            ("trials", ",", "values: need at least one value"),
+            ("trials", "", "values: need at least one value"),
+            ("trials", "5:1:1", "values: need at least one value"),
+            # 10**12 points: rejected from the count, before any is built
+            ("trials", "0:1:1e-12", "values: a range may hold at most 10000 points"),
         ],
     )
     def test_bad_point_exits_one_naming_the_field(self, tmp_path, param, values, named):
