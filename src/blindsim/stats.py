@@ -85,11 +85,13 @@ def _point_mass(at: int, k: int, side: str) -> float:
     return float(k >= at if side == "lower" else k <= at)
 
 
-def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, down, up) -> float:
+def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, ratio_for) -> float:
     """P(X <= k) for side="lower", P(X >= k) for "upper", on support [0, top].
 
-    ``down(i)`` is pmf(i-1)/pmf(i) and ``up(i)`` is pmf(i+1)/pmf(i);
-    ``top`` is None for an unbounded support.  Only the far side of the
+    ``ratio_for(True)`` returns the step ratio i -> pmf(i-1)/pmf(i) and
+    ``ratio_for(False)`` the step ratio i -> pmf(i+1)/pmf(i); it is asked
+    at most once, for the direction of a walk that takes a step.  ``top`` is None for
+    an unbounded support.  Only the far side of the
     mean is summed, outward from its anchor pmf where the terms shrink,
     relative to the anchor and with compensated summation; a near-side
     tail is one minus the far tail that starts next to k.
@@ -106,10 +108,11 @@ def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, down, up) ->
     # an anchor that underflows leaves only terms that are smaller still
     if anchor != 0.0:
         if downward:
-            indices, ratio = range(kk, max(0, kk - _MAX_TERMS), -1), down
+            indices = range(kk, max(0, kk - _MAX_TERMS), -1)
         else:
             end = kk + _MAX_TERMS if top is None else min(top, kk + _MAX_TERMS)
-            indices, ratio = range(kk, end), up
+            indices = range(kk, end)
+        ratio = ratio_for(downward) if indices else None  # none from 0 downward
         t = 1.0
         for i in indices:
             t *= ratio(i)
@@ -134,8 +137,7 @@ def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
     return _tail(
         k, side, mean, None,
         lambda i: _log_poisson_pmf(mean, i),
-        lambda i: i / mean,
-        lambda i: mean / (i + 1),
+        lambda downward: (lambda i: i / mean) if downward else (lambda i: mean / (i + 1)),
     )
 
 
@@ -153,11 +155,18 @@ def binomial_tail(n: int, p: float, k: int, side: str = "lower") -> float:
     if p == 0 or p == 1:
         return _point_mass(n * int(p), k, side)
     logit = math.log(p) - math.log1p(-p)
+
+    def ratio_for(downward: bool):
+        # the odds factor is computed once per call, and only for the
+        # direction walked: exp(-logit) overflows for subnormal p
+        if downward:
+            odds = math.exp(-logit)
+            return lambda i: i / (n - i + 1) * odds
+        odds = math.exp(logit)
+        return lambda i: (n - i) / (i + 1) * odds
+
     return _tail(
-        k, side, n * p, n,
-        lambda i: _log_binomial_pmf(n, i, p),
-        lambda i: i / (n - i + 1) * math.exp(-logit),
-        lambda i: (n - i) / (i + 1) * math.exp(logit),
+        k, side, n * p, n, lambda i: _log_binomial_pmf(n, i, p), ratio_for
     )
 
 

@@ -134,6 +134,14 @@ class TestBinomialTail:
             0.623046875, rel=1e-12
         )
 
+    def test_subnormal_p(self):
+        # exp(-logit) overflows here; no walk of this law steps downward
+        p = 5e-324
+        assert binomial_tail(10, p, 0, "lower") == 1.0
+        assert binomial_tail(10, p, 0, "upper") == 1.0
+        assert 0.0 < binomial_tail(10, p, 1, "upper") < 1e-320
+        assert binomial_tail(10, p, 10, "lower") == 1.0
+
     @pytest.mark.parametrize("n,p,k,side,want", BINOMIAL_VECTOR)
     def test_frozen_reference_vector(self, n, p, k, side, want):
         assert binomial_tail(n, p, k, side) == pytest.approx(want, rel=1e-10)
