@@ -26,7 +26,8 @@ from .optics import (
     CwSegment,
     CwSource,
     OpticalTimeline,
-    Photon,
+    PHOTON_CODE,
+    PHOTON_SOURCES,
     PhotonSource,
     PulseSource,
     gen_attack,

@@ -33,11 +33,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappush, heappop
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError, require_finite
-from .optics import OpticalTimeline, PhotonSource, PulseSource, _poisson_arrival_ps
+from .optics import PHOTON_SOURCES, OpticalTimeline, PulseSource, _poisson_arrival_ps
 from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
 
 
@@ -54,8 +56,7 @@ class ClickCause(str, Enum):
     NOISE = "NOISE"
 
 
-@dataclass(frozen=True, slots=True)
-class ClickRecord:
+class ClickRecord(NamedTuple):
     time_ps: int
     cause: ClickCause
 
@@ -100,7 +101,7 @@ class DetectorParams:
 # edges so that they see the pre-edge power level.
 _PULSE, _PHOTON, _DARK, _NOISE, _AFTER, _CW = range(6)
 
-_PHOTON_CAUSE = {PhotonSource.SIGNAL: ClickCause.SIGNAL, PhotonSource.SALT: ClickCause.SALT}
+_PHOTON_CAUSE = tuple(ClickCause(source.value) for source in PHOTON_SOURCES)  # by code
 _PULSE_CAUSE = {PulseSource.FAKE: ClickCause.FAKE, PulseSource.FLAG: ClickCause.FLAG}
 
 
@@ -166,7 +167,7 @@ def process_timeline(
     pulses = timeline.pulses
     edges, n_crossings = _cw_edges(timeline, blind_power)
 
-    u_photon = rng.random(len(photons)) if photons else None
+    u_photon = rng.random(len(photons)) if len(photons) else None
     u_pulse = rng.random(len(pulses)) if pulses else None
     u_recovery = rng.random(n_crossings) if n_crossings else None
     # candidate times of the state-gated Poisson click sources
@@ -186,11 +187,19 @@ def process_timeline(
             pulse_p_armed.append(1.0 - (1.0 - eff) ** pu.photon_number)
         pulse_cause.append(_PULSE_CAUSE[pu.source])
 
+    # (time, priority, pulse or edge index, or photon source code).  A
+    # photon whose uniform reaches the efficiency never clicks, so it is
+    # left out.  The photons come sorted on (time, code), so the codes
+    # order coincident photons as their indices would.
     events: list[tuple[int, int, int]] = []
-    events.extend((p.time_ps, _PHOTON, i) for i, p in enumerate(photons))
+    if u_photon is not None:
+        live = u_photon < eff
+        events.extend(zip(
+            photons[live].tolist(), repeat(_PHOTON), timeline.photon_sources[live].tolist()
+        ))
     events.extend((pu.time_ps, _PULSE, i) for i, pu in enumerate(pulses))
-    events.extend((int(t), _DARK, 0) for t in dark_times)
-    events.extend((int(t), _NOISE, 0) for t in noise_times)
+    events.extend(zip(dark_times.tolist(), repeat(_DARK), repeat(0)))
+    events.extend(zip(noise_times.tolist(), repeat(_NOISE), repeat(0)))
     events.extend((t, _CW, i) for i, (t, _, _) in enumerate(edges) if t < dur)
     events.sort()
 
@@ -226,8 +235,8 @@ def process_timeline(
         t, prio, idx = events[i]
         i += 1
         if prio == _PHOTON:
-            if not blinded and t >= dead_until and u_photon[idx] < eff:
-                click(t, _PHOTON_CAUSE[photons[idx].source])
+            if not blinded and t >= dead_until:
+                click(t, _PHOTON_CAUSE[idx])
         elif prio == _DARK:
             if not blinded and t >= dead_until:
                 click(t, ClickCause.DARK)

@@ -217,11 +217,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         lo = bisect_left(clicks, a, key=_TIME_PS)
         hi = bisect_left(clicks, a + span_ps, lo=lo, key=_TIME_PS)
         offsets.extend(c.time_ps - a for c in clicks[lo:hi])
-    causes = Counter(c.cause.value for c in clicks)
+    causes = Counter(c.cause for c in clicks)
     return TrialResult(
         index=trial_index,
         verdicts=verdicts,
-        cause_counts=tuple(sorted(causes.items())),
+        cause_counts=tuple(sorted((cause.value, n) for cause, n in causes.items())),
         total_clicks=len(clicks),
         response_offsets_ps=tuple(offsets),
         seed_token=f"{seed}/{trial_index}",

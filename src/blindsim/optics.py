@@ -2,7 +2,7 @@
 
 A timeline collects three kinds of stimuli over a fixed horizon:
 discrete photon arrivals (legitimate signal or receiver-injected salt
-light), piecewise-constant CW power contributions (attacker blinding
+light, held as parallel arrays of times and source codes), piecewise-constant CW power contributions (attacker blinding
 light or the receiver's local blinding emitter), and bright pulses
 (attacker fake states or receiver flag pulses).  CW contributions
 superpose: the detector reacts to the sum of all active segments.
@@ -13,7 +13,7 @@ in parallel with per-trial streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, TYPE_CHECKING
 
@@ -41,9 +41,20 @@ class PulseSource(str, Enum):
     FLAG = "FLAG"
 
 
-class Photon(NamedTuple):
-    time_ps: int
-    source: PhotonSource
+# Code of each photon source in ``OpticalTimeline.photon_sources``.  Codes
+# follow enum value order (SALT < SIGNAL), so coincident photons sort as
+# (time, source) tuples would.
+PHOTON_SOURCES = (PhotonSource.SALT, PhotonSource.SIGNAL)
+PHOTON_CODE = {source: code for code, source in enumerate(PHOTON_SOURCES)}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_NO_TIMES = _frozen(np.empty(0, dtype=np.int64))
+_NO_CODES = _frozen(np.empty(0, dtype=np.uint8))
 
 
 class CwSegment(NamedTuple):
@@ -69,12 +80,32 @@ class BrightPulse(NamedTuple):
         return self.peak_power * to_seconds(self.width_ps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalTimeline:
+    """Stimuli over [0, duration_ps).
+
+    ``photons`` holds the photon arrival times in picoseconds, sorted, as
+    a 1-D int64 array; ``photon_sources`` holds the ``PHOTON_SOURCES``
+    code of each photon as a uint8 array of the same length.  The
+    generators return read-only arrays.
+    """
+
     duration_ps: int
-    photons: tuple[Photon, ...] = ()
+    photons: np.ndarray = field(default_factory=lambda: _NO_TIMES)
+    photon_sources: np.ndarray = field(default_factory=lambda: _NO_CODES)
     cw_segments: tuple[CwSegment, ...] = ()
     pulses: tuple[BrightPulse, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OpticalTimeline):
+            return NotImplemented
+        return (
+            self.duration_ps == other.duration_ps
+            and np.array_equal(self.photons, other.photons)
+            and np.array_equal(self.photon_sources, other.photon_sources)
+            and self.cw_segments == other.cw_segments
+            and self.pulses == other.pulses
+        )
 
     @property
     def duration(self) -> float:
@@ -83,15 +114,23 @@ class OpticalTimeline:
     def validate(self) -> None:
         if self.duration_ps < 0:
             raise ValidationError("duration", "must be >= 0")
-        last = -1
-        for p in self.photons:
-            if p.time_ps < 0:
+        times, codes = self.photons, self.photon_sources
+        if not (isinstance(times, np.ndarray) and times.dtype == np.int64 and times.ndim == 1):
+            raise ValidationError("photons", "must be a 1-D int64 array")
+        if not (
+            isinstance(codes, np.ndarray) and codes.dtype == np.uint8
+            and codes.shape == times.shape
+        ):
+            raise ValidationError("photon_sources", "must be a uint8 array as long as photons")
+        if times.size:
+            if times.min() < 0:
                 raise ValidationError("photons", "negative timestamp")
-            if p.time_ps < last:
+            if (times[1:] < times[:-1]).any():
                 raise ValidationError("photons", "timestamps out of order")
-            if p.time_ps >= self.duration_ps:
+            if times[-1] >= self.duration_ps:
                 raise ValidationError("photons", "timestamp beyond duration")
-            last = p.time_ps
+            if codes.max() >= len(PHOTON_SOURCES):
+                raise ValidationError("photon_sources", "code outside PhotonSource")
         for seg in self.cw_segments:
             if seg.start_ps < 0:
                 raise ValidationError("cw_segments", "negative timestamp")
@@ -162,12 +201,12 @@ def _poisson_arrival_ps(
 ) -> np.ndarray:
     """Homogeneous Poisson arrival times as sorted integer picoseconds."""
     if rate == 0 or duration_ps <= 0:
-        return np.empty(0, dtype=np.int64)
+        return _NO_TIMES
     n = rng.poisson(rate * to_seconds(duration_ps))
     times = (np.sort(rng.random(n)) * duration_ps).astype(np.int64)
     # u < 1 can still scale up to duration_ps by round-to-even; keep the
     # half-open horizon exact
-    return np.minimum(times, duration_ps - 1)
+    return _frozen(np.minimum(times, duration_ps - 1))
 
 
 def gen_signal_photons(
@@ -181,8 +220,8 @@ def gen_signal_photons(
         raise ValidationError("rate", "must be >= 0")
     duration_ps = to_ps(duration)
     times = _poisson_arrival_ps(rate, duration_ps, rng)
-    photons = tuple(Photon(int(t), source) for t in times)
-    return OpticalTimeline(duration_ps=duration_ps, photons=photons)
+    codes = _frozen(np.full(times.size, PHOTON_CODE[source], dtype=np.uint8))
+    return OpticalTimeline(duration_ps=duration_ps, photons=times, photon_sources=codes)
 
 
 def gen_attack(
@@ -245,9 +284,9 @@ def gen_le_schedule(
     stop_ps = min(duration_ps, start_ps + span_ps)
 
     if plan.strategy == Strategy.SALT:
-        times = _poisson_arrival_ps(plan.salt_rate, stop_ps - start_ps, rng)
-        photons = tuple(Photon(int(t) + start_ps, PhotonSource.SALT) for t in times)
-        return OpticalTimeline(duration_ps=duration_ps, photons=photons)
+        times = _frozen(_poisson_arrival_ps(plan.salt_rate, stop_ps - start_ps, rng) + start_ps)
+        codes = _frozen(np.full(times.size, PHOTON_CODE[PhotonSource.SALT], dtype=np.uint8))
+        return OpticalTimeline(duration_ps=duration_ps, photons=times, photon_sources=codes)
 
     if plan.strategy == Strategy.FLAG_PULSE:
         width_ps = max(1, span_ps)
@@ -283,8 +322,11 @@ def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:
     """Time-ordered union of fragments sharing one horizon.
 
     CW contributions stay separate tagged segments; the detector sums
-    them.  The merge is order-insensitive: fragments are combined and
-    re-sorted on full event tuples.
+    them.  The merge is order-insensitive: photons are re-sorted on
+    (time, source code) and the other events on their full tuples.  The
+    photons of the only fragment that has any are passed through as they
+    are, so each fragment's photons must already be in order, as the
+    generators make them.
     """
     if not fragments:
         raise ValidationError("fragments", "need at least one timeline")
@@ -292,14 +334,19 @@ def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:
     for f in fragments[1:]:
         if f.duration_ps != duration_ps:
             raise ValidationError("fragments", "mismatched durations")
-    photons: list[Photon] = []
+    lit = [f for f in fragments if len(f.photons)] or fragments[:1]
+    if len(lit) == 1:
+        photons, sources = lit[0].photons, lit[0].photon_sources
+    else:
+        times = np.concatenate([f.photons for f in lit])
+        codes = np.concatenate([f.photon_sources for f in lit])
+        order = np.lexsort((codes, times))
+        photons, sources = _frozen(times[order]), _frozen(codes[order])
     segments: list[CwSegment] = []
     pulses: list[BrightPulse] = []
     for f in fragments:
-        photons.extend(f.photons)
         segments.extend(f.cw_segments)
         pulses.extend(f.pulses)
-    photons.sort()
     segments.sort()
     # photon_number may be None; keep the key orderable
     pulses.sort(
@@ -308,7 +355,8 @@ def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:
     )
     return OpticalTimeline(
         duration_ps=duration_ps,
-        photons=tuple(photons),
+        photons=photons,
+        photon_sources=sources,
         cw_segments=tuple(segments),
         pulses=tuple(pulses),
     )

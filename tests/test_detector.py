@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 from blindsim import (
     BrightPulse,
     ClickCause,
+    ClickRecord,
     CwSegment,
     CwSource,
     DetectorParams,
     OpticalTimeline,
-    Photon,
+    PHOTON_CODE,
+    PHOTON_SOURCES,
     PhotonSource,
     PulseSource,
     ValidationError,
     calibrate_dead_time,
     count_distribution_oracle,
     gen_signal_photons,
+    merge_timelines,
     process_timeline,
     stream,
 )
@@ -41,6 +44,13 @@ def quiet_params(**overrides) -> DetectorParams:
     )
     defaults.update(overrides)
     return DetectorParams(**defaults)
+
+
+def photon_arrays(times, source=PhotonSource.SIGNAL) -> dict:
+    """``photons`` and ``photon_sources`` of a timeline, all from one source."""
+    times = np.asarray(times, dtype=np.int64)
+    codes = np.full(times.size, PHOTON_CODE[source], dtype=np.uint8)
+    return {"photons": times, "photon_sources": codes}
 
 
 class TestDarkCounts:
@@ -76,7 +86,7 @@ class TestBlinding:
         dur = to_ps(200e-6)
         timeline = OpticalTimeline(
             duration_ps=dur,
-            photons=(Photon(dur // 2, PhotonSource.SIGNAL),),
+            **photon_arrays([dur // 2]),
             cw_segments=(CwSegment(0, dur, 5.0e-10, CwSource.ATTACK_BLIND),),
         )
         for seed in range(20):
@@ -89,10 +99,7 @@ class TestBlinding:
         dur = to_ps(0.05)
         timeline = OpticalTimeline(
             duration_ps=dur,
-            photons=tuple(
-                Photon(t, PhotonSource.SIGNAL)
-                for t in range(1000, dur, to_ps(1e-6))
-            ),
+            **photon_arrays(range(1000, dur, to_ps(1e-6))),
             cw_segments=(CwSegment(0, dur, 1e-9, CwSource.ATTACK_BLIND),),
         )
         assert process_timeline(params, timeline, stream(7, "d")) == []
@@ -133,12 +140,27 @@ class TestBlinding:
         flag = BrightPulse(t0, 1000, 1e-17 / 1e-9, PulseSource.FLAG, None)
         timeline = OpticalTimeline(
             duration_ps=dur,
-            photons=(Photon(to_ps(120e-6), PhotonSource.SIGNAL),),
+            **photon_arrays([to_ps(120e-6)]),
             cw_segments=(CwSegment(t0, dur, 1e-9, CwSource.LE_BLIND),),
             pulses=(flag,),
         )
         clicks = process_timeline(params, timeline, stream(4, "d"))
         assert [(c.time_ps, c.cause) for c in clicks] == [(t0, ClickCause.FLAG)]
+
+
+class TestPhotonTieBreak:
+    @pytest.mark.parametrize("salt_first", [True, False])
+    def test_coincident_salt_photon_takes_the_click(self, salt_first):
+        # a SALT and a SIGNAL photon at the same picosecond: the merge
+        # orders SALT first in either fragment order, so it clicks and
+        # the SIGNAL photon falls in the dead time
+        params = quiet_params(efficiency=1.0)
+        dur, t = to_ps(10e-6), to_ps(5e-6)
+        salt = OpticalTimeline(duration_ps=dur, **photon_arrays([t], PhotonSource.SALT))
+        signal = OpticalTimeline(duration_ps=dur, **photon_arrays([t]))
+        fragments = (salt, signal) if salt_first else (signal, salt)
+        clicks = process_timeline(params, merge_timelines(*fragments), stream(1, "d"))
+        assert clicks == [ClickRecord(t, ClickCause.SALT)]
 
 
 class TestRecoveryClicks:
@@ -317,7 +339,7 @@ class TestDeadTimeProperty:
         pulse_times = np.sort(rng.integers(0, dur, size=30))
         timeline = OpticalTimeline(
             duration_ps=dur,
-            photons=tuple(Photon(int(t), PhotonSource.SIGNAL) for t in photon_times),
+            **photon_arrays(photon_times),
             cw_segments=(CwSegment(b0, b1, 1e-9, CwSource.ATTACK_BLIND),),
             pulses=tuple(
                 BrightPulse(int(t), to_ps(2e-9), 3e-6, PulseSource.FAKE)
@@ -340,18 +362,52 @@ class TestValidation:
     def test_unordered_timeline_rejected(self, ref_detector):
         timeline = OpticalTimeline(
             duration_ps=1000,
-            photons=(Photon(500, PhotonSource.SIGNAL), Photon(100, PhotonSource.SIGNAL)),
+            **photon_arrays([500, 100]),
         )
         with pytest.raises(ValidationError) as err:
             process_timeline(ref_detector, timeline, stream(1))
         assert err.value.field == "photons"
 
     def test_negative_timestamp_rejected(self, ref_detector):
-        timeline = OpticalTimeline(
-            duration_ps=1000, photons=(Photon(-5, PhotonSource.SIGNAL),)
-        )
+        timeline = OpticalTimeline(duration_ps=1000, **photon_arrays([-5]))
         with pytest.raises(ValidationError):
             process_timeline(ref_detector, timeline, stream(1))
+
+    @pytest.mark.parametrize(
+        "photons",
+        [(100, 200), [100, 200], np.array([100.0, 200.0]), np.array([[100, 200]])],
+        ids=["tuple", "list", "float64", "2-D"],
+    )
+    def test_photons_must_be_1d_int64_array(self, ref_detector, photons):
+        timeline = OpticalTimeline(
+            duration_ps=1000, photons=photons, photon_sources=np.zeros(2, np.uint8)
+        )
+        with pytest.raises(ValidationError) as err:
+            process_timeline(ref_detector, timeline, stream(1))
+        assert err.value.field == "photons"
+
+    @pytest.mark.parametrize(
+        "codes",
+        [np.zeros(2, np.int64), np.zeros(3, np.uint8), (0, 1)],
+        ids=["int64", "wrong-length", "tuple"],
+    )
+    def test_photon_sources_must_be_uint8_as_long_as_photons(self, ref_detector, codes):
+        timeline = OpticalTimeline(
+            duration_ps=1000, photons=np.array([100, 200]), photon_sources=codes
+        )
+        with pytest.raises(ValidationError) as err:
+            process_timeline(ref_detector, timeline, stream(1))
+        assert err.value.field == "photon_sources"
+
+    def test_photon_source_code_outside_enum_rejected(self, ref_detector):
+        timeline = OpticalTimeline(
+            duration_ps=1000,
+            photons=np.array([100, 200]),
+            photon_sources=np.array([0, len(PHOTON_SOURCES)], np.uint8),
+        )
+        with pytest.raises(ValidationError) as err:
+            process_timeline(ref_detector, timeline, stream(1))
+        assert err.value.field == "photon_sources"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -405,7 +461,10 @@ class TestCalibrateDeadTime:
         )
         signal = gen_signal_photons(ref_signal_rate, duration, stream(41, "ph"))
         timeline = OpticalTimeline(
-            duration_ps=signal.duration_ps, photons=signal.photons, pulses=probes
+            duration_ps=signal.duration_ps,
+            photons=signal.photons,
+            photon_sources=signal.photon_sources,
+            pulses=probes,
         )
         clicks = process_timeline(ref_detector, timeline, stream(41, "det"))
         probe_times = {p.time_ps for p in probes}

@@ -13,6 +13,7 @@ from blindsim import (
     CwSegment,
     CwSource,
     OpticalTimeline,
+    PHOTON_CODE,
     PhotonSource,
     PulseSource,
     SelfTestPlan,
@@ -29,7 +30,7 @@ from blindsim.units import to_ps
 
 class TestSignalPhotons:
     def test_zero_rate_is_empty(self):
-        assert gen_signal_photons(0.0, 1.0, stream(1)).photons == ()
+        assert len(gen_signal_photons(0.0, 1.0, stream(1)).photons) == 0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
@@ -61,7 +62,7 @@ class TestSignalPhotons:
         rate = 5.0e4
         duration = 100_000 / rate * 1.05
         timeline = gen_signal_photons(rate, duration, stream(4, "ks"))
-        times = np.array([p.time_ps for p in timeline.photons], dtype=np.float64)
+        times = timeline.photons.astype(np.float64)
         gaps = np.diff(times)[:100_000] * 1e-12
         assert len(gaps) >= 100_000
         result = kstest(gaps, "expon", args=(0, 1.0 / rate))
@@ -70,7 +71,7 @@ class TestSignalPhotons:
     def test_times_sorted_within_horizon(self):
         tl = gen_signal_photons(2e5, 1e-3, stream(5))
         tl.validate()
-        times = [p.time_ps for p in tl.photons]
+        times = tl.photons.tolist()
         assert times == sorted(times)
         assert all(0 <= t < tl.duration_ps for t in times)
 
@@ -98,7 +99,7 @@ class TestAttackGeneration:
 
     def test_no_attack_is_empty(self):
         frag = gen_attack(AttackScenario(), 1e-3, stream(7))
-        assert frag.photons == () and frag.cw_segments == () and frag.pulses == ()
+        assert len(frag.photons) == 0 and frag.cw_segments == () and frag.pulses == ()
 
     def test_stop_blind_truncates_segment_and_pulses(self):
         scenario = AttackScenario(
@@ -131,9 +132,9 @@ class TestLeSchedule:
         for i in range(800):
             frag = gen_le_schedule(plan, 100e-6, 500e-6, stream(10, i))
             counts.append(len(frag.photons))
-            for p in frag.photons:
-                assert p.source is PhotonSource.SALT
-                assert to_ps(100e-6) <= p.time_ps < to_ps(300e-6)
+            assert (frag.photon_sources == PHOTON_CODE[PhotonSource.SALT]).all()
+            assert (to_ps(100e-6) <= frag.photons).all()
+            assert (frag.photons < to_ps(300e-6)).all()
         assert np.mean(counts) == pytest.approx(90.0, rel=0.05)
 
     def test_flag_pulse_schedule(self):
@@ -202,6 +203,14 @@ class TestMergeTimelines:
         merged = merge_timelines(a, b)
         assert len(merged.cw_segments) == 2
         assert sum(s.power for s in merged.cw_segments) == pytest.approx(6e-10)
+
+    def test_photon_arrays_are_read_only(self):
+        plan = SelfTestPlan(strategy=Strategy.SALT, salt_rate=450e3)
+        signal = gen_signal_photons(1e5, 1e-3, stream(16, "a"))
+        salt = gen_le_schedule(plan, 100e-6, 1e-3, stream(16, "b"))
+        for tl in (signal, salt, merge_timelines(signal, salt)):
+            assert not tl.photons.flags.writeable
+            assert not tl.photon_sources.flags.writeable
 
     def test_mismatched_durations_rejected(self):
         with pytest.raises(ValidationError):
