@@ -123,10 +123,11 @@ class OpticalTimeline:
         ):
             raise ValidationError("photon_sources", "must be a uint8 array as long as photons")
         if times.size:
-            if times.min() < 0:
-                raise ValidationError("photons", "negative timestamp")
             if (times[1:] < times[:-1]).any():
                 raise ValidationError("photons", "timestamps out of order")
+            # in order, so the ends hold the extremes
+            if times[0] < 0:
+                raise ValidationError("photons", "negative timestamp")
             if times[-1] >= self.duration_ps:
                 raise ValidationError("photons", "timestamp beyond duration")
             if codes.max() >= len(PHOTON_SOURCES):
@@ -334,7 +335,7 @@ def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:
     for f in fragments[1:]:
         if f.duration_ps != duration_ps:
             raise ValidationError("fragments", "mismatched durations")
-    lit = [f for f in fragments if len(f.photons)] or fragments[:1]
+    lit = [f for f in fragments if len(f.photons)] or fragments[:1]  # with photons
     if len(lit) == 1:
         photons, sources = lit[0].photons, lit[0].photon_sources
     else:
