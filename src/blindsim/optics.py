@@ -2,9 +2,10 @@
 
 A timeline collects three kinds of stimuli over a fixed horizon:
 discrete photon arrivals (legitimate signal or receiver-injected salt
-light, held as parallel arrays of times and source codes), piecewise-constant CW power contributions (attacker blinding
-light or the receiver's local blinding emitter), and bright pulses
-(attacker fake states or receiver flag pulses).  CW contributions
+light, held as parallel arrays of times and source codes),
+piecewise-constant CW power contributions (attacker blinding light or
+the receiver's local blinding emitter), and bright pulses (attacker fake
+states or receiver flag pulses).  CW contributions
 superpose: the detector reacts to the sum of all active segments.
 
 Generators are pure functions of their random stream, so trials can run

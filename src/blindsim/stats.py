@@ -90,9 +90,9 @@ def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, ratio_for) -
 
     ``ratio_for(True)`` returns the step ratio i -> pmf(i-1)/pmf(i) and
     ``ratio_for(False)`` the step ratio i -> pmf(i+1)/pmf(i); it is asked
-    at most once, for the direction of a walk that takes a step.  ``top`` is None for
-    an unbounded support.  Only the far side of the
-    mean is summed, outward from its anchor pmf where the terms shrink,
+    at most once, for the direction of a walk that takes a step.  ``top``
+    is None for an unbounded support.  Only the far side of the mean is
+    summed, outward from its anchor pmf where the terms shrink,
     relative to the anchor and with compensated summation; a near-side
     tail is one minus the far tail that starts next to k.
     """
