@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import ValidationError, require_finite
 from .optics import PHOTON_SOURCES, OpticalTimeline, PulseSource, _poisson_arrival_ps
-from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
+from .units import PS_PER_SECOND, to_ps, to_seconds
+from .units import Duration, Fraction, Positive, PositiveDuration, Probability, Rate
 
 
 class ClickCause(str, Enum):
@@ -65,36 +66,18 @@ class ClickRecord(NamedTuple):
 class DetectorParams:
     """Behavioral parameters; defaults are the reference operating point."""
 
-    efficiency: float = 0.9
-    dark_rate: float = 7.0e3  # counts/second while armed
-    dead_time: float = 1.32e-6  # seconds
-    afterpulse_prob: float = 0.4
-    afterpulse_tau: float = 1.0e-6  # mean extra delay after dead-time expiry
-    blind_power: float = 5.0e-10  # watts of CW light that hold the detector blind
-    fake_energy: float = 1.0e-15  # joules; pulses at or above this always click
-    recovery_click_prob: float = 1.0
-    noise_rate: float = 0.0  # electrical noise clicks/second, active while blinded
+    efficiency: Probability = 0.9
+    dark_rate: Rate = 7.0e3  # counts/second while armed
+    dead_time: PositiveDuration = 1.32e-6  # seconds
+    afterpulse_prob: Fraction = 0.4
+    afterpulse_tau: Duration = 1.0e-6  # mean extra delay after dead-time expiry
+    blind_power: Positive = 5.0e-10  # watts of CW light that hold the detector blind
+    fake_energy: Positive = 1.0e-15  # joules; pulses at or above this always click
+    recovery_click_prob: Probability = 1.0
+    noise_rate: Rate = 0.0  # electrical noise clicks/second, active while blinded
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not 0 <= self.efficiency <= 1:
-            raise ValidationError("efficiency", "must lie in [0, 1]")
-        if not 0 <= self.afterpulse_prob < 1:
-            raise ValidationError("afterpulse_prob", "must lie in [0, 1)")
-        if not 0 <= self.dark_rate <= PS_PER_SECOND:
-            raise ValidationError("dark_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
-        if not 0 < self.dead_time <= MAX_SECONDS:
-            raise ValidationError("dead_time", f"must lie in (0, {MAX_SECONDS:g}] s")
-        if not 0 <= self.afterpulse_tau <= MAX_SECONDS:
-            raise ValidationError("afterpulse_tau", f"must lie in [0, {MAX_SECONDS:g}] s")
-        if self.blind_power <= 0:
-            raise ValidationError("blind_power", "must be > 0")
-        if self.fake_energy <= 0:
-            raise ValidationError("fake_energy", "must be > 0")
-        if not 0 <= self.recovery_click_prob <= 1:
-            raise ValidationError("recovery_click_prob", "must lie in [0, 1]")
-        if not 0 <= self.noise_rate <= PS_PER_SECOND:
-            raise ValidationError("noise_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
 
 
 # Processing priority of coincident events.  Stimuli come before power
@@ -152,10 +135,7 @@ def process_timeline(
     timeline.validate()
     clicks: list[ClickRecord] = []
     dur = timeline.duration_ps
-    if dur <= 0:
-        return clicks
-
-    dead_ps = max(1, to_ps(params.dead_time))
+    dead_ps = to_ps(params.dead_time)
     eff = params.efficiency
     ap_prob = params.afterpulse_prob
     ap_tau = params.afterpulse_tau

@@ -32,10 +32,11 @@ from .selftest import (
     evaluate_flag_pulse,
     evaluate_salt,
     evaluate_self_blind,
+    fit_tests,
     schedule_tests,
 )
 from .stats import Histogram
-from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
+from .units import Duration, Fraction, PositiveCount, Rate, to_ps, to_seconds
 
 
 class Scenario(str, Enum):
@@ -50,23 +51,15 @@ class ExperimentConfig:
     detector: DetectorParams = field(default_factory=DetectorParams)
     attack: AttackScenario = field(default_factory=AttackScenario)
     plan: SelfTestPlan = field(default_factory=lambda: SelfTestPlan(strategy=Strategy.SALT))
-    signal_rate: float = 5.5e4  # legitimate photon arrival rate at the detector
-    duty_cycle: float = 0.5
-    trial_duration: float = 4.0e-4
-    trials: int = 100
+    signal_rate: Rate = 5.5e4  # legitimate photon arrival rate at the detector
+    duty_cycle: Fraction = 0.5
+    trial_duration: Duration = 4.0e-4
+    trials: PositiveCount = 100
     seed: int = 1
     scenario: Scenario = Scenario.NORMAL
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not 0 <= self.signal_rate <= PS_PER_SECOND:
-            raise ValidationError("signal_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
-        if not 0 <= self.duty_cycle < 1:
-            raise ValidationError("duty_cycle", "must lie in [0, 1)")
-        if not 0 <= self.trial_duration <= MAX_SECONDS:
-            raise ValidationError("trial_duration", f"must lie in [0, {MAX_SECONDS:g}] s")
-        if self.trials < 1:
-            raise ValidationError("trials", "must be >= 1")
         if self.scenario == Scenario.NORMAL and self.attack.blind_power_level > 0:
             raise ValidationError("scenario", "NORMAL scenario cannot carry an attack")
         if (
@@ -80,6 +73,9 @@ class ExperimentConfig:
             raise ValidationError(
                 "flag_pulse_energy", "must stay below the fake-state energy threshold"
             )
+        if fit_tests(self.trial_duration, self.duty_cycle, self.plan)[0] == 0:
+            name = "trial_duration" if self.trial_duration == 0 else "duty_cycle"
+            raise ValidationError(name, "leaves no self-test in a trial")
 
 
 @dataclass(frozen=True)
@@ -171,11 +167,7 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
         stream(seed, trial_index, "schedule"),
     )
     attack = config.attack
-    if (
-        config.scenario == Scenario.RECOVERY_ATTACK
-        and attack.stop_blind_at is None
-        and starts
-    ):
+    if config.scenario == Scenario.RECOVERY_ATTACK and attack.stop_blind_at is None:
         # Worst case for the defender: the attacker releases its blinding
         # light in the middle of the self-test interval.
         attack = replace(attack, stop_blind_at=starts[0] + plan.test_duration / 2)

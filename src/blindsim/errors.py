@@ -1,12 +1,15 @@
-"""Exception types and the field-kind check shared across the package."""
+"""Exception types and the field check shared across the package."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import fields
 from enum import Enum
 from functools import cache
-from typing import Any, get_args, get_type_hints
+from typing import Annotated, Any, get_args, get_origin, get_type_hints
+
+from .units import Range
 
 
 class BlindsimError(Exception):
@@ -38,14 +41,25 @@ def field_kind(annotation) -> tuple[Any, bool]:
 
 
 @cache
-def _checked_fields(cls) -> tuple[tuple[str, type, bool], ...]:
-    """(name, kind, may be None) of each int, float, bool or Enum field of a dataclass."""
-    hints = get_type_hints(cls)
+def _checked_fields(cls) -> tuple[tuple[str, Any, bool, Range | None, Any, Any], ...]:
+    """(name, kind, may be None, range, least, most) of each int, float, bool or Enum field.
+
+    A number of the field's own type from ``least`` to ``most``, the
+    declared range narrowed to finite floats, passes at once.
+    """
+    hints = get_type_hints(cls, include_extras=True)
     out = []
     for f in fields(cls):
         kind, optional = field_kind(hints[f.name])
+        bounds = None
+        if get_origin(kind) is Annotated:
+            kind, bounds = get_args(kind)
         if kind in (int, float, bool) or (isinstance(kind, type) and issubclass(kind, Enum)):
-            out.append((f.name, kind, optional))
+            least, most = (bounds.least, bounds.most) if bounds else (-math.inf, math.inf)
+            if kind is float:
+                least, most = max(least, -sys.float_info.max), min(most, sys.float_info.max)
+            numeric = kind in (int, float)
+            out.append((f.name, kind, optional, bounds, least if numeric else None, most))
     return tuple(out)
 
 
@@ -63,10 +77,13 @@ def require_finite(obj) -> None:
     field takes finite numbers and the ints a float holds exactly, a
     ``bool`` field takes only ``True`` or ``False``, an Enum field takes
     only a member of its Enum, and a ``| None`` field may also be None.
-    A bool is not a number here, and nothing is coerced.
+    A bool is not a number here, and nothing is coerced.  A number must
+    also lie in the ``units.Range`` its annotation declares, if any.
     """
-    for name, kind, optional in _checked_fields(type(obj)):
+    for name, kind, optional, bounds, least, most in _checked_fields(type(obj)):
         value = getattr(obj, name)
+        if least is not None and type(value) is kind and least <= value <= most:
+            continue  # the common case, decided at once
         if value is None and optional:
             continue
         try:
@@ -83,6 +100,9 @@ def require_finite(obj) -> None:
         if not ok:
             expected = _EXPECTED.get(kind) or f"a member of {kind.__name__}"
             raise ValidationError(name, f"must be {expected}, got {value!r}")
+        if bounds and not least <= value <= most:
+            tiny = bounds.tiny and 0 < value < least
+            raise ValidationError(name, bounds.tiny if tiny else bounds.message)
 
 
 class ConfigError(BlindsimError, ValueError):

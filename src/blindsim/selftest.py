@@ -32,7 +32,8 @@ import numpy as np
 from .detector import ClickRecord
 from .errors import ConfigError, ValidationError, require_finite
 from .stats import Histogram, binomial_tail, poisson_tail
-from .units import MAX_SECONDS, PS_PER_SECOND, to_ps, to_seconds
+from .units import Count, NonNegative, Positive, PositiveCount, PositiveDuration, Probability
+from .units import Rate, to_ps, to_seconds
 
 
 class Strategy(str, Enum):
@@ -61,47 +62,26 @@ class SelfTestPlan:
     """
 
     strategy: Strategy
-    test_duration: float = 200e-6
-    salt_rate: float = 0.0  # salt photon arrival rate during the interval
-    response_window: float = 60e-9
-    count_threshold: int = 50
-    flag_photon_number: int | None = 5
-    flag_pulse_energy: float = 1.0e-17
-    self_blind_power: float = 1.0e-9
-    null_mean: float | None = None  # salt-test count mean under normal operation
+    test_duration: PositiveDuration = 200e-6
+    salt_rate: Rate = 0.0  # salt photon arrival rate during the interval
+    response_window: PositiveDuration = 60e-9
+    count_threshold: Count = 50
+    flag_photon_number: PositiveCount | None = 5
+    flag_pulse_energy: Positive = 1.0e-17
+    self_blind_power: Positive = 1.0e-9
+    null_mean: Positive | None = None  # salt-test count mean under normal operation
     null_distribution: Histogram | None = None  # simulated salt-test null
-    null_response_prob: float = 0.934  # flag response of a healthy detector
-    alt_response_prob: float = 0.003  # flag response of a manipulated detector
-    null_onset_prob: float = 0.976  # self-blind onset click probability
-    null_in_blind_mean: float = 1e-3  # expected noise clicks while self-blinded
+    null_response_prob: Probability = 0.934  # flag response of a healthy detector
+    alt_response_prob: Probability = 0.003  # flag response of a manipulated detector
+    null_onset_prob: Probability = 0.976  # self-blind onset click probability
+    null_in_blind_mean: NonNegative = 1e-3  # expected noise clicks while self-blinded
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not 0 < self.test_duration <= MAX_SECONDS:
-            raise ValidationError("test_duration", f"must lie in (0, {MAX_SECONDS:g}] s")
-        if not 0 <= self.salt_rate <= PS_PER_SECOND:
-            raise ValidationError("salt_rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
-        if not 0 < self.response_window <= MAX_SECONDS:
-            raise ValidationError("response_window", f"must lie in (0, {MAX_SECONDS:g}] s")
-        if self.count_threshold < 0:
-            raise ValidationError("count_threshold", "must be >= 0")
-        if self.flag_photon_number is not None and self.flag_photon_number < 1:
-            raise ValidationError("flag_photon_number", "must be >= 1")
-        if self.null_mean is not None and self.null_mean <= 0:
-            raise ValidationError("null_mean", "must be > 0")
         if self.null_mean is not None and self.count_threshold >= self.null_mean:
             raise ValidationError(
                 "count_threshold", "must sit below the calibrated normal mean"
             )
-        if self.flag_pulse_energy <= 0:
-            raise ValidationError("flag_pulse_energy", "must be > 0")
-        if self.self_blind_power <= 0:
-            raise ValidationError("self_blind_power", "must be > 0")
-        for name in ("null_response_prob", "alt_response_prob", "null_onset_prob"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValidationError(name, "must lie in [0, 1]")
-        if self.null_in_blind_mean < 0:
-            raise ValidationError("null_in_blind_mean", "must be >= 0")
 
 
 _TIME_PS = attrgetter("time_ps")
@@ -122,6 +102,17 @@ def _count_between(clicks: Sequence[ClickRecord], a_ps: int, b_ps: int) -> int:
     return bisect_left(clicks, b_ps, lo=lo, key=_TIME_PS) - lo
 
 
+def fit_tests(trial_duration: float, duty_cycle: float, plan: SelfTestPlan) -> tuple[int, int]:
+    """Self-tests per trial, duty_cycle * trial_duration / T rounded, and the ps each owns."""
+    dur_ps = to_ps(trial_duration)
+    # a flag pulse owns at least its response window so windows never overlap
+    occupancy = max(to_ps(plan.test_duration), to_ps(plan.response_window))
+    n = int(round(duty_cycle * dur_ps / to_ps(plan.test_duration)))
+    if n * occupancy > dur_ps:
+        raise ValidationError("duty_cycle", "intervals do not fit the trial")
+    return n, occupancy
+
+
 def schedule_tests(
     trial_duration: float,
     duty_cycle: float,
@@ -130,24 +121,18 @@ def schedule_tests(
 ) -> list[float]:
     """Start times in seconds of randomly placed, non-overlapping tests.
 
-    The number of intervals is duty_cycle * trial_duration / T; starts
-    are uniform conditioned on non-overlap (sorted uniform draws plus
-    fixed offsets).  Timing is unpredictable without the seed.
+    ``fit_tests`` gives their number; starts are uniform conditioned on
+    non-overlap (sorted uniform draws plus fixed offsets).  Timing is
+    unpredictable without the seed.
     """
     if duty_cycle < 0 or duty_cycle >= 1:
         raise ValidationError("duty_cycle", "must lie in [0, 1)")
     if trial_duration < 0:
         raise ValidationError("trial_duration", "must be >= 0")
-    dur_ps = to_ps(trial_duration)
-    span = to_ps(plan.test_duration)
-    # a flag pulse owns at least its response window so windows never overlap
-    occupancy = max(span, to_ps(plan.response_window))
-    n = int(round(duty_cycle * dur_ps / span)) if span > 0 else 0
+    n, occupancy = fit_tests(trial_duration, duty_cycle, plan)
     if n == 0:
         return []
-    if n * occupancy > dur_ps:
-        raise ValidationError("duty_cycle", "intervals do not fit the trial")
-    slack = dur_ps - n * occupancy
+    slack = to_ps(trial_duration) - n * occupancy
     starts = np.sort(rng.integers(0, slack + 1, size=n))
     return [to_seconds(int(s) + i * occupancy) for i, s in enumerate(starts)]
 

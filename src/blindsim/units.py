@@ -1,13 +1,19 @@
-"""Time base helpers.
+"""Time base helpers and the declared ranges of numeric config leaves.
 
 Every event timestamp inside the simulator is an integer number of
 picoseconds.  Nanosecond-scale pulses and response windows then compare
 exactly, sums never accumulate rounding error, and serialized results are
 byte-stable.  Public interfaces speak SI seconds; conversion happens once
 at the boundary.
+
+A numeric config leaf declares its legal values by annotating it with
+one of the ``Annotated`` kinds below; ``errors.require_finite`` checks.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Annotated, NamedTuple
 
 PS_PER_SECOND = 10**12
 # Longest duration a config may hold: its picosecond count fits an int64
@@ -25,3 +31,29 @@ def to_ps(seconds: float) -> int:
 def to_seconds(ps: int) -> float:
     """Convert integer picoseconds back to seconds."""
     return ps / PS_PER_SECOND
+
+
+class Range(NamedTuple):
+    """Legal values of a numeric leaf, ``least`` to ``most``, and why others fail.
+
+    ``tiny``, if set, is the message for a positive value below ``least``.
+    """
+
+    least: float
+    most: float
+    message: str
+    tiny: str | None = None
+
+
+Probability = Annotated[float, Range(0, 1, "must lie in [0, 1]")]
+Fraction = Annotated[float, Range(0, math.nextafter(1, 0), "must lie in [0, 1)")]
+Rate = Annotated[float, Range(0, PS_PER_SECOND, f"must lie in [0, {PS_PER_SECOND:g}] per s")]
+Duration = Annotated[float, Range(0, MAX_SECONDS, f"must lie in [0, {MAX_SECONDS:g}] s")]
+# at least 1 ps, so that it never rounds to 0 ps
+PositiveDuration = Annotated[
+    float, Range(1e-12, MAX_SECONDS, f"must lie in (0, {MAX_SECONDS:g}] s", "must be at least 1 ps")
+]
+Positive = Annotated[float, Range(math.nextafter(0, 1), math.inf, "must be > 0")]
+NonNegative = Annotated[float, Range(0, math.inf, "must be >= 0")]
+Count = Annotated[int, Range(0, math.inf, "must be >= 0")]
+PositiveCount = Annotated[int, Range(1, math.inf, "must be >= 1")]

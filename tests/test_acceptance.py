@@ -42,6 +42,10 @@ from blindsim.presets import (
 )
 from blindsim.units import to_ps
 
+# The large runs fork a second worker; any worker count gives the same
+# trials, which tests/test_golden.py checks.
+WORKERS = 2
+
 
 def criterion(label):
     def mark(fn):
@@ -67,8 +71,12 @@ def test_criterion_1_normal_count_distribution(ref_detector, ref_signal_rate):
 @criterion("2: salt-test separation over 7432 + 7686 trials at threshold 50")
 def test_criterion_2_salt_separation():
     n_normal, n_manip = FIGURE_TRIALS["fig4"]
-    normal = run_experiment(salt_config(Scenario.NORMAL, n_normal, seed=2026))
-    manip = run_experiment(salt_config(Scenario.MANIPULATED, n_manip, seed=2027))
+    normal = run_experiment(
+        salt_config(Scenario.NORMAL, n_normal, seed=2026), threads=WORKERS
+    )
+    manip = run_experiment(
+        salt_config(Scenario.MANIPULATED, n_manip, seed=2027), threads=WORKERS
+    )
     counts_n = np.array(
         [v.observed_count for t in normal.trials for v in t.verdicts]
     )
@@ -87,8 +95,12 @@ def test_criterion_2_salt_separation():
 @criterion("3: flag-pulse response 0.934 +- 0.015 normal, <= 0.01 manipulated")
 def test_criterion_3_flag_pulse_probabilities():
     n_normal, n_manip = FIGURE_TRIALS["fig5"]
-    normal = run_experiment(flag_pulse_config(Scenario.NORMAL, n_normal, seed=2028))
-    manip = run_experiment(flag_pulse_config(Scenario.MANIPULATED, n_manip, seed=2029))
+    normal = run_experiment(
+        flag_pulse_config(Scenario.NORMAL, n_normal, seed=2028), threads=WORKERS
+    )
+    manip = run_experiment(
+        flag_pulse_config(Scenario.MANIPULATED, n_manip, seed=2029), threads=WORKERS
+    )
     p_normal = normal.summary()["response_fraction"]
     p_manip = manip.summary()["response_fraction"]
     assert p_normal == pytest.approx(0.934, abs=0.015)
@@ -98,8 +110,12 @@ def test_criterion_3_flag_pulse_probabilities():
 @criterion("4: self-blind onset 0.976 +- 0.01, silent normal, loud manipulated")
 def test_criterion_4_self_blind():
     n_normal, n_manip = FIGURE_TRIALS["fig6"]
-    normal = run_experiment(self_blind_config(Scenario.NORMAL, n_normal, seed=2030))
-    manip = run_experiment(self_blind_config(Scenario.MANIPULATED, n_manip, seed=2031))
+    normal = run_experiment(
+        self_blind_config(Scenario.NORMAL, n_normal, seed=2030), threads=WORKERS
+    )
+    manip = run_experiment(
+        self_blind_config(Scenario.MANIPULATED, n_manip, seed=2031), threads=WORKERS
+    )
     s_normal = normal.summary()
     s_manip = manip.summary()
     assert s_normal["response_fraction"] == pytest.approx(0.976, abs=0.01)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 import textwrap
@@ -188,6 +189,9 @@ class TestSimulateCommand:
             ("detector.dark_rate=1e300", "dark_rate"),
             ("detector.noise_rate=1e300", "noise_rate"),
             ("attack.fake_pulse_rate=1e300", "fake_pulse_rate"),
+            # no self-test fits the trial; several settings, space-separated
+            ("trial_duration=0", "trial_duration"),
+            ("duty_cycle=0.99 trial_duration=1e-5", "duty_cycle"),
         ],
     )
     def test_bad_set_value_is_a_config_error(self, tmp_path, override, field):
@@ -197,10 +201,12 @@ class TestSimulateCommand:
             "fake_pulse_rate": ("--protocol", "flag", "--scenario", "manipulated"),
             "stop_blind_at": ("--protocol", "self-blind", "--scenario", "recovery"),
             "salt_rate": ("--protocol", "salt"),
+            "duty_cycle": ("--protocol", "salt"),
         }.get(field, ("--protocol", "flag"))
+        settings = [arg for item in override.split() for arg in ("--set", item)]
         result = run_cli(
             "simulate", *preset, "--trials", "2",
-            "--out", str(tmp_path / "x"), "--set", override,
+            "--out", str(tmp_path / "x"), *settings,
         )
         assert result.exit_code == 1
         assert field in result.output
@@ -414,7 +420,7 @@ def test_cli_import_leaves_scipy_out():
         print(len(pairs))
     """)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": src},
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == ["False", "False", "7"]

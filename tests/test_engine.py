@@ -33,12 +33,13 @@ from blindsim import (
     sweep,
 )
 from blindsim.engine import (
+    CONFIG_LEAVES,
     _run_trials,
     build_trial_timeline,
     expected_decisions,
     set_config_value,
 )
-from blindsim.errors import BlindsimError, require_finite
+from blindsim.errors import BlindsimError, field_kind, require_finite
 from blindsim.manifest import config_from_flat, config_to_flat
 from blindsim.presets import (
     flag_pulse_config,
@@ -46,7 +47,9 @@ from blindsim.presets import (
     salt_config,
     self_blind_config,
 )
-from blindsim.units import MAX_SECONDS, to_ps
+from blindsim.units import MAX_SECONDS, Range, to_ps, to_seconds
+
+PICOSECOND = to_seconds(1)
 
 PRESET_ARMS = [
     (scenario, strategy)
@@ -140,15 +143,6 @@ class TestScenarioOutcomes:
             )
         assert result.accuracy() == 1.0
 
-    def test_zero_duration_trials_run_cleanly(self):
-        cfg = salt_config(Scenario.NORMAL, trials=3, seed=11)
-        cfg = set_config_value(cfg, "trial_duration", 0.0)
-        cfg = set_config_value(cfg, "duty_cycle", 0.0)
-        result = run_experiment(cfg)
-        assert len(result.trials) == 3
-        assert all(t.total_clicks == 0 for t in result.trials)
-        assert result.histograms["clicks_per_trial"].n_samples == 3
-
 
 class TestExpectedDecisions:
     def test_mapping(self):
@@ -223,6 +217,27 @@ class TestConfigValidation:
                 plan=SelfTestPlan(strategy=Strategy.SELF_BLIND, self_blind_power=1e-12),
             )
 
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            pytest.param({"trial_duration": 0.0}, "trial_duration", id="zero-trial"),
+            pytest.param(
+                {"trial_duration": 0.0, "duty_cycle": 0.0}, "trial_duration",
+                id="zero-trial-zero-duty",
+            ),
+            pytest.param({"duty_cycle": 0.0}, "duty_cycle", id="zero-duty"),
+            # the trial is shorter than one 200 us test
+            pytest.param(
+                {"duty_cycle": 0.99, "trial_duration": 1e-5}, "duty_cycle", id="short-trial"
+            ),
+        ],
+    )
+    def test_config_without_a_self_test_rejected(self, changes, field):
+        # a run without tests would give no verdicts and an accuracy of nan
+        with pytest.raises(ValidationError) as err:
+            replace(salt_config(Scenario.NORMAL, trials=3, seed=11), **changes)
+        assert err.value.field == field
+
     def test_longest_accepted_duration_fits_int64_picoseconds(self):
         # construction only: a trial this long would allocate gigabytes
         cfg = ExperimentConfig(trial_duration=MAX_SECONDS)
@@ -259,11 +274,15 @@ def test_non_finite_or_non_numeric_leaf_rejected(path, bad):
 
 # A cross-field invariant names one field of the pair.  At the default
 # config (SALT plan, NORMAL scenario) a single numeric leaf can break
-# only these three, each naming the partner field.
+# only these, each naming the partner field.
 _PARTNER = {
     "attack.blind_power_level": "scenario",  # NORMAL carries no attack
     "detector.fake_energy": "flag_pulse_energy",  # flag pulse stays below it
     "plan.null_mean": "count_threshold",  # threshold sits below the mean
+    # the trial holds at least one test, and the tests fit it
+    "trial_duration": "duty_cycle",
+    "plan.test_duration": "duty_cycle",
+    "plan.response_window": "duty_cycle",
 }
 
 
@@ -271,13 +290,47 @@ _PARTNER = {
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_numeric_leaf_is_valid_by_construction(path, kind, data):
-    value = data.draw(st.floats() | st.integers(), label="value")
+    sub_ps = st.floats(-2 * PICOSECOND, 2 * PICOSECOND)
+    value = data.draw(st.floats() | st.integers() | sub_ps, label="value")
     try:
         cfg = set_config_value(ExperimentConfig(), path, value)
     except ValidationError as err:
         assert err.field in {path.rsplit(".", 1)[-1], _PARTNER.get(path)}
     else:
         assert config_from_flat(config_to_flat(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["detector.dead_time", "attack.fake_width", "plan.test_duration", "plan.response_window"],
+)
+def test_positive_duration_is_at_least_one_picosecond(path):
+    # a shorter duration rounds to 0 ps; the owner alone, since at the
+    # default trial a 1 ps test would not fit its response windows
+    parent, name = path.split(".")
+    owner = getattr(ExperimentConfig(), parent)
+    with pytest.raises(ValidationError) as err:
+        replace(owner, **{name: 0.1 * PICOSECOND})
+    assert err.value.field == name
+    assert getattr(replace(owner, **{name: PICOSECOND}), name) == PICOSECOND
+
+
+def test_every_numeric_leaf_declares_its_range():
+    # a new leaf without a declared range fails here
+    unbounded = {"seed"}
+    for path, annotation in CONFIG_LEAVES.items():
+        if field_kind(annotation)[0] not in (int, float):
+            continue
+        *parents, name = path.split(".")
+        owner = ExperimentConfig
+        for parent in parents:
+            owner = get_type_hints(owner)[parent]
+        hint = get_type_hints(owner, include_extras=True)[name]
+        declared = [
+            x for a in (hint, *get_args(hint)) for x in getattr(a, "__metadata__", ())
+            if isinstance(x, Range)
+        ]
+        assert bool(declared) != (path in unbounded), path
 
 
 @pytest.mark.parametrize(
