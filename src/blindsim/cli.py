@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import os
+import time
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -38,10 +39,18 @@ from .manifest import (
     write_histogram_csv,
     write_trials_jsonl,
 )
-from .presets import FIGURE_TRIALS, SIGNAL_RATE, preset_config, reference_detector
+from .presets import (
+    FIGURE_TRIALS,
+    SALT_NULL,
+    SIGNAL_RATE,
+    preset_config,
+    reference_detector,
+    salt_null,
+)
 from .rng import stream
 from .selftest import Strategy
 from .stats import clopper_pearson_interval, count_distribution_oracle
+from .units import MAX_TRIALS
 
 _SCENARIOS = {
     "normal": Scenario.NORMAL,
@@ -126,22 +135,26 @@ def _build_config(
 
 
 def _attach_salt_null(config: ExperimentConfig):
-    """Simulate the salt-test null distribution and attach it to the plan."""
+    """Attach the salt-test null of the config's detector to the plan.
+
+    The null comes from ``presets.salt_null``: the frozen
+    ``presets.SALT_NULL`` for the reference detector, rate and window,
+    otherwise simulated at a fixed seed, never at ``config.seed``.
+    """
     if config.plan.strategy != Strategy.SALT or config.plan.null_distribution is not None:
         return config, None
-    rng = stream(config.seed, "salt-null")
-    null = count_distribution_oracle(
+    null = salt_null(
         config.detector,
         config.signal_rate + config.plan.salt_rate,
         config.plan.test_duration,
-        n_trials=2000,
-        rng=rng,
     )
     plan = replace(config.plan, null_distribution=null, null_mean=None)
     return replace(config, plan=plan), null
 
 
-def _write_run(outdir: Path, config: ExperimentConfig, result, extra_hists, threads, started):
+def _write_run(outdir: Path, manifest: RunManifest, result, extra_hists):
+    """Write trials, histograms and ``manifest`` completed with digests and write time."""
+    t0 = time.perf_counter()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         digests: dict[str, str] = {}
@@ -154,14 +167,9 @@ def _write_run(outdir: Path, config: ExperimentConfig, result, extra_hists, thre
             path = outdir / f"hist_{name}.csv"
             write_histogram_csv(path, hist)
             digests[path.name] = sha256_file(path)
-        manifest = RunManifest(
-            version=__version__,
-            seed=config.seed,
-            started_utc=started,
-            finished_utc=_now(),
-            threads=threads,
-            config_flat=config_to_flat(config),
-            digests=digests,
+        timings = {**manifest.timings, "write_s": time.perf_counter() - t0}
+        manifest = replace(
+            manifest, finished_utc=_now(), digests=digests, timings=timings
         )
         (outdir / "manifest.txt").write_text(manifest.dumps())
     except OSError as e:
@@ -201,14 +209,33 @@ def main():
 def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, overrides):
     """Run an experiment and persist trials, histograms, and a manifest."""
     started = _now()
+    t0 = time.perf_counter()
     config = _build_config(config_path, scenario, protocol, trials, seed, overrides)
+    t1 = time.perf_counter()
     try:
         run_config, null_hist = _attach_salt_null(config)
+        t2 = time.perf_counter()
         result = run_experiment(run_config, threads=threads)
     except BlindsimError as e:
         raise _fail_config(str(e)) from e
+    t3 = time.perf_counter()
+    manifest = RunManifest(
+        version=__version__,
+        seed=config.seed,
+        started_utc=started,
+        finished_utc="",
+        threads=threads,
+        config_flat=config_to_flat(config),
+        digests={},
+        salt_null=(
+            "none" if null_hist is None
+            else "reference" if null_hist is SALT_NULL
+            else "simulated"
+        ),
+        timings={"config_s": t1 - t0, "salt_null_s": t2 - t1, "trials_s": t3 - t2},
+    )
     extra = {"salt_null": null_hist} if null_hist is not None else {}
-    _write_run(Path(outdir), config, result, extra, threads, started)
+    _write_run(Path(outdir), manifest, result, extra)
     summary = result.summary()
     for key in sorted(summary):
         click.echo(f"{key} = {summary[key]}")
@@ -227,8 +254,8 @@ def figure(name, outdir, seed, trials, threads):
         raise _fail_config(
             f"unknown figure {name!r}; choose from {', '.join(sorted(FIGURE_TRIALS))}"
         )
-    if trials is not None and trials < 1:
-        raise _fail_config("trials: must be >= 1")
+    if trials is not None and not 1 <= trials <= MAX_TRIALS:
+        raise _fail_config(f"trials: must lie in [1, {MAX_TRIALS}]")
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import Duration, Fraction, PositiveCount, Rate, to_ps, to_seconds
+from .units import Duration, Fraction, Rate, TrialCount, to_ps, to_seconds
 
 
 class Scenario(str, Enum):
@@ -54,7 +54,7 @@ class ExperimentConfig:
     signal_rate: Rate = 5.5e4  # legitimate photon arrival rate at the detector
     duty_cycle: Fraction = 0.5
     trial_duration: Duration = 4.0e-4
-    trials: PositiveCount = 100
+    trials: TrialCount = 100
     seed: int = 1
     scenario: Scenario = Scenario.NORMAL
 

@@ -5,7 +5,9 @@ same dotted paths the sweep command addresses.  All durations are
 seconds, powers watts, energies joules; scientific notation is allowed.
 A run manifest is the same format with ``config.`` prefixed entries plus
 run metadata, the Python and numpy versions, and SHA-256 digests of
-every output file, which is enough to bit-reproduce the run.
+every output file, which is enough to bit-reproduce the run.  Its
+``timing.<stage>_s`` entries are wall-clock seconds; no other output
+file holds wall-clock data.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -130,6 +132,8 @@ class RunManifest:
     threads: int
     config_flat: dict[str, str]
     digests: dict[str, str]
+    salt_null: str | None = None  # reference, simulated or none
+    timings: dict[str, float] = field(default_factory=dict)  # stage -> seconds
 
     def dumps(self) -> str:
         lines = {
@@ -143,6 +147,10 @@ class RunManifest:
             "env.python": "{}.{}.{}".format(*sys.version_info[:3]),
             "env.numpy": np.__version__,
         }
+        if self.salt_null is not None:
+            lines["run.salt_null"] = self.salt_null
+        for stage, seconds in self.timings.items():
+            lines[f"timing.{stage}"] = repr(seconds)
         for k, v in self.config_flat.items():
             lines[f"config.{k}"] = v
         for name, digest in sorted(self.digests.items()):
@@ -168,7 +176,13 @@ class RunManifest:
         digests = {
             k[len("digest."):]: v for k, v in flat.items() if k.startswith("digest.")
         }
-        return cls(version, seed, started, finished, threads, config_flat, digests)
+        timings = {
+            k[len("timing."):]: float(v) for k, v in flat.items() if k.startswith("timing.")
+        }
+        return cls(
+            version, seed, started, finished, threads, config_flat, digests,
+            flat.get("run.salt_null"), timings,
+        )
 
     def config(self) -> ExperimentConfig:
         return config_from_flat(self.config_flat)

@@ -15,6 +15,12 @@ photon rates that realise those click rates are frozen constants, found
 by ``engine.calibrate_source_rate`` (a deterministic pilot-simulation
 bisection) and recomputed by a test; the same function calibrates a
 custom detector.
+
+The salt test's null, the click-count distribution of a healthy detector
+in one salt window, is a calibration of the detector too, not of a run:
+``salt_null`` simulates it at the fixed ``NULL_SEED``, so ``seed`` never
+moves it.  The reference detector's null is frozen below as data and
+recomputed by a test.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .detector import DetectorParams, calibrate_dead_time
 from .errors import ConfigError
 from .engine import ExperimentConfig, Scenario
 from .optics import AttackScenario
+from .rng import stream
 from .selftest import SelfTestPlan, Strategy
+from .stats import Histogram, count_distribution_oracle
 
 CLICK_RATE = 5.0e4  # operating event rate, events/second
 SALT_TEST_RATE = 5.0e5  # event rate during a salt test (mean 100 per window)
@@ -51,6 +59,20 @@ SELF_BLIND_SIGNAL_RATE = 26909.72222222222
 # stream, so it is the calibrated total minus SIGNAL_RATE.
 SALT_RATE = 1221354.1666666667
 
+NULL_SEED = 0xB11D  # calibration seed, as in engine.calibrate_source_rate
+SALT_NULL_WINDOWS = 2000
+# Salt-window click counts of the reference detector at SIGNAL_RATE +
+# SALT_RATE over SALT_NULL_WINDOWS windows, from bin 85 on.
+SALT_NULL_COUNTS = (
+    1, 1, 3, 2, 5, 15, 27, 27, 47, 86, 113, 127, 169, 182, 224, 197, 192, 172,
+    144, 95, 75, 40, 29, 14, 7, 4, 2,
+)
+SALT_NULL = Histogram(
+    bin_edges=tuple(float(k) for k in range(85, 85 + len(SALT_NULL_COUNTS) + 1)),
+    counts=SALT_NULL_COUNTS,
+    n_samples=SALT_NULL_WINDOWS,
+)
+
 
 def reference_detector(
     armed_fraction: float = FLAG_ARMED_FRACTION, noise_rate: float = 0.0
@@ -63,6 +85,22 @@ def reference_detector(
     return DetectorParams(
         dead_time=calibrate_dead_time(armed_fraction, rate=CLICK_RATE),
         noise_rate=noise_rate,
+    )
+
+
+def salt_null(detector: DetectorParams, rate: float, window: float) -> Histogram:
+    """Click-count distribution of a healthy ``detector`` in a salt window.
+
+    ``rate`` is the total photon rate (signal plus salt) and ``window``
+    the counting time T.  The reference detector at the preset rate and
+    window gets the frozen ``SALT_NULL``; any other is simulated over
+    ``SALT_NULL_WINDOWS`` windows from the ``NULL_SEED`` stream, which
+    takes about 0.6 s.
+    """
+    if (detector, rate, window) == (reference_detector(), SIGNAL_RATE + SALT_RATE, WINDOW):
+        return SALT_NULL
+    return count_distribution_oracle(
+        detector, rate, window, SALT_NULL_WINDOWS, stream(NULL_SEED, "salt-null")
     )
 
 

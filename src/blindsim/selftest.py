@@ -70,7 +70,7 @@ class SelfTestPlan:
     flag_pulse_energy: Positive = 1.0e-17
     self_blind_power: Positive = 1.0e-9
     null_mean: Positive | None = None  # salt-test count mean under normal operation
-    null_distribution: Histogram | None = None  # simulated salt-test null
+    null_distribution: Histogram | None = None  # salt-test null, from presets.salt_null
     null_response_prob: Probability = 0.934  # flag response of a healthy detector
     alt_response_prob: Probability = 0.003  # flag response of a manipulated detector
     null_onset_prob: Probability = 0.976  # self-blind onset click probability

@@ -290,9 +290,11 @@ def count_distribution_oracle(
     """Empirical click-count distribution in a window, by brute force.
 
     Simulates ``n_trials`` independent windows of Poissonian photons at
-    ``rate`` and bins the click counts.  This is the calibrated null
-    distribution for the salt test; it reflects dead-time pileup and the
-    afterpulse cascade rather than assuming a Poisson law.
+    ``rate`` and bins the click counts.  It reflects dead-time pileup and
+    the afterpulse cascade rather than assuming a Poisson law.
+    ``presets.salt_null`` runs it as the salt test's calibrated null
+    (frozen as data for the reference detector), and ``figure fig3b``
+    draws the normal-operation count distribution with it.
     """
     from .detector import process_timeline
     from .optics import gen_signal_photons

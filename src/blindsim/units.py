@@ -21,6 +21,8 @@ PS_PER_SECOND = 10**12
 # per picosecond, so rate x duration stays below numpy's Poisson limit
 # (about 9.22e18).
 MAX_SECONDS = 9.2e6
+# Most trials in one run: every trial's result is held until the run ends.
+MAX_TRIALS = 10**6
 
 
 def to_ps(seconds: float) -> int:
@@ -57,3 +59,4 @@ Positive = Annotated[float, Range(math.nextafter(0, 1), math.inf, "must be > 0")
 NonNegative = Annotated[float, Range(0, math.inf, "must be >= 0")]
 Count = Annotated[int, Range(0, math.inf, "must be >= 0")]
 PositiveCount = Annotated[int, Range(1, math.inf, "must be >= 1")]
+TrialCount = Annotated[int, Range(1, MAX_TRIALS, f"must lie in [1, {MAX_TRIALS}]")]

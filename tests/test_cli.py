@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,8 @@ class TestConfigRoundTrip:
             threads=2,
             config_flat=config_to_flat(config),
             digests={"trials.jsonl": "ab" * 32},
+            salt_null="reference",
+            timings={"config_s": 0.1, "trials_s": 1 / 3},
         )
         text = manifest.dumps()
         flat = parse_flat(text)
@@ -73,9 +77,13 @@ class TestConfigRoundTrip:
         loaded = RunManifest.loads(text)
         assert loaded == manifest
         assert loaded.config() == config
-        # a manifest written before the env.* keys existed still loads
-        older = "".join(line for line in text.splitlines(True) if not line.startswith("env."))
-        assert RunManifest.loads(older) == manifest
+        # a manifest written before the env.*, run.salt_null and timing.*
+        # keys existed still loads
+        older = "".join(
+            line for line in text.splitlines(True)
+            if not line.startswith(("env.", "run.salt_null", "timing."))
+        )
+        assert RunManifest.loads(older) == replace(manifest, salt_null=None, timings={})
 
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nseed = 5\ntrials = 2\n"
@@ -100,6 +108,58 @@ class TestSimulateCommand:
         manifest = RunManifest.loads((out / "manifest.txt").read_text())
         for name, digest in manifest.digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "protocol,source", [("salt", "reference"), ("flag", "none")]
+    )
+    def test_manifest_records_null_source_and_stage_timings(self, tmp_path, protocol, source):
+        out = tmp_path / "run"
+        result = run_cli("simulate", "--protocol", protocol, "--trials", "3", "--out", str(out))
+        assert result.exit_code == 0
+        flat = parse_flat((out / "manifest.txt").read_text())
+        assert flat["run.salt_null"] == source
+        for stage in ("config", "salt_null", "trials", "write"):
+            seconds = float(flat[f"timing.{stage}_s"])
+            assert math.isfinite(seconds) and seconds >= 0, stage
+
+    def test_preset_salt_run_simulates_no_null(self, tmp_path, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the preset salt null was simulated")
+
+        monkeypatch.setattr(blindsim.presets, "count_distribution_oracle", no_oracle)
+        for scenario in ("normal", "manipulated"):
+            out = tmp_path / scenario
+            result = run_cli(
+                "simulate", "--protocol", "salt", "--scenario", scenario,
+                "--trials", "3", "--out", str(out),
+            )
+            assert result.exit_code == 0
+            # a re-run from the manifest reads the same frozen null
+            rerun = run_cli(
+                "simulate", "--config", str(out / "manifest.txt"),
+                "--out", str(tmp_path / f"{scenario}-rerun"),
+            )
+            assert rerun.exit_code == 0
+            assert digest_dir(out) == digest_dir(tmp_path / f"{scenario}-rerun")
+            assert RunManifest.loads((out / "manifest.txt").read_text()).salt_null == "reference"
+
+    def test_custom_detector_null_ignores_the_run_seed(self, tmp_path):
+        nulls = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            result = run_cli(
+                "simulate", "--protocol", "salt", "--trials", "2", "--seed", seed,
+                "--set", "detector.afterpulse_prob=0.3", "--out", str(out),
+            )
+            assert result.exit_code == 0
+            assert RunManifest.loads((out / "manifest.txt").read_text()).salt_null == "simulated"
+            nulls.append((out / "hist_salt_null.csv").read_bytes())
+        assert nulls[0] == nulls[1]
+        reference = tmp_path / "reference"
+        assert run_cli(
+            "simulate", "--protocol", "salt", "--trials", "2", "--out", str(reference)
+        ).exit_code == 0
+        assert nulls[0] != (reference / "hist_salt_null.csv").read_bytes()
 
     def test_zero_trials_is_a_config_error(self, tmp_path):
         result = run_cli(
@@ -189,6 +249,8 @@ class TestSimulateCommand:
             ("detector.dark_rate=1e300", "dark_rate"),
             ("detector.noise_rate=1e300", "noise_rate"),
             ("attack.fake_pulse_rate=1e300", "fake_pulse_rate"),
+            # every trial's result would be held in memory
+            ("trials=1e20", "trials"),
             # no self-test fits the trial; several settings, space-separated
             ("trial_duration=0", "trial_duration"),
             ("duty_cycle=0.99 trial_duration=1e-5", "duty_cycle"),

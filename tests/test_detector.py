@@ -488,6 +488,21 @@ class TestSourceRates:
         total = calibrate_source_rate(flag, presets.SALT_TEST_RATE, duration=0.1)
         assert presets.SALT_RATE == total - signal
 
+    def test_preset_salt_null_matches_oracle(self):
+        null = count_distribution_oracle(
+            presets.reference_detector(),
+            presets.SIGNAL_RATE + presets.SALT_RATE,
+            presets.WINDOW,
+            presets.SALT_NULL_WINDOWS,
+            stream(presets.NULL_SEED, "salt-null"),
+        )
+        # on a mismatch, the literal to freeze as SALT_NULL_COUNTS
+        literal = f"from bin {null.bin_edges[0]:g}: {null.counts}"
+        assert presets.SALT_NULL == null, literal
+        assert presets.salt_null(
+            presets.reference_detector(), presets.SIGNAL_RATE + presets.SALT_RATE, presets.WINDOW
+        ) is presets.SALT_NULL
+
     @pytest.mark.parametrize("dead_time", [4.8e-7, 1.32e-6])
     @pytest.mark.parametrize("photon_rate", [5e4, 5e5])
     def test_dead_time_matches_mueller_rate(self, dead_time, photon_rate):
