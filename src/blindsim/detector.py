@@ -12,7 +12,10 @@ The model reproduces the response regimes of a passively quenched APD:
   and sub-threshold pulses.  A bright pulse whose energy reaches
   ``fake_energy`` forces a click regardless of blinding.  When the total
   CW power falls back below the threshold the re-arming transient can
-  itself emit a click (``recovery_click_prob``).
+  itself emit a click (``recovery_click_prob``).  The power changes only
+  at a segment start or stop; there it is the ``math.fsum`` of the
+  segments active at that instant, so it is correctly rounded and
+  independent of segment order.
 
 Every click may trap charge and spawn one afterpulse candidate
 (``afterpulse_prob``), scheduled at dead-time expiry plus an exponential
@@ -82,42 +85,12 @@ class DetectorParams:
 
 # Processing priority of coincident events.  Stimuli come before power
 # edges so that they see the pre-edge power level.
-_PULSE, _PHOTON, _DARK, _NOISE, _AFTER, _CW = range(6)
+_PULSE, _GATED, _NOISE, _AFTER, _CW = range(5)
 
-_PHOTON_CAUSE = tuple(ClickCause(source.value) for source in PHOTON_SOURCES)  # by code
+# Cause of a gated click by code: the photon source codes, then dark.
+_GATED_CAUSE = (*(ClickCause(source.value) for source in PHOTON_SOURCES), ClickCause.DARK)
+_DARK_CODE = len(PHOTON_SOURCES)
 _PULSE_CAUSE = {PulseSource.FAKE: ClickCause.FAKE, PulseSource.FLAG: ClickCause.FLAG}
-
-
-def _cw_edges(timeline: OpticalTimeline, blind_power: float):
-    """Deterministic walk of the summed CW power.
-
-    Returns a list of (time_ps, power_after, is_downward_crossing) and
-    the crossing count.  Powers are recomputed with ``math.fsum`` over
-    the active segments at every edge so that removing a contribution
-    restores the exact remaining sum.
-    """
-    changes: dict[int, list[tuple[int, int]]] = {}
-    for idx, seg in enumerate(timeline.cw_segments):
-        changes.setdefault(seg.start_ps, []).append((idx, +1))
-        if seg.stop_ps < timeline.duration_ps:
-            changes.setdefault(seg.stop_ps, []).append((idx, -1))
-    edges = []
-    n_crossings = 0
-    active: dict[int, float] = {}
-    prev_power = 0.0
-    for t in sorted(changes):
-        for idx, sign in changes[t]:
-            if sign > 0:
-                active[idx] = timeline.cw_segments[idx].power
-            else:
-                active.pop(idx, None)
-        power = math.fsum(active.values()) if active else 0.0
-        down = prev_power >= blind_power > power
-        if down:
-            n_crossings += 1
-        edges.append((t, power, down))
-        prev_power = power
-    return edges, n_crossings
 
 
 def process_timeline(
@@ -127,10 +100,10 @@ def process_timeline(
 ) -> list[ClickRecord]:
     """Run the detector over a timeline and return all clicks in [0, duration).
 
-    Deterministic for identical (params, timeline, rng seed): all decision
-    uniforms for photons, pulses and recovery edges are pre-drawn in a
-    fixed order, then dark and noise candidates, and only afterpulse
-    scheduling draws from the stream during the event walk.
+    Deterministic for identical (params, timeline, rng seed): one uniform
+    per photon, one per pulse and one per downward crossing (drawn even
+    if the detector is dead there) come first, then the dark and noise
+    candidates; only afterpulse scheduling draws during the event walk.
     """
     timeline.validate()
     clicks: list[ClickRecord] = []
@@ -139,48 +112,38 @@ def process_timeline(
     eff = params.efficiency
     ap_prob = params.afterpulse_prob
     ap_tau = params.afterpulse_tau
-    blind_power = params.blind_power
-    fake_energy = params.fake_energy
-    recovery_prob = params.recovery_click_prob
 
-    photons = timeline.photons
     pulses = timeline.pulses
-    edges, n_crossings = _cw_edges(timeline, blind_power)
+    segments = timeline.cw_segments
+    edge_times = sorted(
+        {s.start_ps for s in segments}.union(s.stop_ps for s in segments if s.stop_ps < dur)
+    )
+    # whether the power after each edge holds the detector blind
+    held = [
+        math.fsum(s.power for s in segments if s.start_ps <= t < s.stop_ps)
+        >= params.blind_power
+        for t in edge_times
+    ]
+    n_crossings = sum(a and not b for a, b in zip([False, *held], held))
 
-    u_photon = rng.random(len(photons)) if len(photons) else None
-    u_pulse = rng.random(len(pulses)) if pulses else None
-    u_recovery = rng.random(n_crossings) if n_crossings else None
+    live = rng.random(len(timeline.photons)) < eff
+    u_pulse = rng.random(len(pulses))
+    u_recovery = iter(rng.random(n_crossings))
     # candidate times of the state-gated Poisson click sources
     dark_times = _poisson_arrival_ps(params.dark_rate, dur, rng)
     noise_times = _poisson_arrival_ps(params.noise_rate, dur, rng)
 
-    # Per-pulse precomputation: forced click above the fake-state energy
-    # threshold; otherwise the armed-response probability.
-    pulse_forced = []
-    pulse_p_armed = []
-    pulse_cause = []
-    for pu in pulses:
-        pulse_forced.append(pu.energy >= fake_energy)
-        if pu.photon_number is None:
-            pulse_p_armed.append(1.0)
-        else:
-            pulse_p_armed.append(1.0 - (1.0 - eff) ** pu.photon_number)
-        pulse_cause.append(_PULSE_CAUSE[pu.source])
-
-    # (time, priority, pulse or edge index, or photon source code).  A
-    # photon whose uniform reaches the efficiency never clicks, so it is
-    # left out.  The photons come sorted on (time, code), so the codes
-    # order coincident photons as their indices would.
-    events: list[tuple[int, int, int]] = []
-    if u_photon is not None:
-        live = u_photon < eff
-        events.extend(zip(
-            photons[live].tolist(), repeat(_PHOTON), timeline.photon_sources[live].tolist()
-        ))
+    # (time, priority, code): the gated cause code, the pulse index, or
+    # the edge's held flag.  A photon whose uniform reaches the efficiency
+    # never clicks, so it is left out.  The photons come sorted on (time,
+    # code), so the codes order coincident photons as their indices would.
+    events: list[tuple[int, int, int]] = list(zip(
+        timeline.photons[live].tolist(), repeat(_GATED), timeline.photon_sources[live].tolist()
+    ))
     events.extend((pu.time_ps, _PULSE, i) for i, pu in enumerate(pulses))
-    events.extend(zip(dark_times.tolist(), repeat(_DARK), repeat(0)))
+    events.extend(zip(dark_times.tolist(), repeat(_GATED), repeat(_DARK_CODE)))
     events.extend(zip(noise_times.tolist(), repeat(_NOISE), repeat(0)))
-    events.extend((t, _CW, i) for i, (t, _, _) in enumerate(edges) if t < dur)
+    events.extend(zip(edge_times, repeat(_CW), held))
     events.sort()
 
     rng_random = rng.random
@@ -190,7 +153,6 @@ def process_timeline(
     ap_heap: list[int] = []
     dead_until = 0
     blinded = False
-    crossing_idx = 0
 
     def click(t: int, cause: ClickCause) -> None:
         nonlocal dead_until
@@ -212,31 +174,29 @@ def process_timeline(
             if not blinded and t >= dead_until:
                 click(t, ClickCause.AFTERPULSE)
             continue
-        t, prio, idx = events[i]
+        t, prio, code = events[i]
         i += 1
-        if prio == _PHOTON:
+        if prio == _GATED:
             if not blinded and t >= dead_until:
-                click(t, _PHOTON_CAUSE[idx])
-        elif prio == _DARK:
-            if not blinded and t >= dead_until:
-                click(t, ClickCause.DARK)
+                click(t, _GATED_CAUSE[code])
         elif prio == _PULSE:
             if t >= dead_until:
-                if pulse_forced[idx]:
-                    click(t, pulse_cause[idx])
-                elif not blinded and u_pulse[idx] < pulse_p_armed[idx]:
-                    click(t, pulse_cause[idx])
+                # forced at the fake-state energy; otherwise the armed response
+                pu = pulses[code]
+                n = pu.photon_number
+                if pu.energy >= params.fake_energy or (not blinded and (
+                    n is None or u_pulse[code] < 1.0 - (1.0 - eff) ** n
+                )):
+                    click(t, _PULSE_CAUSE[pu.source])
         elif prio == _NOISE:
             if t >= dead_until:
                 click(t, ClickCause.NOISE)
         else:  # _CW
-            _, power, down = edges[idx]
-            blinded = power >= blind_power
-            if down:
-                u = u_recovery[crossing_idx]
-                crossing_idx += 1
-                if t >= dead_until and u < recovery_prob:
+            if blinded and not code:
+                u = next(u_recovery)
+                if t >= dead_until and u < params.recovery_click_prob:
                     click(t, ClickCause.RECOVERY)
+            blinded = code
 
     return clicks
 

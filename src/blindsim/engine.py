@@ -13,11 +13,9 @@ split gives the same trials.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter
 from typing import Any, get_type_hints
 
 from .detector import DetectorParams, process_timeline
@@ -29,6 +27,7 @@ from .selftest import (
     SelfTestPlan,
     Strategy,
     Verdict,
+    _click_span,
     evaluate_flag_pulse,
     evaluate_salt,
     evaluate_self_blind,
@@ -116,7 +115,6 @@ _EVALUATORS = {
 # Offsets are collected over this window after each test start for
 # time-resolved response histograms (10 ns bins downstream).
 _OFFSET_SPAN = 200e-9
-_TIME_PS = attrgetter("time_ps")
 
 
 def expected_decisions(scenario: Scenario, strategy: Strategy) -> frozenset[Decision]:
@@ -206,8 +204,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     for start in starts:
         # clicks come in time order from process_timeline
         a = to_ps(start)
-        lo = bisect_left(clicks, a, key=_TIME_PS)
-        hi = bisect_left(clicks, a + span_ps, lo=lo, key=_TIME_PS)
+        lo, hi = _click_span(clicks, a, a + span_ps)
         offsets.extend(c.time_ps - a for c in clicks[lo:hi])
     causes = Counter(c.cause for c in clicks)
     return TrialResult(
@@ -240,12 +237,13 @@ class ExperimentResult:
         return self._tally()[1]
 
     def summary(self) -> dict[str, Any]:
+        counts, accuracy = self._tally()
         out: dict[str, Any] = {
             "scenario": self.config.scenario.value,
             "strategy": self.config.plan.strategy.value,
             "trials": len(self.trials),
-            "decisions": dict(self.decision_counts()),
-            "accuracy": self.accuracy(),
+            "decisions": dict(counts),
+            "accuracy": accuracy,
         }
         if "test_counts" in self.histograms:
             h = self.histograms["test_counts"]
@@ -428,14 +426,8 @@ def sweep(
     points = [(value, set_config_value(config, parameter_path, value)) for value in values]
     rows = []
     for value, cfg in points:
-        result = run_experiment(cfg, threads=threads)
-        rows.append(
-            SweepRow(
-                value=value,
-                accuracy=result.accuracy(),
-                decisions=tuple(sorted(result.decision_counts().items())),
-            )
-        )
+        counts, accuracy = run_experiment(cfg, threads=threads)._tally()
+        rows.append(SweepRow(value, accuracy, tuple(sorted(counts.items()))))
     return rows
 
 

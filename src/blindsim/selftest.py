@@ -96,10 +96,10 @@ class Verdict:
     p_value: float | None = None
 
 
-def _count_between(clicks: Sequence[ClickRecord], a_ps: int, b_ps: int) -> int:
-    """Number of clicks in [a_ps, b_ps); ``clicks`` are in time order."""
+def _click_span(clicks: Sequence[ClickRecord], a_ps: int, b_ps: int) -> tuple[int, int]:
+    """Index bounds (lo, hi) of the clicks in [a_ps, b_ps); ``clicks`` are in time order."""
     lo = bisect_left(clicks, a_ps, key=_TIME_PS)
-    return bisect_left(clicks, b_ps, lo=lo, key=_TIME_PS) - lo
+    return lo, bisect_left(clicks, b_ps, lo=lo, key=_TIME_PS)
 
 
 def fit_tests(trial_duration: float, duty_cycle: float, plan: SelfTestPlan) -> tuple[int, int]:
@@ -151,8 +151,8 @@ def evaluate_salt(
     if plan.strategy != Strategy.SALT:
         raise ConfigError(f"evaluate_salt needs a SALT plan, got {plan.strategy}")
     a = to_ps(test_start)
-    b = a + to_ps(plan.test_duration)
-    count = _count_between(clicks, a, b)
+    lo, hi = _click_span(clicks, a, a + to_ps(plan.test_duration))
+    count = hi - lo
     if plan.salt_rate <= 0:
         return Verdict(Decision.INCONCLUSIVE, count)
     decision = (
@@ -178,8 +178,8 @@ def evaluate_flag_pulse(
             f"evaluate_flag_pulse needs a FLAG_PULSE plan, got {plan.strategy}"
         )
     a = to_ps(test_start)
-    b = a + to_ps(plan.response_window)
-    count = _count_between(clicks, a, b)
+    lo, hi = _click_span(clicks, a, a + to_ps(plan.response_window))
+    count = hi - lo
     seen = count > 0
     decision = Decision.NORMAL if seen else Decision.NEGATIVE_MANIPULATION
     p = 1.0 if seen else 1.0 - plan.null_response_prob
@@ -238,8 +238,9 @@ def evaluate_self_blind(
     a = to_ps(test_start)
     w = a + to_ps(plan.response_window)
     b = a + to_ps(plan.test_duration)
-    flag_seen = _count_between(clicks, a, w) > 0
-    in_blind = _count_between(clicks, w, b)
+    lo, mid = _click_span(clicks, a, w)
+    flag_seen = mid > lo
+    in_blind = _click_span(clicks, w, b)[1] - mid
     if flag_seen and in_blind == 0:
         decision = Decision.NORMAL
     elif not flag_seen and in_blind == 0:

@@ -29,6 +29,7 @@ from blindsim import (
 )
 from blindsim import presets
 from blindsim.engine import calibrate_source_rate, realized_click_rate
+from blindsim.optics import _poisson_arrival_ps
 from blindsim.presets import MAX_RATE
 from blindsim.units import to_ps
 
@@ -217,6 +218,61 @@ class TestRecoveryClicks:
         )
         causes = [c.cause for c in process_timeline(params, timeline, stream(3, "d"))]
         assert causes == [ClickCause.FAKE]
+
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.integers(0, 20), st.integers(0, 20), st.sampled_from([2e-10, 3e-10, 5e-10])
+            ).filter(lambda s: s[0] != s[1]),
+            min_size=1,
+            max_size=4,
+        ),
+        photon_slots=st.sets(st.integers(0, 19), max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blinding_and_recovery_follow_the_summed_power(self, segments, photon_slots):
+        # segments on even picoseconds, overlapping or abutting, that may
+        # blind only together; photons at odd picoseconds never meet an edge
+        threshold = 5e-10
+        params = quiet_params(
+            efficiency=1.0, dead_time=1e-12, recovery_click_prob=1.0, blind_power=threshold
+        )
+        dur = 40
+        cw = tuple(
+            CwSegment(2 * min(a, b), 2 * max(a, b), power, CwSource.ATTACK_BLIND)
+            for a, b, power in segments
+        )
+
+        def power(t):
+            return math.fsum(s.power for s in cw if s.start_ps <= t < s.stop_ps)
+
+        photon_times = sorted(2 * k + 1 for k in photon_slots)
+        expected = sorted(
+            [ClickRecord(t, ClickCause.SIGNAL) for t in photon_times if power(t) < threshold]
+            + [
+                ClickRecord(t, ClickCause.RECOVERY)
+                for t in range(0, dur, 2)
+                if power(t - 1) >= threshold > power(t)
+            ]
+        )
+        timeline = OpticalTimeline(
+            duration_ps=dur, **photon_arrays(photon_times), cw_segments=cw
+        )
+        assert process_timeline(params, timeline, stream(0, "d")) == expected
+
+
+class TestAbsentStimuli:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dark_only_timeline_draws_only_the_dark_counts(self, seed):
+        # no photons, pulses, crossings or noise: the detector stream
+        # must yield exactly the dark arrivals a fresh copy of it gives
+        params = quiet_params(dark_rate=1e8, dead_time=1e-12)
+        dur = to_ps(1e-6)
+        clicks = process_timeline(params, OpticalTimeline(duration_ps=dur), stream(seed, "d"))
+        dark = _poisson_arrival_ps(params.dark_rate, dur, stream(seed, "d"))
+        assert dark.size > 50
+        assert [c.time_ps for c in clicks] == sorted(set(dark.tolist()))
+        assert {c.cause for c in clicks} == {ClickCause.DARK}
 
 
 class TestSignalResponse:
