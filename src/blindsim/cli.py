@@ -70,10 +70,6 @@ class _IOFailure(click.ClickException):
     exit_code = 2
 
 
-def _fail_config(message: str) -> "click.ClickException":
-    return click.ClickException(message)
-
-
 def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -86,7 +82,7 @@ def _resolve_seed(cli_seed: int | None, config_seed: int) -> int:
         try:
             return int(env)
         except ValueError as e:
-            raise _fail_config(f"BLINDSIM_SEED: expected an integer, got {env!r}") from e
+            raise click.ClickException(f"BLINDSIM_SEED: expected an integer, got {env!r}") from e
     return config_seed
 
 
@@ -124,14 +120,14 @@ def _build_config(
         flat["seed"] = str(_resolve_seed(seed, config.seed))
         for item in overrides:
             if "=" not in item:
-                raise _fail_config(f"--set expects dotted.path=value, got {item!r}")
+                raise click.ClickException(f"--set expects dotted.path=value, got {item!r}")
             path, _, value = item.partition("=")
             flat[path.strip()] = value.strip()
         return config_from_flat(flat)
     except click.ClickException:
         raise
     except BlindsimError as e:
-        raise _fail_config(str(e)) from e
+        raise click.ClickException(str(e)) from e
 
 
 def _attach_salt_null(config: ExperimentConfig):
@@ -141,7 +137,7 @@ def _attach_salt_null(config: ExperimentConfig):
     ``presets.SALT_NULL`` for the reference detector, rate and window,
     otherwise simulated at a fixed seed, never at ``config.seed``.
     """
-    if config.plan.strategy != Strategy.SALT or config.plan.null_distribution is not None:
+    if config.plan.strategy != Strategy.SALT:
         return config, None
     null = salt_null(
         config.detector,
@@ -178,7 +174,7 @@ def _write_run(outdir: Path, manifest: RunManifest, result, extra_hists):
 
 def _check_threads(ctx, param, threads: int) -> int:
     if threads < 1:
-        raise _fail_config("threads: must be >= 1")
+        raise click.ClickException("threads: must be >= 1")
     return threads
 
 
@@ -217,7 +213,7 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
         t2 = time.perf_counter()
         result = run_experiment(run_config, threads=threads)
     except BlindsimError as e:
-        raise _fail_config(str(e)) from e
+        raise click.ClickException(str(e)) from e
     t3 = time.perf_counter()
     manifest = RunManifest(
         version=__version__,
@@ -251,11 +247,11 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
 def figure(name, outdir, seed, trials, threads):
     """Reproduce a bundled demonstration data set (fig3b, fig4, fig5, fig6)."""
     if name not in FIGURE_TRIALS:
-        raise _fail_config(
+        raise click.ClickException(
             f"unknown figure {name!r}; choose from {', '.join(sorted(FIGURE_TRIALS))}"
         )
     if trials is not None and not 1 <= trials <= MAX_TRIALS:
-        raise _fail_config(f"trials: must lie in [1, {MAX_TRIALS}]")
+        raise click.ClickException(f"trials: must lie in [1, {MAX_TRIALS}]")
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -292,7 +288,7 @@ def figure(name, outdir, seed, trials, threads):
             for key in sorted(summary):
                 click.echo(f"{label}.{key} = {summary[key]}")
     except BlindsimError as e:
-        raise _fail_config(str(e)) from e
+        raise click.ClickException(str(e)) from e
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
 
@@ -350,13 +346,13 @@ def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outd
     """Re-run the experiment across parameter values and tabulate metrics."""
     config = _build_config(config_path, scenario, protocol, trials, seed, ())
     if param not in CONFIG_LEAVES:
-        raise _fail_config(f"unknown config keys: {param}")
+        raise click.ClickException(f"unknown config keys: {param}")
     try:
         # each value text is parsed like a config file line for that field
         typed = [_parse_scalar(text, CONFIG_LEAVES[param], param) for text in _parse_values(values)]
         rows = sweep(config, param, typed, threads=threads)
     except BlindsimError as e:
-        raise _fail_config(str(e)) from e
+        raise click.ClickException(str(e)) from e
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -384,27 +380,27 @@ def _parse_values(text: str) -> list[str]:
     if ":" not in text:
         out = [p.strip() for p in text.split(",") if p.strip()]
         if not out:
-            raise _fail_config("values: need at least one value")
+            raise click.ClickException("values: need at least one value")
         return out
     parts = text.split(":")
     if len(parts) != 3:
-        raise _fail_config("range values need start:stop:step")
+        raise click.ClickException("range values need start:stop:step")
     try:
         start, stop, step = (Decimal(p.strip()) for p in parts)
     except InvalidOperation as e:
-        raise _fail_config(f"range values need three numbers, got {text!r}") from e
+        raise click.ClickException(f"range values need three numbers, got {text!r}") from e
     if not all(d.is_finite() for d in (start, stop, step)):
-        raise _fail_config(f"range values must be finite, got {text!r}")
+        raise click.ClickException(f"range values must be finite, got {text!r}")
     if step <= 0:
-        raise _fail_config("range step must be > 0")
+        raise click.ClickException("range step must be > 0")
     if stop < start:
-        raise _fail_config("values: need at least one value")
+        raise click.ClickException("values: need at least one value")
     try:
         n = int((stop - start) // step) + 1
     except InvalidOperation:  # the quotient has more digits than the decimal context
         n = math.inf
     if n > _MAX_SWEEP_POINTS:
-        raise _fail_config(f"values: a range may hold at most {_MAX_SWEEP_POINTS} points")
+        raise click.ClickException(f"values: a range may hold at most {_MAX_SWEEP_POINTS} points")
     out = []
     v = start
     while v <= stop:

@@ -20,7 +20,8 @@ from typing import Any, get_type_hints
 
 from .detector import DetectorParams, process_timeline
 from .errors import BlindsimError, ConfigError, ValidationError, require_finite
-from .optics import AttackScenario, gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
+from .optics import AttackScenario, flag_pulse, gen_attack, gen_le_schedule
+from .optics import gen_signal_photons, merge_timelines
 from .rng import trial_stream as stream  # perfbench traces engine.stream
 from .selftest import (
     Decision,
@@ -68,7 +69,8 @@ class ExperimentConfig:
             raise ValidationError(
                 "self_blind_power", "must reach the detector blinding threshold"
             )
-        if self.plan.flag_pulse_energy >= self.detector.fake_energy:
+        emitted = flag_pulse(self.plan, 0).energy  # can round 1 ulp above the plan's
+        if max(self.plan.flag_pulse_energy, emitted) >= self.detector.fake_energy:
             raise ValidationError(
                 "flag_pulse_energy", "must stay below the fake-state energy threshold"
             )
@@ -177,15 +179,7 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     ]
     le_rng = stream(seed, trial_index, "le")
     for start in starts:
-        fragments.append(
-            gen_le_schedule(
-                plan,
-                start,
-                config.trial_duration,
-                le_rng,
-                fake_energy=config.detector.fake_energy,
-            )
-        )
+        fragments.append(gen_le_schedule(plan, start, config.trial_duration, le_rng))
     return starts, merge_timelines(*fragments)
 
 
@@ -223,21 +217,16 @@ class ExperimentResult:
     trials: tuple[TrialResult, ...]
     histograms: dict[str, Histogram]
 
-    def _tally(self) -> tuple[Counter, float]:
+    def tally(self) -> tuple[Counter, float]:
+        """Decision counts and accuracy of every verdict, as ``tally_verdicts``."""
         return tally_verdicts(
             (v.decision for tr in self.trials for v in tr.verdicts),
             self.config.scenario,
             self.config.plan.strategy,
         )
 
-    def decision_counts(self) -> Counter:
-        return self._tally()[0]
-
-    def accuracy(self) -> float:
-        return self._tally()[1]
-
     def summary(self) -> dict[str, Any]:
-        counts, accuracy = self._tally()
+        counts, accuracy = self.tally()
         out: dict[str, Any] = {
             "scenario": self.config.scenario.value,
             "strategy": self.config.plan.strategy.value,
@@ -426,7 +415,7 @@ def sweep(
     points = [(value, set_config_value(config, parameter_path, value)) for value in values]
     rows = []
     for value, cfg in points:
-        counts, accuracy = run_experiment(cfg, threads=threads)._tally()
+        counts, accuracy = run_experiment(cfg, threads=threads).tally()
         rows.append(SweepRow(value, accuracy, tuple(sorted(counts.items()))))
     return rows
 

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, require_finite
+from .errors import ValidationError, require_finite
+from .selftest import SelfTestPlan, Strategy
 from .units import Duration, NonNegative, PositiveDuration, Rate, to_ps, to_seconds
-
-if TYPE_CHECKING:
-    from .selftest import SelfTestPlan
 
 
 class PhotonSource(str, Enum):
@@ -107,10 +105,6 @@ class OpticalTimeline:
             and self.cw_segments == other.cw_segments
             and self.pulses == other.pulses
         )
-
-    @property
-    def duration(self) -> float:
-        return to_seconds(self.duration_ps)
 
     def validate(self) -> None:
         if self.duration_ps < 0:
@@ -202,17 +196,14 @@ def _poisson_arrival_ps(
 
 
 def gen_signal_photons(
-    rate: float,
-    duration: float,
-    rng: np.random.Generator,
-    source: PhotonSource = PhotonSource.SIGNAL,
+    rate: float, duration: float, rng: np.random.Generator
 ) -> OpticalTimeline:
-    """Poissonian photon arrivals at the given rate over the horizon."""
+    """Poissonian signal photon arrivals at the given rate over the horizon."""
     if rate < 0:
         raise ValidationError("rate", "must be >= 0")
     duration_ps = to_ps(duration)
     times = _poisson_arrival_ps(rate, duration_ps, rng)
-    codes = _frozen(np.full(times.size, PHOTON_CODE[source], dtype=np.uint8))
+    codes = _frozen(np.full(times.size, PHOTON_CODE[PhotonSource.SIGNAL], dtype=np.uint8))
     return OpticalTimeline(duration_ps=duration_ps, photons=times, photon_sources=codes)
 
 
@@ -246,67 +237,51 @@ def gen_attack(
     )
 
 
+def flag_pulse(plan: SelfTestPlan, start_ps: int) -> BrightPulse:
+    """The flag pulse that the plan's light emitter fires at ``start_ps``.
+
+    SELF_BLIND fires a 1 ns onset marker (its CW segment carries the
+    intensity), any other plan a pulse of width ``plan.test_duration``
+    with ``plan.flag_photon_number`` photons.  Its ``energy``, peak power
+    times width, can round 1 ulp above ``plan.flag_pulse_energy``.
+    """
+    if plan.strategy == Strategy.SELF_BLIND:
+        width_ps, photon_number = 1000, None
+    else:
+        width_ps, photon_number = to_ps(plan.test_duration), plan.flag_photon_number
+    peak = plan.flag_pulse_energy / to_seconds(width_ps)
+    return BrightPulse(start_ps, width_ps, peak, PulseSource.FLAG, photon_number)
+
+
 def gen_le_schedule(
-    plan: "SelfTestPlan",
+    plan: SelfTestPlan,
     test_start: float,
     duration: float,
     rng: np.random.Generator,
-    *,
-    fake_energy: float | None = None,
 ) -> OpticalTimeline:
     """Light-emitter schedule of one self-test starting at ``test_start``.
 
     SALT: salt photon arrivals at ``plan.salt_rate`` over the test
-    interval.  FLAG_PULSE: a single few-photon pulse of width
-    ``plan.test_duration``.  SELF_BLIND: a CW blinding segment covering
-    the test interval whose onset edge doubles as a deterministic flag
-    pulse.
-
-    When ``fake_energy`` is given, a flag pulse whose energy would reach
-    it is rejected: such a pulse would force clicks from a blinded
-    detector and defeat the test.
+    interval.  FLAG_PULSE: the few-photon ``flag_pulse``.  SELF_BLIND: a
+    CW blinding segment covering the test interval, whose onset fires
+    ``flag_pulse`` as a deterministic flag.
     """
-    from .selftest import Strategy
-
     if test_start < 0:
         raise ValidationError("test_start", "must be >= 0")
     duration_ps = to_ps(duration)
     start_ps = to_ps(test_start)
-    span_ps = to_ps(plan.test_duration)
-    stop_ps = min(duration_ps, start_ps + span_ps)
+    stop_ps = min(duration_ps, start_ps + to_ps(plan.test_duration))
 
     if plan.strategy == Strategy.SALT:
         times = _frozen(_poisson_arrival_ps(plan.salt_rate, stop_ps - start_ps, rng) + start_ps)
         codes = _frozen(np.full(times.size, PHOTON_CODE[PhotonSource.SALT], dtype=np.uint8))
         return OpticalTimeline(duration_ps=duration_ps, photons=times, photon_sources=codes)
 
+    pulses = (flag_pulse(plan, start_ps),)
     if plan.strategy == Strategy.FLAG_PULSE:
-        peak = plan.flag_pulse_energy / to_seconds(span_ps)
-        pulse = BrightPulse(
-            start_ps, span_ps, peak, PulseSource.FLAG, plan.flag_photon_number
-        )
-        _check_flag_energy(pulse.energy, fake_energy)
-        return OpticalTimeline(duration_ps=duration_ps, pulses=(pulse,))
-
-    if plan.strategy == Strategy.SELF_BLIND:
-        onset_width_ps = 1000  # 1 ns marker; intensity is carried by the CW segment
-        peak = plan.flag_pulse_energy / to_seconds(onset_width_ps)
-        onset = BrightPulse(start_ps, onset_width_ps, peak, PulseSource.FLAG, None)
-        _check_flag_energy(onset.energy, fake_energy)
-        segment = CwSegment(start_ps, stop_ps, plan.self_blind_power, CwSource.LE_BLIND)
-        return OpticalTimeline(
-            duration_ps=duration_ps, cw_segments=(segment,), pulses=(onset,)
-        )
-
-    raise ValidationError("strategy", f"unknown strategy {plan.strategy!r}")
-
-
-def _check_flag_energy(energy: float, fake_energy: float | None) -> None:
-    if fake_energy is not None and energy >= fake_energy:
-        raise ConfigError(
-            f"flag pulse energy {energy:.3g} J reaches the fake-state threshold "
-            f"{fake_energy:.3g} J; the pulse would click even on a blinded detector"
-        )
+        return OpticalTimeline(duration_ps=duration_ps, pulses=pulses)
+    segment = CwSegment(start_ps, stop_ps, plan.self_blind_power, CwSource.LE_BLIND)
+    return OpticalTimeline(duration_ps=duration_ps, cw_segments=(segment,), pulses=pulses)
 
 
 def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:

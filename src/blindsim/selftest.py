@@ -25,15 +25,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from .detector import ClickRecord
 from .errors import ConfigError, ValidationError, require_finite
 from .stats import Histogram, binomial_tail, poisson_tail
 from .units import Count, NonNegative, Positive, PositiveCount, PositiveDuration, Probability
 from .units import Rate, to_ps, to_seconds
+
+if TYPE_CHECKING:
+    from .detector import ClickRecord
 
 
 class Strategy(str, Enum):

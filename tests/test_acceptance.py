@@ -88,8 +88,8 @@ def test_criterion_2_salt_separation():
     assert np.percentile(counts_n, 1) > 60
     assert np.percentile(counts_m, 99) < 40
     # ground-truth agreement: every verdict matches the injected scenario
-    assert normal.accuracy() == 1.0
-    assert manip.accuracy() == 1.0
+    assert normal.tally()[1] == 1.0
+    assert manip.tally()[1] == 1.0
 
 
 @criterion("3: flag-pulse response 0.934 +- 0.015 normal, <= 0.01 manipulated")

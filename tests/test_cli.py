@@ -254,6 +254,13 @@ class TestSimulateCommand:
             # no self-test fits the trial; several settings, space-separated
             ("trial_duration=0", "trial_duration"),
             ("duty_cycle=0.99 trial_duration=1e-5", "duty_cycle"),
+            # the plan's energy sits 1 ulp below the threshold, but the
+            # fired pulse's peak power times width rounds onto it
+            (
+                "detector.fake_energy=6.07194931907197e-15"
+                " plan.flag_pulse_energy=6.0719493190719695e-15",
+                "flag_pulse_energy",
+            ),
         ],
     )
     def test_bad_set_value_is_a_config_error(self, tmp_path, override, field):
@@ -271,7 +278,8 @@ class TestSimulateCommand:
             "--out", str(tmp_path / "x"), *settings,
         )
         assert result.exit_code == 1
-        assert field in result.output
+        assert f"{field}:" in result.output
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "scenario,protocol",

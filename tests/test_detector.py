@@ -31,7 +31,7 @@ from blindsim import presets
 from blindsim.engine import calibrate_source_rate, realized_click_rate
 from blindsim.optics import _poisson_arrival_ps
 from blindsim.presets import MAX_RATE
-from blindsim.units import to_ps
+from blindsim.units import to_ps, to_seconds
 
 
 def quiet_params(**overrides) -> DetectorParams:
@@ -366,6 +366,50 @@ class TestDeterminismAndDeadTime:
         n_ap = sum(1 for c in clicks if c.cause is ClickCause.AFTERPULSE)
         assert len(clicks) > 50_000
         assert n_ap / len(clicks) == pytest.approx(0.4, abs=0.01)
+
+
+@pytest.fixture(scope="module")
+def isolated_cascades():
+    """Clicks of 20,000 one-photon timelines: efficiency 1, p = 0.4, tau_a = 1 us."""
+    params = DetectorParams(
+        efficiency=1.0, dark_rate=0.0, afterpulse_prob=0.4, afterpulse_tau=1e-6
+    )
+    timeline = OpticalTimeline(duration_ps=to_ps(1e-3), **photon_arrays([0]))
+    rng = stream(47, "cascade")
+    return params, [process_timeline(params, timeline, rng) for _ in range(20_000)]
+
+
+class TestAfterpulseLaws:
+    """Closed forms of the afterpulse cascade that hold for any draw order."""
+
+    def test_afterpulse_count_is_geometric(self, isolated_cascades):
+        # every click spawns a candidate with probability p, and an isolated
+        # candidate always clicks, so P(K = k) = p^k (1 - p)
+        from scipy.stats import chisquare
+
+        params, cascades = isolated_cascades
+        p, n = params.afterpulse_prob, len(cascades)
+        for clicks in cascades:
+            assert [c.cause for c in clicks[1:]] == [ClickCause.AFTERPULSE] * (len(clicks) - 1)
+        # single counts while each expects at least 5, then one tail bin K >= k_tail
+        k_tail = int(math.log(5 / n) / math.log(p))
+        counts = np.bincount([len(clicks) - 1 for clicks in cascades], minlength=k_tail + 1)
+        observed = [*counts[:k_tail], counts[k_tail:].sum()]
+        expected = [n * p**k * (1 - p) for k in range(k_tail)] + [n * p**k_tail]
+        assert chisquare(observed, expected).pvalue > 1e-4
+
+    def test_afterpulse_delay_after_dead_time_is_exponential(self, isolated_cascades):
+        from scipy.stats import kstest
+
+        params, cascades = isolated_cascades
+        dead_ps = to_ps(params.dead_time)
+        delays = [
+            to_seconds(b.time_ps - a.time_ps - dead_ps)
+            for clicks in cascades
+            for a, b in zip(clicks, clicks[1:])
+        ]
+        assert len(delays) > 10_000
+        assert kstest(delays, "expon", args=(0, params.afterpulse_tau)).pvalue > 1e-4
 
 
 class TestDeadTimeProperty:

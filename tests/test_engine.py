@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from blindsim import (
     AttackScenario,
     Decision,
+    DetectorParams,
     ExperimentConfig,
     Scenario,
     SelfTestPlan,
@@ -35,12 +36,14 @@ from blindsim import (
 from blindsim.engine import (
     CONFIG_LEAVES,
     _run_trials,
+    build_config,
     build_trial_timeline,
     expected_decisions,
     set_config_value,
 )
 from blindsim.errors import BlindsimError, field_kind, require_finite
 from blindsim.manifest import config_from_flat, config_to_flat
+from blindsim.optics import flag_pulse
 from blindsim.presets import (
     flag_pulse_config,
     preset_config,
@@ -97,20 +100,20 @@ class TestRunTrial:
 
 class TestScenarioOutcomes:
     def test_normal_salt_trials_pass(self, normal_salt_result):
-        assert normal_salt_result.accuracy() == 1.0
+        assert normal_salt_result.tally()[1] == 1.0
         h = normal_salt_result.histograms["test_counts"]
         assert h.mean() == pytest.approx(100.0, abs=5.0)
         assert h.lower_tail(60) < 0.01
 
     def test_manipulated_salt_trials_fail(self, manipulated_salt_result):
-        assert manipulated_salt_result.accuracy() == 1.0
+        assert manipulated_salt_result.tally()[1] == 1.0
         h = manipulated_salt_result.histograms["test_counts"]
         assert h.mean() == pytest.approx(10.0, abs=2.0)
         assert h.lower_tail(39) >= 0.99
 
     def test_manipulated_self_blind_seen_as_positive_or_both(self):
         result = run_experiment(self_blind_config(Scenario.MANIPULATED, 200, seed=9))
-        assert result.accuracy() >= 0.99
+        assert result.tally()[1] >= 0.99
         for trial in result.trials:
             assert trial.verdicts[0].decision in (
                 Decision.POSITIVE_MANIPULATION,
@@ -141,7 +144,7 @@ class TestScenarioOutcomes:
                 Decision.NEGATIVE_MANIPULATION,
                 Decision.BOTH,
             )
-        assert result.accuracy() == 1.0
+        assert result.tally()[1] == 1.0
 
 
 class TestExpectedDecisions:
@@ -284,6 +287,56 @@ _PARTNER = {
     "plan.test_duration": "duty_cycle",
     "plan.response_window": "duty_cycle",
 }
+
+
+@pytest.mark.parametrize(
+    "strategy,fake_energy,flag_energy",
+    [
+        (Strategy.FLAG_PULSE, 6.07194931907197e-15, 6.0719493190719695e-15),
+        (Strategy.SELF_BLIND, 9.986848846243594e-15, 9.986848846243592e-15),
+    ],
+)
+def test_flag_pulse_rounding_onto_the_fake_threshold_rejected(
+    strategy, fake_energy, flag_energy
+):
+    # the plan's energy sits below the threshold, but the emitted pulse's
+    # peak power times width rounds onto it
+    base = preset_config(Scenario.NORMAL, strategy, trials=2, seed=1)
+    plan = replace(base.plan, flag_pulse_energy=flag_energy)
+    assert flag_energy < fake_energy <= flag_pulse(plan, 0).energy
+    with pytest.raises(ValidationError) as err:
+        build_config(
+            {"detector.fake_energy": fake_energy, "plan.flag_pulse_energy": flag_energy},
+            base,
+        )
+    assert err.value.field == "flag_pulse_energy"
+    assert err.value.message == "must stay below the fake-state energy threshold"
+
+
+@given(
+    strategy=st.sampled_from([Strategy.FLAG_PULSE, Strategy.SELF_BLIND]),
+    test_duration=st.floats(1e-9, 4e-6),
+    fake_energy=st.floats(1e-18, 1e-12),
+)
+@settings(max_examples=200, deadline=None)
+def test_accepted_config_fires_flag_pulses_below_the_fake_threshold(
+    strategy, test_duration, fake_energy
+):
+    # 1 ulp below the threshold, where the emitted energy can round onto it
+    flag_energy = math.nextafter(fake_energy, 0.0)
+    try:
+        cfg = ExperimentConfig(
+            detector=DetectorParams(fake_energy=fake_energy),
+            plan=SelfTestPlan(
+                strategy=strategy, test_duration=test_duration, flag_pulse_energy=flag_energy
+            ),
+            duty_cycle=0.01,
+        )
+    except ValidationError as err:
+        assert err.field == "flag_pulse_energy"
+    else:
+        (pulse,) = gen_le_schedule(cfg.plan, 0.0, cfg.trial_duration, stream(1)).pulses
+        assert pulse.energy < fake_energy
 
 
 @pytest.mark.parametrize("path,kind", list(numeric_leaves()))
@@ -515,10 +568,7 @@ def trial_fragments(cfg, index):
         ),
         gen_attack(attack, cfg.trial_duration, stream(cfg.seed, index, "attack")),
         *[
-            gen_le_schedule(
-                cfg.plan, start, cfg.trial_duration, le_rng,
-                fake_energy=cfg.detector.fake_energy,
-            )
+            gen_le_schedule(cfg.plan, start, cfg.trial_duration, le_rng)
             for start in starts
         ],
     ]

@@ -373,3 +373,17 @@ class TestDecisionErrorRates:
         with pytest.raises(ValidationError) as err:
             SelfTestPlan(strategy=Strategy.FLAG_PULSE, **{field: value})
         assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "trial_duration,duty_cycle,field",
+    [(1.0, -0.5, "duty_cycle"), (1.0, 1.5, "duty_cycle"), (-1e-3, 0.5, "trial_duration")],
+)
+def test_schedule_tests_names_its_bad_argument(trial_duration, duty_cycle, field):
+    # a public function checks its own raw arguments: past its checks a
+    # negative duty cycle reaches numpy, and a negative trial duration
+    # would be blamed on the duty cycle
+    plan = SelfTestPlan(strategy=Strategy.SALT)
+    with pytest.raises(ValidationError) as err:
+        schedule_tests(trial_duration, duty_cycle, plan, stream(1))
+    assert err.value.field == field
