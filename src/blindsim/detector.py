@@ -33,6 +33,7 @@ same instant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappush, heappop
@@ -84,13 +85,25 @@ class DetectorParams:
 
 
 # Processing priority of coincident events.  Stimuli come before power
-# edges so that they see the pre-edge power level.
-_PULSE, _GATED, _NOISE, _AFTER, _CW = range(5)
+# edges so that they see the pre-edge power level.  _END marks the
+# horizon, after every event and every afterpulse that can click.
+_PULSE, _GATED, _NOISE, _AFTER, _CW, _END = range(6)
 
 # Cause of a gated click by code: the photon source codes, then dark.
 _GATED_CAUSE = (*(ClickCause(source.value) for source in PHOTON_SOURCES), ClickCause.DARK)
 _DARK_CODE = len(PHOTON_SOURCES)
 _PULSE_CAUSE = {PulseSource.FAKE: ClickCause.FAKE, PulseSource.FLAG: ClickCause.FLAG}
+
+
+def _drop_held(times: list[int], spans: list[tuple[int, int]], *parallel: list) -> None:
+    """Delete from sorted ``times`` (and ``parallel``) the entries in any span (a, b]."""
+    for a, b in reversed(spans):
+        lo = bisect_right(times, a)
+        hi = bisect_right(times, b, lo)
+        if lo < hi:
+            del times[lo:hi]
+            for values in parallel:
+                del values[lo:hi]
 
 
 def process_timeline(
@@ -103,7 +116,12 @@ def process_timeline(
     Deterministic for identical (params, timeline, rng seed): one uniform
     per photon, one per pulse and one per downward crossing (drawn even
     if the detector is dead there) come first, then the dark and noise
-    candidates; only afterpulse scheduling draws during the event walk.
+    candidates; the event walk draws only for afterpulse scheduling.
+
+    A photon or dark count sees the power of the last edge strictly
+    before it, so one in a held span (a, b], from an edge that blinds to
+    the next edge that releases (or the horizon), can never click.  Such
+    candidates are dropped before the walk; they draw nothing in it.
     """
     timeline.validate()
     clicks: list[ClickRecord] = []
@@ -112,6 +130,8 @@ def process_timeline(
     eff = params.efficiency
     ap_prob = params.afterpulse_prob
     ap_tau = params.afterpulse_tau
+    fake_energy = params.fake_energy
+    recovery_prob = params.recovery_click_prob
 
     pulses = timeline.pulses
     segments = timeline.cw_segments
@@ -124,79 +144,102 @@ def process_timeline(
         >= params.blind_power
         for t in edge_times
     ]
-    n_crossings = sum(a and not b for a, b in zip([False, *held], held))
+    # held spans (a, b]: a blinding edge to the next releasing edge
+    spans: list[tuple[int, int]] = []
+    onset = None
+    for t, h in zip(edge_times, held):
+        if h and onset is None:
+            onset = t
+        elif not h and onset is not None:
+            spans.append((onset, t))
+            onset = None
+    n_crossings = len(spans)
+    if onset is not None:
+        spans.append((onset, dur))
 
-    live = rng.random(len(timeline.photons)) < eff
-    u_pulse = rng.random(len(pulses))
-    u_recovery = iter(rng.random(n_crossings))
+    n_photons, n_pulses = len(timeline.photons), len(pulses)
+    u = rng.random(n_photons + n_pulses + n_crossings)
+    live = u[:n_photons] < eff
+    u_pulse = u[n_photons:n_photons + n_pulses]
+    u_recovery = iter(u[n_photons + n_pulses:])
     # candidate times of the state-gated Poisson click sources
-    dark_times = _poisson_arrival_ps(params.dark_rate, dur, rng)
-    noise_times = _poisson_arrival_ps(params.noise_rate, dur, rng)
+    dark_times = _poisson_arrival_ps(params.dark_rate, dur, rng).tolist()
+    noise_times = _poisson_arrival_ps(params.noise_rate, dur, rng).tolist()
+
+    # A photon whose uniform reaches the efficiency never clicks, so it is
+    # left out, as are the gated candidates that held power hides.
+    photon_times = timeline.photons[live].tolist()
+    photon_codes = timeline.photon_sources[live].tolist()
+    if spans:
+        _drop_held(photon_times, spans, photon_codes)
+        _drop_held(dark_times, spans)
 
     # (time, priority, code): the gated cause code, the pulse index, or
-    # the edge's held flag.  A photon whose uniform reaches the efficiency
-    # never clicks, so it is left out.  The photons come sorted on (time,
-    # code), so the codes order coincident photons as their indices would.
-    events: list[tuple[int, int, int]] = list(zip(
-        timeline.photons[live].tolist(), repeat(_GATED), timeline.photon_sources[live].tolist()
-    ))
+    # the edge's held flag.  The photons come sorted on (time, code), so
+    # the codes order coincident photons as their indices would.
+    events: list[tuple[int, int, int]] = list(zip(photon_times, repeat(_GATED), photon_codes))
     events.extend((pu.time_ps, _PULSE, i) for i, pu in enumerate(pulses))
-    events.extend(zip(dark_times.tolist(), repeat(_GATED), repeat(_DARK_CODE)))
-    events.extend(zip(noise_times.tolist(), repeat(_NOISE), repeat(0)))
+    events.extend(zip(dark_times, repeat(_GATED), repeat(_DARK_CODE)))
+    events.extend(zip(noise_times, repeat(_NOISE), repeat(0)))
     events.extend(zip(edge_times, repeat(_CW), held))
     events.sort()
+    # every afterpulse kept is before the horizon, so this drains the heap
+    events.append((dur, _END, 0))
 
     rng_random = rng.random
     rng_exponential = rng.exponential
     clicks_append = clicks.append
+    new_click = tuple.__new__
 
     ap_heap: list[int] = []
     dead_until = 0
     blinded = False
 
-    def click(t: int, cause: ClickCause) -> None:
-        nonlocal dead_until
-        clicks_append(ClickRecord(t, cause))
+    for t, prio, code in events:
+        # afterpulses due first: (a, _AFTER) sorts before (t, prio)
+        while ap_heap and (ap_heap[0] < t or (ap_heap[0] == t and prio == _CW)):
+            a = heappop(ap_heap)
+            if blinded or a < dead_until:
+                continue
+            clicks_append(new_click(ClickRecord, (a, ClickCause.AFTERPULSE)))
+            dead_until = a + dead_ps
+            if ap_prob > 0.0 and rng_random() < ap_prob:
+                ap_t = dead_until + int(rng_exponential(ap_tau) * PS_PER_SECOND + 0.5)
+                if ap_t < dur:
+                    heappush(ap_heap, ap_t)
+        if prio == _GATED:  # never blinded: the held ones were dropped
+            if t < dead_until:
+                continue
+            cause = _GATED_CAUSE[code]
+        elif prio == _PULSE:
+            if t < dead_until:
+                continue
+            # forced at the fake-state energy; otherwise the armed response
+            pu = pulses[code]
+            n = pu.photon_number
+            if not (pu.energy >= fake_energy or (not blinded and (
+                n is None or u_pulse[code] < 1.0 - (1.0 - eff) ** n
+            ))):
+                continue
+            cause = _PULSE_CAUSE[pu.source]
+        elif prio == _NOISE:
+            if t < dead_until:
+                continue
+            cause = ClickCause.NOISE
+        elif prio == _CW:
+            crossing = blinded and not code
+            blinded = code
+            if not crossing or next(u_recovery) >= recovery_prob or t < dead_until:
+                continue
+            cause = ClickCause.RECOVERY
+        else:  # _END
+            break
+        clicks_append(new_click(ClickRecord, (t, cause)))
         dead_until = t + dead_ps
         if ap_prob > 0.0 and rng_random() < ap_prob:
             ap_t = dead_until + int(rng_exponential(ap_tau) * PS_PER_SECOND + 0.5)
             if ap_t < dur:
                 heappush(ap_heap, ap_t)
-
-    i = 0
-    n_events = len(events)
-    while i < n_events or ap_heap:
-        if ap_heap and (
-            i >= n_events
-            or (ap_heap[0], _AFTER) < (events[i][0], events[i][1])
-        ):
-            t = heappop(ap_heap)
-            if not blinded and t >= dead_until:
-                click(t, ClickCause.AFTERPULSE)
-            continue
-        t, prio, code = events[i]
-        i += 1
-        if prio == _GATED:
-            if not blinded and t >= dead_until:
-                click(t, _GATED_CAUSE[code])
-        elif prio == _PULSE:
-            if t >= dead_until:
-                # forced at the fake-state energy; otherwise the armed response
-                pu = pulses[code]
-                n = pu.photon_number
-                if pu.energy >= params.fake_energy or (not blinded and (
-                    n is None or u_pulse[code] < 1.0 - (1.0 - eff) ** n
-                )):
-                    click(t, _PULSE_CAUSE[pu.source])
-        elif prio == _NOISE:
-            if t >= dead_until:
-                click(t, ClickCause.NOISE)
-        else:  # _CW
-            if blinded and not code:
-                u = next(u_recovery)
-                if t >= dead_until and u < params.recovery_click_prob:
-                    click(t, ClickCause.RECOVERY)
-            blinded = code
 
     return clicks
 

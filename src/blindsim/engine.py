@@ -16,6 +16,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Any, get_type_hints
 
 from .detector import DetectorParams, process_timeline
@@ -200,7 +201,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         a = to_ps(start)
         lo, hi = _click_span(clicks, a, a + span_ps)
         offsets.extend(c.time_ps - a for c in clicks[lo:hi])
-    causes = Counter(c.cause for c in clicks)
+    causes = Counter(map(itemgetter(1), clicks))
     return TrialResult(
         index=trial_index,
         verdicts=verdicts,

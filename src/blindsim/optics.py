@@ -189,10 +189,12 @@ def _poisson_arrival_ps(
     if rate == 0 or duration_ps <= 0:
         return _NO_TIMES
     n = rng.poisson(rate * to_seconds(duration_ps))
-    times = (np.sort(rng.random(n)) * duration_ps).astype(np.int64)
+    # the cast is monotone, so sorting after it gives the same times
+    times = (rng.random(n) * duration_ps).astype(np.int64)
+    times.sort()
     # u < 1 can still scale up to duration_ps by round-to-even; keep the
     # half-open horizon exact
-    return _frozen(np.minimum(times, duration_ps - 1))
+    return _frozen(np.minimum(times, duration_ps - 1, out=times))
 
 
 def gen_signal_photons(
@@ -224,17 +226,16 @@ def gen_attack(
         segments = (
             CwSegment(0, stop_ps, scenario.blind_power_level, CwSource.ATTACK_BLIND),
         )
-    pulses: list[BrightPulse] = []
+    pulses: tuple[BrightPulse, ...] = ()
     if scenario.fake_pulse_rate > 0:
         width_ps = to_ps(scenario.fake_width)
         active_ps = duration_ps if scenario.allow_fakes_without_blinding else stop_ps
-        for t in _poisson_arrival_ps(scenario.fake_pulse_rate, active_ps, rng):
-            pulses.append(
-                BrightPulse(int(t), width_ps, scenario.fake_peak_power, PulseSource.FAKE)
-            )
-    return OpticalTimeline(
-        duration_ps=duration_ps, cw_segments=segments, pulses=tuple(pulses)
-    )
+        peak = scenario.fake_peak_power
+        pulses = tuple([
+            BrightPulse(t, width_ps, peak, PulseSource.FAKE)
+            for t in _poisson_arrival_ps(scenario.fake_pulse_rate, active_ps, rng).tolist()
+        ])
+    return OpticalTimeline(duration_ps=duration_ps, cw_segments=segments, pulses=pulses)
 
 
 def flag_pulse(plan: SelfTestPlan, start_ps: int) -> BrightPulse:

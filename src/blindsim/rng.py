@@ -42,12 +42,8 @@ _per_thread = _TagGenerators()
 
 
 def _key(master_seed: int, path: tuple[int | str, ...]) -> np.ndarray:
-    h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return np.frombuffer(h.digest()[:16], dtype=np.uint64)
+    text = "/".join([str(int(master_seed)), *map(str, path)])
+    return np.frombuffer(hashlib.sha256(text.encode()).digest()[:16], dtype=np.uint64)
 
 
 def stream(master_seed: int, *path: int | str) -> RandomStream:

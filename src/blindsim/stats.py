@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,6 +124,7 @@ def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, ratio_for) -
     return min(1.0, max(0.0, 1.0 - far)) if near else far
 
 
+@lru_cache(maxsize=1024)  # a salt verdict asks for the same few hundred tails
 def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
     """Exact Poisson tail: P(X <= k) for side="lower", P(X >= k) for "upper"."""
     if mean < 0:

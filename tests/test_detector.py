@@ -54,6 +54,35 @@ def photon_arrays(times, source=PhotonSource.SIGNAL) -> dict:
     return {"photons": times, "photon_sources": codes}
 
 
+def state_of(rng: np.random.Generator) -> dict:
+    """A generator's bit-generator state with its arrays as lists, for ==."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist()}
+
+
+def count_law_pvalue(counts, law) -> float:
+    """Chi-square p-value of per-run counts against a scipy discrete law.
+
+    The tails are pooled into X <= lo and X >= hi, each expecting at
+    least 5 runs, with single values in between.
+    """
+    from scipy.stats import chisquare
+
+    n = len(counts)
+    lo = 0
+    while n * law.cdf(lo) < 5:
+        lo += 1
+    hi = lo + 1
+    while n * law.sf(hi) >= 5:  # P(X >= hi + 1) still expects 5
+        hi += 1
+    binned = np.bincount(counts, minlength=hi + 1)
+    observed = [binned[: lo + 1].sum(), *binned[lo + 1:hi], binned[hi:].sum()]
+    middle = np.arange(lo + 1, hi)
+    expected = [n * law.cdf(lo), *(n * law.pmf(middle)), n * law.sf(hi - 1)]
+    return chisquare(observed, expected).pvalue
+
+
 class TestDarkCounts:
     def test_dark_rate_sets_the_click_count(self):
         # empty timeline, 0.2 s, 7e3/s dark rate: mean count 1400.
@@ -147,6 +176,80 @@ class TestBlinding:
         )
         clicks = process_timeline(params, timeline, stream(4, "d"))
         assert [(c.time_ps, c.cause) for c in clicks] == [(t0, ClickCause.FLAG)]
+
+
+GATED_CAUSES = (ClickCause.SIGNAL, ClickCause.SALT, ClickCause.DARK)
+
+
+class TestHeldPowerHidesStimuli:
+    """A photon or dark count in a held span (a, b] never clicks and draws nothing."""
+
+    def test_held_span_boundaries(self):
+        # segment [a, b): a photon at a sees the pre-onset power and one at
+        # b the pre-release power, so of a-1, a, a+1, b, b+1 only a-1, a
+        # and b+1 click
+        params = quiet_params(efficiency=1.0, dead_time=1e-12)
+        a, b = 10, 20
+        timeline = OpticalTimeline(
+            duration_ps=40,
+            **photon_arrays([a - 1, a, a + 1, b, b + 1]),
+            cw_segments=(CwSegment(a, b, 1e-9, CwSource.ATTACK_BLIND),),
+        )
+        clicks = process_timeline(params, timeline, stream(0, "d"))
+        assert [c.time_ps for c in clicks] == [a - 1, a, b + 1]
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_moving_photons_inside_a_held_span_changes_nothing(self, data):
+        dur = 400
+        a = data.draw(st.integers(0, dur - 2), label="a")
+        b = data.draw(st.integers(a + 1, dur), label="b")  # segment [a, b)
+        hidden = st.integers(a + 1, min(b, dur - 1))
+        before, after = st.integers(0, a), st.integers(b + 1, dur - 1)
+        outside = data.draw(st.lists(
+            st.one_of(before, after) if b + 1 < dur else before, max_size=30
+        ))
+        at_onset = data.draw(st.integers(0, 3), label="photons at a")
+        inside = data.draw(st.lists(hidden, min_size=1, max_size=30))
+        moved = data.draw(st.lists(hidden, min_size=len(inside), max_size=len(inside)))
+        params = DetectorParams(
+            efficiency=0.8,
+            dark_rate=2.5e10,  # about 10 dark counts over the 400 ps
+            dead_time=3e-12,
+            afterpulse_prob=0.5,
+            afterpulse_tau=2e-11,
+            recovery_click_prob=0.5,
+            noise_rate=5e9,
+        )
+        fake = BrightPulse(data.draw(st.integers(0, dur - 1)), 2000, 3e-6, PulseSource.FAKE)
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+
+        def source_codes(n):
+            return data.draw(st.lists(
+                st.integers(0, len(PHOTON_SOURCES) - 1), min_size=n, max_size=n
+            ))
+
+        visible = [*outside, *[a] * at_onset]
+        visible_codes = source_codes(len(visible))
+
+        def run(hidden_times):
+            # hidden photons may change source as well as time
+            times = [*visible, *hidden_times]
+            codes = [*visible_codes, *source_codes(len(hidden_times))]
+            order = np.lexsort((codes, times))
+            timeline = OpticalTimeline(
+                duration_ps=dur,
+                photons=np.asarray(times, dtype=np.int64)[order],
+                photon_sources=np.asarray(codes, dtype=np.uint8)[order],
+                cw_segments=(CwSegment(a, b, 1e-9, CwSource.ATTACK_BLIND),),
+                pulses=(fake,),
+            )
+            rng = stream(seed, "held")
+            return process_timeline(params, timeline, rng), state_of(rng)
+
+        clicks, state = run(inside)
+        assert run(moved) == (clicks, state)
+        assert all(not a < c.time_ps <= b for c in clicks if c.cause in GATED_CAUSES)
 
 
 class TestPhotonTieBreak:
@@ -385,18 +488,13 @@ class TestAfterpulseLaws:
     def test_afterpulse_count_is_geometric(self, isolated_cascades):
         # every click spawns a candidate with probability p, and an isolated
         # candidate always clicks, so P(K = k) = p^k (1 - p)
-        from scipy.stats import chisquare
+        from scipy.stats import geom
 
         params, cascades = isolated_cascades
-        p, n = params.afterpulse_prob, len(cascades)
         for clicks in cascades:
             assert [c.cause for c in clicks[1:]] == [ClickCause.AFTERPULSE] * (len(clicks) - 1)
-        # single counts while each expects at least 5, then one tail bin K >= k_tail
-        k_tail = int(math.log(5 / n) / math.log(p))
-        counts = np.bincount([len(clicks) - 1 for clicks in cascades], minlength=k_tail + 1)
-        observed = [*counts[:k_tail], counts[k_tail:].sum()]
-        expected = [n * p**k * (1 - p) for k in range(k_tail)] + [n * p**k_tail]
-        assert chisquare(observed, expected).pvalue > 1e-4
+        law = geom(1 - params.afterpulse_prob, loc=-1)  # failures before the first success
+        assert count_law_pvalue([len(clicks) - 1 for clicks in cascades], law) > 1e-4
 
     def test_afterpulse_delay_after_dead_time_is_exponential(self, isolated_cascades):
         from scipy.stats import kstest
@@ -410,6 +508,43 @@ class TestAfterpulseLaws:
         ]
         assert len(delays) > 10_000
         assert kstest(delays, "expon", args=(0, params.afterpulse_tau)).pvalue > 1e-4
+
+
+class TestThinningAndBlindingLaws:
+    """Closed-form click counts that hold for any draw order."""
+
+    def test_efficiency_thins_photons_binomially(self):
+        # photons on consecutive picoseconds with a 1 ps dead time: a click
+        # never hides the next photon, so the count is Binomial(n, efficiency)
+        from scipy.stats import binom
+
+        params = DetectorParams(efficiency=0.3, dark_rate=0.0, dead_time=1e-12,
+                                afterpulse_prob=0.0)
+        n = 20
+        timeline = OpticalTimeline(duration_ps=n, **photon_arrays(range(n)))
+        rng = stream(53, "thinning")
+        counts = [len(process_timeline(params, timeline, rng)) for _ in range(4000)]
+        assert count_law_pvalue(counts, binom(n, params.efficiency)) > 1e-4
+
+    def test_blinding_leaves_only_poisson_noise(self):
+        # held blind over [0, T): photons, dark counts and afterpulses stay
+        # silent, and the noise clicks are Poisson(noise_rate * T).  Only a
+        # candidate at t = 0 could click, seeing the power before the onset.
+        from scipy.stats import poisson
+
+        params = DetectorParams(efficiency=1.0, dark_rate=2e7, dead_time=1e-12,
+                                afterpulse_prob=0.4, noise_rate=1e7)
+        dur = to_ps(1e-6)
+        timeline = OpticalTimeline(
+            duration_ps=dur,
+            **photon_arrays(range(1, dur, dur // 200)),
+            cw_segments=(CwSegment(0, dur, 1e-9, CwSource.ATTACK_BLIND),),
+        )
+        rng = stream(59, "blinding")
+        runs = [process_timeline(params, timeline, rng) for _ in range(4000)]
+        assert {c.cause for clicks in runs for c in clicks} == {ClickCause.NOISE}
+        law = poisson(params.noise_rate * to_seconds(dur))
+        assert count_law_pvalue([len(clicks) for clicks in runs], law) > 1e-4
 
 
 class TestDeadTimeProperty:

@@ -11,7 +11,7 @@ import pytest
 from blindsim import engine
 from blindsim.engine import run_trial
 from blindsim.presets import flag_pulse_config
-from blindsim.rng import stream, trial_stream
+from blindsim.rng import _key, stream, trial_stream
 
 TRIAL_TAGS = ("schedule", "signal", "attack", "le", "detector")
 
@@ -22,6 +22,21 @@ DRAWS = {
     "integers_int64": lambda g: g.integers(-(2**40), 2**40, 9),
     "standard_normal": lambda g: g.standard_normal(9),
 }
+
+
+@pytest.mark.parametrize(
+    "master_seed, path, key_hex",
+    [
+        (7, (3, "detector"), "8ffa3f118636ce21dee0361a0adc2172"),
+        (0, (), "5feceb66ffc86f38d952786c6d696c79"),
+        (42, ("le",), "e9578d1373cae13b58d0fe7d6a3aecde"),
+        (-12345, (2, "schedule"), "a386699c733dfff0f12edc3836c50dbc"),
+        (2**70, ("σalt-ü", 5), "91f5c5030f20ba97fc58634d92069d04"),
+    ],
+)
+def test_stream_keys_are_frozen(master_seed, path, key_hex):
+    # the first 16 bytes of sha256("seed/part/..."): every digest rests on them
+    assert _key(master_seed, path).tobytes().hex() == key_hex
 
 
 @pytest.mark.parametrize("draw", sorted(DRAWS))
