@@ -37,7 +37,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import Duration, Fraction, Rate, TrialCount, to_ps, to_seconds
+from .units import MAX_STIMULI, Duration, Fraction, Rate, TrialCount, to_ps, to_seconds
 
 
 class Scenario(str, Enum):
@@ -75,9 +75,36 @@ class ExperimentConfig:
             raise ValidationError(
                 "flag_pulse_energy", "must stay below the fake-state energy threshold"
             )
-        if fit_tests(self.trial_duration, self.duty_cycle, self.plan)[0] == 0:
+        n_tests = fit_tests(self.trial_duration, self.duty_cycle, self.plan)[0]
+        if n_tests == 0:
             name = "trial_duration" if self.trial_duration == 0 else "duty_cycle"
             raise ValidationError(name, "leaves no self-test in a trial")
+        terms = _expected_stimuli(self, n_tests)
+        total = sum(terms.values())
+        if total > MAX_STIMULI:
+            leaf = max(terms, key=terms.get)
+            raise ValidationError(
+                leaf,
+                f"a trial would expect {total:.3g} stimuli ({terms[leaf]:.3g} from this"
+                f" rate), more than the {MAX_STIMULI:g} allowed",
+            )
+
+
+def _expected_stimuli(config: ExperimentConfig, n_tests: int) -> dict[str, float]:
+    """Expected stimuli per trial from each rate leaf: its rate times the span it acts over."""
+    trial = config.trial_duration
+    plan, attack, detector = config.plan, config.attack, config.detector
+    fake_span = trial
+    if attack.stop_blind_at is not None and not attack.allow_fakes_without_blinding:
+        fake_span = min(trial, attack.stop_blind_at)
+    salt = plan.salt_rate * plan.test_duration * n_tests if plan.strategy == Strategy.SALT else 0.0
+    return {
+        "signal_rate": config.signal_rate * trial,
+        "salt_rate": salt,
+        "dark_rate": detector.dark_rate * trial,
+        "noise_rate": detector.noise_rate * trial,
+        "fake_pulse_rate": attack.fake_pulse_rate * fake_span,
+    }
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,28 @@ independent generator on every call.  ``engine.run_experiment`` runs
 trials in parallel as processes, each with its own copy; the generators
 are kept per thread so that library callers may still run trials on
 threads of their own.
+
+A key is the first 16 bytes of the SHA-256 of ``"seed/part/..."``, read
+as two native-order 64-bit words, as ``np.frombuffer`` would read them.
+``_key`` returns the words as Python ints: the state setter stores ints
+at about half the cost of numpy arrays, so ``trial_stream`` re-keys with
+the two key ints and int zero words for the counter and the buffer.
+``stream`` puts the same words in a uint64 array for ``Philox``, which
+would round a tuple of ints above 2**63 through a float.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 import threading
 
 import numpy as np
 
 RandomStream = np.random.Generator
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # copied in by the state setter
+_KEY_WORDS = struct.Struct("=2Q")
+_ZERO_WORDS = (0, 0, 0, 0)  # read word by word by the state setter
 
 
 class _TagGenerators(threading.local):
@@ -41,14 +51,15 @@ class _TagGenerators(threading.local):
 _per_thread = _TagGenerators()
 
 
-def _key(master_seed: int, path: tuple[int | str, ...]) -> np.ndarray:
+def _key(master_seed: int, path: tuple[int | str, ...]) -> tuple[int, int]:
     text = "/".join([str(int(master_seed)), *map(str, path)])
-    return np.frombuffer(hashlib.sha256(text.encode()).digest()[:16], dtype=np.uint64)
+    return _KEY_WORDS.unpack_from(hashlib.sha256(text.encode()).digest())
 
 
 def stream(master_seed: int, *path: int | str) -> RandomStream:
     """Derive an independent generator for (master_seed, *path)."""
-    return np.random.Generator(np.random.Philox(key=_key(master_seed, path)))
+    key = np.array(_key(master_seed, path), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def trial_stream(master_seed: int, *path: int | str) -> RandomStream:

@@ -3,8 +3,10 @@
 Every event timestamp inside the simulator is an integer number of
 picoseconds.  Nanosecond-scale pulses and response windows then compare
 exactly, sums never accumulate rounding error, and serialized results are
-byte-stable.  Public interfaces speak SI seconds; conversion happens once
-at the boundary.
+byte-stable.  Public interfaces speak SI seconds, and each function that
+takes a time converts it with ``to_ps`` where it starts: a flag-pulse
+trial makes about 16 such calls across its layers, each giving the same
+picoseconds for the same seconds.
 
 A numeric config leaf declares its legal values by annotating it with
 one of the ``Annotated`` kinds below; ``errors.require_finite`` checks.
@@ -23,6 +25,9 @@ PS_PER_SECOND = 10**12
 MAX_SECONDS = 9.2e6
 # Most trials in one run: every trial's result is held until the run ends.
 MAX_TRIALS = 10**6
+# Most stimuli a config may expect in one trial: the generators and the
+# detector hold every one of them in memory at once.
+MAX_STIMULI = 10**7
 
 
 def to_ps(seconds: float) -> int:

@@ -251,6 +251,9 @@ class TestSimulateCommand:
             ("attack.fake_pulse_rate=1e300", "fake_pulse_rate"),
             # every trial's result would be held in memory
             ("trials=1e20", "trials"),
+            # each leaf in range, but a trial would expect over 1e7 stimuli
+            ("signal_rate=1e12 trial_duration=1", "signal_rate"),
+            ("detector.dark_rate=1e11", "dark_rate"),
             # no self-test fits the trial; several settings, space-separated
             ("trial_duration=0", "trial_duration"),
             ("duty_cycle=0.99 trial_duration=1e-5", "duty_cycle"),

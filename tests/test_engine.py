@@ -242,12 +242,57 @@ class TestConfigValidation:
         assert err.value.field == field
 
     def test_longest_accepted_duration_fits_int64_picoseconds(self):
-        # construction only: a trial this long would allocate gigabytes
-        cfg = ExperimentConfig(trial_duration=MAX_SECONDS)
+        # construction only; with no light and no dark counts a trial this
+        # long stays inside the stimulus budget
+        dark = DetectorParams(dark_rate=0.0)
+        cfg = ExperimentConfig(trial_duration=MAX_SECONDS, signal_rate=0.0, detector=dark)
         assert to_ps(cfg.trial_duration) <= 2**63 - 1
         with pytest.raises(ValidationError) as err:
-            ExperimentConfig(trial_duration=math.nextafter(MAX_SECONDS, math.inf))
+            replace(cfg, trial_duration=math.nextafter(MAX_SECONDS, math.inf))
         assert err.value.field == "trial_duration"
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(trial_duration=MAX_SECONDS)  # 5e11 signal photons
+        assert err.value.field == "signal_rate"
+
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            ({"signal_rate": 1e12 / 40}, "signal_rate"),  # x 4e-4 s
+            ({"detector": DetectorParams(dark_rate=1e12 / 40)}, "dark_rate"),
+            ({"detector": DetectorParams(noise_rate=1e12 / 40)}, "noise_rate"),
+            # 1 test of 200 us in the default 400 us trial
+            ({"plan": SelfTestPlan(Strategy.SALT, salt_rate=1e12 / 20)}, "salt_rate"),
+            (
+                {
+                    "scenario": Scenario.MANIPULATED,
+                    "attack": AttackScenario(blind_power_level=1e-3, fake_pulse_rate=1e12 / 40),
+                },
+                "fake_pulse_rate",
+            ),
+        ],
+    )
+    def test_stimulus_budget_names_the_largest_term(self, changes, field):
+        # each case expects 1e9 stimuli from its leaf, 100 times the budget
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(**changes)
+        assert err.value.field == field
+        assert "stimuli" in err.value.message
+
+    def test_stimulus_budget_counts_spans(self):
+        # the budget is 1e7 per 400 us trial; the fake pulses count only
+        # while the attacker blinds, and a FLAG_PULSE plan fires no salt
+        ExperimentConfig(signal_rate=2.4e10)  # 9.6e6 photons
+        with pytest.raises(ValidationError):
+            ExperimentConfig(signal_rate=2.6e10)
+        attack = AttackScenario(blind_power_level=1e-3, fake_pulse_rate=1e12, stop_blind_at=5e-6)
+        ExperimentConfig(attack=attack, scenario=Scenario.MANIPULATED)  # 5e6 fakes
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(
+                attack=replace(attack, stop_blind_at=2e-5), scenario=Scenario.MANIPULATED
+            )
+        assert err.value.field == "fake_pulse_rate"
+        plan = SelfTestPlan(Strategy.FLAG_PULSE, salt_rate=1e12, test_duration=1e-8)
+        ExperimentConfig(plan=plan, duty_cycle=0.05)  # as SALT, 2e7 salt photons
 
 
 def numeric_leaves(cls=ExperimentConfig, prefix=""):
@@ -277,15 +322,16 @@ def test_non_finite_or_non_numeric_leaf_rejected(path, bad):
 
 # A cross-field invariant names one field of the pair.  At the default
 # config (SALT plan, NORMAL scenario) a single numeric leaf can break
-# only these, each naming the partner field.
+# only these, each naming a partner field.
 _PARTNER = {
-    "attack.blind_power_level": "scenario",  # NORMAL carries no attack
-    "detector.fake_energy": "flag_pulse_energy",  # flag pulse stays below it
-    "plan.null_mean": "count_threshold",  # threshold sits below the mean
-    # the trial holds at least one test, and the tests fit it
-    "trial_duration": "duty_cycle",
-    "plan.test_duration": "duty_cycle",
-    "plan.response_window": "duty_cycle",
+    "attack.blind_power_level": ("scenario",),  # NORMAL carries no attack
+    "detector.fake_energy": ("flag_pulse_energy",),  # flag pulse stays below it
+    "plan.null_mean": ("count_threshold",),  # threshold sits below the mean
+    # the trial holds at least one test, and the tests fit it; a long
+    # trial expects more signal photons than the stimulus budget allows
+    "trial_duration": ("duty_cycle", "signal_rate"),
+    "plan.test_duration": ("duty_cycle",),
+    "plan.response_window": ("duty_cycle",),
 }
 
 
@@ -348,7 +394,7 @@ def test_numeric_leaf_is_valid_by_construction(path, kind, data):
     try:
         cfg = set_config_value(ExperimentConfig(), path, value)
     except ValidationError as err:
-        assert err.field in {path.rsplit(".", 1)[-1], _PARTNER.get(path)}
+        assert err.field in {path.rsplit(".", 1)[-1], *_PARTNER.get(path, ())}
     else:
         assert config_from_flat(config_to_flat(cfg)) == cfg
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 import sys
 import threading
 
@@ -36,7 +37,7 @@ DRAWS = {
 )
 def test_stream_keys_are_frozen(master_seed, path, key_hex):
     # the first 16 bytes of sha256("seed/part/..."): every digest rests on them
-    assert _key(master_seed, path).tobytes().hex() == key_hex
+    assert struct.pack("=2Q", *_key(master_seed, path)).hex() == key_hex
 
 
 @pytest.mark.parametrize("draw", sorted(DRAWS))
@@ -49,6 +50,23 @@ def test_rekeyed_stream_draws_equal_a_fresh_stream(draw):
         rekeyed = trial_stream(5, index, "le")
         assert rekeyed is used
         np.testing.assert_array_equal(DRAWS[draw](rekeyed), DRAWS[draw](stream(5, index, "le")))
+
+
+def test_rekeyed_state_equals_a_fresh_stream_state():
+    # a generator mid-buffer, with a spare 32-bit half, re-keyed by int words
+    used = trial_stream(6, 0, "signal")
+    used.random(2)
+    used.integers(0, 7, dtype=np.uint32)
+    assert used.bit_generator.state["buffer_pos"] < 4
+    assert used.bit_generator.state["has_uint32"] == 1
+    rekeyed = trial_stream(6, 9, "signal").bit_generator.state
+    fresh = stream(6, 9, "signal").bit_generator.state
+    assert rekeyed["bit_generator"] == fresh["bit_generator"] == "Philox"
+    for words in ("counter", "key"):
+        np.testing.assert_array_equal(rekeyed["state"][words], fresh["state"][words])
+    np.testing.assert_array_equal(rekeyed["buffer"], fresh["buffer"])
+    for field in ("buffer_pos", "has_uint32", "uinteger"):
+        assert rekeyed[field] == fresh[field], field
 
 
 def test_trial_tags_are_distinct_objects_and_stream_is_always_new():

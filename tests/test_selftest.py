@@ -27,7 +27,8 @@ from blindsim import (
     schedule_tests,
     stream,
 )
-from blindsim.units import to_ps
+from blindsim.selftest import fit_tests
+from blindsim.units import to_ps, to_seconds
 
 
 SALT_START = 100e-6
@@ -99,6 +100,30 @@ class TestScheduleTests:
             assert b0 >= a1
         for start, stop in spans:
             assert 0 <= start and stop <= 0.01 + 1e-12
+
+    @given(
+        slack=st.sampled_from([0, 1])
+        | st.integers(2**32 - 3, 2**32 + 3)
+        | st.integers(2**32 + 4, 2**42),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_schedule_draws_as_a_sorted_array_of_n(self, slack, n, seed):
+        # a lone start is drawn as a scalar; the starts and the state it
+        # leaves must be those of the sorted size-n array draw
+        plan = salt_plan(test_duration=1e-6)  # each test owns 10**6 ps
+        occupancy = to_ps(plan.test_duration)
+        dur_ps = n * occupancy + slack
+        duty = (n - 0.25) * occupancy / dur_ps
+        trial = to_seconds(dur_ps)
+        assert to_ps(trial) == dur_ps
+        assert fit_tests(trial, duty, plan) == (n, occupancy)
+        rng, ref = stream(seed, "schedule"), stream(seed, "schedule")
+        starts = schedule_tests(trial, duty, plan, rng)
+        drawn = np.sort(ref.integers(0, slack + 1, size=n))
+        assert starts == [to_seconds(int(s) + i * occupancy) for i, s in enumerate(drawn)]
+        assert rng.random() == ref.random()
 
 
 class TestEvaluateSalt:
