@@ -135,27 +135,29 @@ def process_timeline(
 
     pulses = timeline.pulses
     segments = timeline.cw_segments
-    edge_times = sorted(
-        {s.start_ps for s in segments}.union(s.stop_ps for s in segments if s.stop_ps < dur)
-    )
-    # whether the power after each edge holds the detector blind
-    held = [
-        math.fsum(s.power for s in segments if s.start_ps <= t < s.stop_ps)
-        >= params.blind_power
-        for t in edge_times
-    ]
-    # held spans (a, b]: a blinding edge to the next releasing edge
-    spans: list[tuple[int, int]] = []
-    onset = None
-    for t, h in zip(edge_times, held):
-        if h and onset is None:
-            onset = t
-        elif not h and onset is not None:
-            spans.append((onset, t))
-            onset = None
-    n_crossings = len(spans)
-    if onset is not None:
-        spans.append((onset, dur))
+    edge_times: list[int] = []
+    held: list[bool] = []  # whether the power after each edge holds the detector blind
+    spans: list[tuple[int, int]] = []  # held spans (a, b]: blinding edge to releasing edge
+    n_crossings = 0
+    if segments:
+        edge_times = sorted(
+            {s.start_ps for s in segments}.union(s.stop_ps for s in segments if s.stop_ps < dur)
+        )
+        held = [
+            math.fsum(s.power for s in segments if s.start_ps <= t < s.stop_ps)
+            >= params.blind_power
+            for t in edge_times
+        ]
+        onset = None
+        for t, h in zip(edge_times, held):
+            if h and onset is None:
+                onset = t
+            elif not h and onset is not None:
+                spans.append((onset, t))
+                onset = None
+        n_crossings = len(spans)
+        if onset is not None:
+            spans.append((onset, dur))
 
     n_photons, n_pulses = len(timeline.photons), len(pulses)
     u = rng.random(n_photons + n_pulses + n_crossings)
@@ -214,12 +216,13 @@ def process_timeline(
         elif prio == _PULSE:
             if t < dead_until:
                 continue
-            # forced at the fake-state energy; otherwise the armed response
+            # forced at the fake-state energy (the float BrightPulse.energy
+            # gives); otherwise the armed response
             pu = pulses[code]
             n = pu.photon_number
-            if not (pu.energy >= fake_energy or (not blinded and (
-                n is None or u_pulse[code] < 1.0 - (1.0 - eff) ** n
-            ))):
+            if not (pu.peak_power * (pu.width_ps / PS_PER_SECOND) >= fake_energy or (
+                not blinded and (n is None or u_pulse[code] < 1.0 - (1.0 - eff) ** n)
+            )):
                 continue
             cause = _PULSE_CAUSE[pu.source]
         elif prio == _NOISE:

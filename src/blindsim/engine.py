@@ -6,14 +6,20 @@ fragments, run the detector, and evaluate every scheduled test.  Each
 trial derives its own random streams from (master seed, trial index,
 module tag), so trials are reproducible in isolation and independent of
 execution order.  run_experiment can therefore split the trial range
-into contiguous shares and run them in forked worker processes: any
-split gives the same trials.
+into contiguous shares and run them in worker processes: any split gives
+the same trials.  Each worker is an ``os.fork`` child that sends its
+pickled share back over a pipe.  The caller runs the first share, reads
+the others in share order, and reaps the children once the histograms
+are built, so that their exit overlaps that work.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from operator import itemgetter
@@ -312,49 +318,72 @@ def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> list[TrialResult]
     return [run_trial(config, i) for i in range(lo, hi)]
 
 
-def _worker(send, config: ExperimentConfig, lo: int, hi: int) -> None:
-    """Body of a worker process: send ``(ok, trials or the exception)``."""
+def _run_child(write_fd: int, config: ExperimentConfig, lo: int, hi: int) -> None:
+    """Body of a forked worker: write the pickled ``(ok, trials or the exception)``.
+
+    The result is pickled before anything is written, so a result that
+    cannot be pickled sends nothing and reads as a worker that died.  The
+    child never returns: it leaves through ``os._exit``, skipping the
+    parent's exit handlers and buffered output.
+    """
+    status = 1
     try:
-        out = (True, _run_trials(config, lo, hi))
-    except Exception as e:
-        out = (False, e)
-    send.send(out)
+        try:
+            out = (True, _run_trials(config, lo, hi))
+        except Exception as e:
+            out = (False, e)
+        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _run_forked(config: ExperimentConfig, workers: int) -> list[TrialResult]:
-    """All trials, in contiguous shares: share 0 here, the others in forked children."""
-    import multiprocessing  # costs import time only when a run forks
+@contextmanager
+def _all_trials(config: ExperimentConfig, workers: int) -> Iterator[tuple[TrialResult, ...]]:
+    """All trials of a run, in index order, split into ``workers`` contiguous shares.
 
-    ctx = multiprocessing.get_context("fork")
+    The first share runs here and each other one in a forked child, which
+    sends it over its own pipe.  The children are reaped when the block
+    exits, so that their exit overlaps the caller's work on the trials.
+    On any exception, an interrupt included, the children still running
+    are killed first.
+    """
     n = config.trials
     bounds = [n * j // workers for j in range(workers + 1)]
-    children = []
+    shares = list(zip(bounds[1:-1], bounds[2:]))
+    pids: list[int] = []  # every forked child, reaped on the way out
+    pipes = []  # read ends, in share order
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(send, config, lo, hi))
-            proc.start()
-            send.close()  # the child holds the only write end, so its death reads as EOF
-            children.append((proc, recv, lo, hi))
+        for lo, hi in shares:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_child(write_fd, config, lo, hi)
+            pids.append(pid)
+            os.close(write_fd)  # the child holds the only write end: its exit reads as EOF
+            pipes.append(open(read_fd, "rb"))
         trials = _run_trials(config, 0, bounds[1])
-        for proc, recv, lo, hi in children:
-            try:
-                ok, payload = recv.recv()
-            except EOFError:
-                raise BlindsimError(
-                    f"worker for trials {lo}..{hi - 1} exited without a result"
-                ) from None
-            proc.join()
+        for pipe, (lo, hi) in zip(pipes, shares):
+            data = pipe.read()
+            if not data:
+                raise BlindsimError(f"worker for trials {lo}..{hi - 1} exited without a result")
+            ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
             trials.extend(payload)
-        return trials
+        yield tuple(trials)
     finally:
-        for proc, recv, _, _ in children:
-            recv.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            import signal  # about 1 ms of import time, paid only when a run forks
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)  # one whose share was read is exiting anyway
+                os.waitpid(pid, 0)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -369,13 +398,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     if threads < 1:
         raise ValidationError("threads", "must be >= 1")
     workers = min(threads, config.trials, os.cpu_count() or 1)
-    if workers > 1:
-        trials = tuple(_run_forked(config, workers))
-    else:
-        trials = tuple(_run_trials(config, 0, config.trials))
-    return ExperimentResult(
-        config=config, trials=trials, histograms=_build_histograms(config, trials)
-    )
+    with _all_trials(config, workers) as trials:
+        return ExperimentResult(
+            config=config, trials=trials, histograms=_build_histograms(config, trials)
+        )
 
 
 def _config_fields(cls, prefix: str = ""):

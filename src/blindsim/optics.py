@@ -14,6 +14,7 @@ in parallel with per-trial streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -107,7 +108,8 @@ class OpticalTimeline:
         )
 
     def validate(self) -> None:
-        if self.duration_ps < 0:
+        dur = self.duration_ps
+        if dur < 0:
             raise ValidationError("duration", "must be >= 0")
         times, codes = self.photons, self.photon_sources
         if not (isinstance(times, np.ndarray) and times.dtype == np.int64 and times.ndim == 1):
@@ -123,34 +125,38 @@ class OpticalTimeline:
             # in order, so the ends hold the extremes
             if times[0] < 0:
                 raise ValidationError("photons", "negative timestamp")
-            if times[-1] >= self.duration_ps:
+            if times[-1] >= dur:
                 raise ValidationError("photons", "timestamp beyond duration")
             if codes.max() >= len(PHOTON_SOURCES):
                 raise ValidationError("photon_sources", "code outside PhotonSource")
-        for seg in self.cw_segments:
-            if seg.start_ps < 0:
+        for start, stop, power, _ in self.cw_segments:
+            if type(start) is not int or type(stop) is not int:
+                raise ValidationError("cw_segments", "start and stop must be int picoseconds")
+            if start < 0:
                 raise ValidationError("cw_segments", "negative timestamp")
-            if seg.stop_ps <= seg.start_ps:
+            if stop <= start:
                 raise ValidationError("cw_segments", "empty or inverted segment")
-            if seg.start_ps >= self.duration_ps or seg.stop_ps > self.duration_ps:
+            if start >= dur or stop > dur:
                 raise ValidationError("cw_segments", "segment beyond duration")
-            if seg.power < 0:
-                raise ValidationError("cw_segments", "negative power")
-        last = -1
-        for pu in self.pulses:
-            if pu.time_ps < 0:
+            if not 0 <= power < math.inf:  # also false for nan
+                raise ValidationError("cw_segments", "power must be finite and >= 0")
+        last = 0
+        for t, width, peak, _, n in self.pulses:
+            if type(t) is not int or type(width) is not int:
+                raise ValidationError("pulses", "time and width must be int picoseconds")
+            if t < 0:
                 raise ValidationError("pulses", "negative timestamp")
-            if pu.time_ps < last:
+            if t < last:
                 raise ValidationError("pulses", "timestamps out of order")
-            if pu.time_ps >= self.duration_ps:
+            if t >= dur:
                 raise ValidationError("pulses", "timestamp beyond duration")
-            if pu.width_ps <= 0:
+            if width <= 0:
                 raise ValidationError("pulses", "width must be > 0")
-            if pu.peak_power < 0:
-                raise ValidationError("pulses", "negative peak power")
-            if pu.photon_number is not None and pu.photon_number < 1:
-                raise ValidationError("pulses", "photon_number must be >= 1")
-            last = pu.time_ps
+            if not 0 <= peak < math.inf:  # also false for nan
+                raise ValidationError("pulses", "peak power must be finite and >= 0")
+            if n is not None and (type(n) is not int or n < 1):
+                raise ValidationError("pulses", "photon_number must be None or an int >= 1")
+            last = t
 
 
 @dataclass(frozen=True)
@@ -185,16 +191,22 @@ class AttackScenario:
 def _poisson_arrival_ps(
     rate: float, duration_ps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Homogeneous Poisson arrival times as sorted integer picoseconds."""
+    """Homogeneous Poisson arrival times as sorted integer picoseconds.
+
+    With no arrivals it returns the read-only ``_NO_TIMES`` (``random(0)``
+    would draw nothing), otherwise a new writable array.
+    """
     if rate == 0 or duration_ps <= 0:
         return _NO_TIMES
     n = rng.poisson(rate * to_seconds(duration_ps))
+    if n == 0:
+        return _NO_TIMES
     # the cast is monotone, so sorting after it gives the same times
     times = (rng.random(n) * duration_ps).astype(np.int64)
     times.sort()
     # u < 1 can still scale up to duration_ps by round-to-even; keep the
     # half-open horizon exact
-    return _frozen(np.minimum(times, duration_ps - 1, out=times))
+    return np.minimum(times, duration_ps - 1, out=times)
 
 
 def gen_signal_photons(
@@ -204,7 +216,7 @@ def gen_signal_photons(
     if rate < 0:
         raise ValidationError("rate", "must be >= 0")
     duration_ps = to_ps(duration)
-    times = _poisson_arrival_ps(rate, duration_ps, rng)
+    times = _frozen(_poisson_arrival_ps(rate, duration_ps, rng))
     codes = _frozen(np.full(times.size, PHOTON_CODE[PhotonSource.SIGNAL], dtype=np.uint8))
     return OpticalTimeline(duration_ps=duration_ps, photons=times, photon_sources=codes)
 
@@ -230,9 +242,10 @@ def gen_attack(
     if scenario.fake_pulse_rate > 0:
         width_ps = to_ps(scenario.fake_width)
         active_ps = duration_ps if scenario.allow_fakes_without_blinding else stop_ps
-        peak = scenario.fake_peak_power
+        peak, fake = scenario.fake_peak_power, PulseSource.FAKE
+        # tuple.__new__ skips the NamedTuple's Python-level constructor
         pulses = tuple([
-            BrightPulse(t, width_ps, peak, PulseSource.FAKE)
+            tuple.__new__(BrightPulse, (t, width_ps, peak, fake, None))
             for t in _poisson_arrival_ps(scenario.fake_pulse_rate, active_ps, rng).tolist()
         ])
     return OpticalTimeline(duration_ps=duration_ps, cw_segments=segments, pulses=pulses)
@@ -290,9 +303,11 @@ def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:
 
     CW contributions stay separate tagged segments; the detector sums
     them.  The merge is order-insensitive: photons are re-sorted on
-    (time, source code) and the other events on their full tuples.  The
-    photons of the only fragment that has any are passed through as they
-    are, so each fragment's photons must already be in order, as the
+    (time, source code), pulses on their fields in order (with a None
+    photon number first) and segments on their full tuples.  The photons
+    of the only fragment that has any are passed through as they are, and
+    so are the pulses of the only fragment that has any.  So each
+    fragment's photons and pulses must already be in that order, as the
     generators make them.
     """
     if not fragments:
@@ -309,21 +324,22 @@ def merge_timelines(*fragments: OpticalTimeline) -> OpticalTimeline:
         codes = np.concatenate([f.photon_sources for f in lit])
         order = np.lexsort((codes, times))
         photons, sources = _frozen(times[order]), _frozen(codes[order])
-    segments: list[CwSegment] = []
-    pulses: list[BrightPulse] = []
-    for f in fragments:
-        segments.extend(f.cw_segments)
-        pulses.extend(f.pulses)
-    segments.sort()
-    # photon_number may be None; keep the key orderable
-    pulses.sort(
-        key=lambda p: (p.time_ps, p.width_ps, p.peak_power, p.source.value,
-                       -1 if p.photon_number is None else p.photon_number)
-    )
+    pulsed = [f.pulses for f in fragments if f.pulses]
+    if len(pulsed) < 2:
+        pulses = pulsed[0] if pulsed else ()
+    else:
+        # photon_number may be None; keep the key orderable.  A str Enum
+        # source sorts as its value.
+        pulses = tuple(sorted(
+            [p for fp in pulsed for p in fp],
+            key=lambda p: (p.time_ps, p.width_ps, p.peak_power, p.source,
+                           -1 if p.photon_number is None else p.photon_number),
+        ))
+    segments = tuple(sorted([s for f in fragments for s in f.cw_segments]))
     return OpticalTimeline(
         duration_ps=duration_ps,
         photons=photons,
         photon_sources=sources,
-        cw_segments=tuple(segments),
-        pulses=tuple(pulses),
+        cw_segments=segments,
+        pulses=pulses,
     )

@@ -254,6 +254,11 @@ class TestSimulateCommand:
             # each leaf in range, but a trial would expect over 1e7 stimuli
             ("signal_rate=1e12 trial_duration=1", "signal_rate"),
             ("detector.dark_rate=1e11", "dark_rate"),
+            # each trial in budget, but the salt null's 2000 windows would
+            # expect over 1e7 stimuli
+            ("signal_rate=2.5e8", "signal_rate"),
+            ("plan.salt_rate=5e7", "salt_rate"),
+            ("detector.dark_rate=1e9", "dark_rate"),
             # no self-test fits the trial; several settings, space-separated
             ("trial_duration=0", "trial_duration"),
             ("duty_cycle=0.99 trial_duration=1e-5", "duty_cycle"),
@@ -273,6 +278,8 @@ class TestSimulateCommand:
             "fake_pulse_rate": ("--protocol", "flag", "--scenario", "manipulated"),
             "stop_blind_at": ("--protocol", "self-blind", "--scenario", "recovery"),
             "salt_rate": ("--protocol", "salt"),
+            "signal_rate": ("--protocol", "salt"),
+            "dark_rate": ("--protocol", "salt"),
             "duty_cycle": ("--protocol", "salt"),
         }.get(field, ("--protocol", "flag"))
         settings = [arg for item in override.split() for arg in ("--set", item)]

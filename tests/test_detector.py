@@ -83,6 +83,27 @@ def count_law_pvalue(counts, law) -> float:
     return chisquare(observed, expected).pvalue
 
 
+@given(
+    mean=st.floats(0, 3),
+    duration_ps=st.integers(1, 10**9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_poisson_arrivals_draw_as_an_unconditional_random_call(mean, duration_ps, seed):
+    # The reference draws random(n) even when n is 0, as the generator did
+    # before it returned early on an empty count.
+    rate = mean / (duration_ps * 1e-12)
+    rng = stream(seed, "arrivals")
+    times = _poisson_arrival_ps(rate, duration_ps, rng)
+    ref = stream(seed, "arrivals")
+    n = ref.poisson(rate * (duration_ps / 10**12))
+    ref_times = np.sort((ref.random(n) * duration_ps).astype(np.int64))
+    np.testing.assert_array_equal(times, np.minimum(ref_times, duration_ps - 1))
+    assert times.dtype == np.int64
+    assert state_of(rng) == state_of(ref)
+    assert rng.random() == ref.random()
+
+
 class TestDarkCounts:
     def test_dark_rate_sets_the_click_count(self):
         # empty timeline, 0.2 s, 7e3/s dark rate: mean count 1400.
@@ -643,6 +664,43 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             process_timeline(ref_detector, timeline, stream(1))
         assert err.value.field == "photon_sources"
+
+    @pytest.mark.parametrize(
+        "segment",
+        [
+            CwSegment(0, 500, math.nan, CwSource.ATTACK_BLIND),
+            CwSegment(0, 500, math.inf, CwSource.ATTACK_BLIND),
+            CwSegment(0, 500, -1e-9, CwSource.ATTACK_BLIND),
+            CwSegment(0.5, 500, 1e-9, CwSource.ATTACK_BLIND),
+            CwSegment(0, 500.0, 1e-9, CwSource.ATTACK_BLIND),
+        ],
+        ids=["nan-power", "inf-power", "negative-power", "float-start", "float-stop"],
+    )
+    def test_bad_cw_segment_rejected(self, ref_detector, segment):
+        timeline = OpticalTimeline(duration_ps=1000, cw_segments=(segment,))
+        with pytest.raises(ValidationError) as err:
+            process_timeline(ref_detector, timeline, stream(1))
+        assert err.value.field == "cw_segments"
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            BrightPulse(100, 1000, math.nan, PulseSource.FAKE),
+            BrightPulse(100, 1000, math.inf, PulseSource.FAKE),
+            BrightPulse(100, 1000, 1e-9, PulseSource.FLAG, 1.5),
+            BrightPulse(100, 1000, 1e-9, PulseSource.FLAG, True),
+            BrightPulse(100, 1000, 1e-9, PulseSource.FLAG, 0),
+            BrightPulse(100, 1000.5, 1e-9, PulseSource.FLAG, 2),
+            BrightPulse(100.0, 1000, 1e-9, PulseSource.FLAG, 2),
+        ],
+        ids=["nan-peak", "inf-peak", "fractional-photons", "bool-photons", "no-photons",
+             "fractional-width", "float-time"],
+    )
+    def test_bad_pulse_rejected(self, ref_detector, pulse):
+        timeline = OpticalTimeline(duration_ps=1000, pulses=(pulse,))
+        with pytest.raises(ValidationError) as err:
+            process_timeline(ref_detector, timeline, stream(1))
+        assert err.value.field == "pulses"
 
     @pytest.mark.parametrize(
         "field,value",

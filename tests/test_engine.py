@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import signal
+import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -14,9 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from blindsim import (
     AttackScenario,
+    BrightPulse,
     Decision,
     DetectorParams,
     ExperimentConfig,
+    OpticalTimeline,
+    PulseSource,
     Scenario,
     SelfTestPlan,
     Strategy,
@@ -516,6 +519,12 @@ def bounded_wait():
         signal.signal(signal.SIGALRM, previous)
 
 
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkerInvariance:
     def test_results_identical_across_thread_counts(self):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=60, seed=16)
@@ -550,7 +559,7 @@ class TestWorkerInvariance:
             run_experiment(cfg, threads=2)
         assert err.value.field == "trial_index"
         assert int(str(err.value).rsplit(" ", 1)[1]) != caller
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_worker_dying_without_a_result_names_its_trials(
         self, forking, bounded_wait, monkeypatch
@@ -565,12 +574,48 @@ class TestWorkerInvariance:
         monkeypatch.setattr(engine, "run_trial", run_trial_dying_late)
         with pytest.raises(BlindsimError, match=r"trials 5\.\.9"):
             run_experiment(cfg, threads=2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_worker_result_that_cannot_be_pickled_reads_as_no_result(
+        self, forking, bounded_wait, monkeypatch
+    ):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+
+        def run_trial_raising_late(config, i):
+            if i >= 5:  # only ever in the child: ``forking`` makes two shares
+                error = BlindsimError("cannot cross a pipe")
+                error.hook = lambda: None  # a lambda does not pickle
+                raise error
+            return run_trial(config, i)
+
+        monkeypatch.setattr(engine, "run_trial", run_trial_raising_late)
+        with pytest.raises(BlindsimError, match=r"trials 5\.\.9"):
+            run_experiment(cfg, threads=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValidationError("trial_index", "boom"), KeyboardInterrupt()])
+    def test_caller_raising_kills_and_reaps_its_workers(
+        self, forking, bounded_wait, monkeypatch, error
+    ):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+        caller = os.getpid()
+
+        def run_trial_failing_here(config, i):
+            if os.getpid() == caller:
+                raise error
+            time.sleep(60)  # the child's share would outlast the test's wait
+
+        monkeypatch.setattr(engine, "run_trial", run_trial_failing_here)
+        started = time.monotonic()
+        with pytest.raises(type(error)):
+            run_experiment(cfg, threads=2)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
 
     def test_no_worker_outlives_the_run(self, forking, bounded_wait):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
         assert run_experiment(cfg, threads=2).trials == run_experiment(cfg).trials
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_worker_rejected(self, threads):
@@ -638,3 +683,38 @@ def test_fragment_order_changes_neither_timeline_nor_clicks(scenario, strategy, 
     assert merged == timeline
     clicks = process_timeline(cfg.detector, timeline, stream(cfg.seed, index, "detector"))
     assert process_timeline(cfg.detector, merged, stream(cfg.seed, index, "detector")) == clicks
+
+
+@pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)
+def test_dead_time_is_one_full_window_per_click(scenario, strategy):
+    # The law behind calibrate_dead_time: every click opens a dead window
+    # of dead_time and no click falls inside one, so the dead time of a
+    # trial, the measure of the union of [t, t + dead_ps) within the
+    # horizon, is sum(min(dead_ps, horizon - t)) over its clicks, exactly.
+    cfg = preset_config(scenario, strategy, trials=100, seed=23)
+    dead_ps = to_ps(cfg.detector.dead_time)
+    # the arm's detector on two forced pulses: the second clicks once
+    # they are dead_ps apart, and not a picosecond sooner
+    quiet = replace(cfg.detector, dark_rate=0.0, afterpulse_prob=0.0, noise_rate=0.0)
+    for gap, clicks in ((dead_ps - 1, 1), (dead_ps, 2)):
+        pair = OpticalTimeline(
+            duration_ps=gap + 1000,
+            pulses=tuple(BrightPulse(t, 1000, 1e-5, PulseSource.FAKE) for t in (0, gap)),
+        )
+        assert len(process_timeline(quiet, pair, stream(23, "pair"))) == clicks
+    total_clicks = 0
+    for index in range(cfg.trials):
+        _, timeline = build_trial_timeline(cfg, index)
+        horizon = timeline.duration_ps
+        times = [c.time_ps for c in process_timeline(
+            cfg.detector, timeline, stream(cfg.seed, index, "detector")
+        )]
+        assert all(b - a >= dead_ps for a, b in zip(times, times[1:]))
+        dead = reach = 0  # union of the dead windows, swept in time order
+        for t in times:
+            end = min(t + dead_ps, horizon)
+            dead += max(0, end - max(t, reach))
+            reach = max(reach, end)
+        assert dead == sum(min(dead_ps, horizon - t) for t in times)
+        total_clicks += len(times)
+    assert total_clicks > 5 * cfg.trials

@@ -236,6 +236,40 @@ class TestMergeTimelines:
         b = gen_signal_photons(rate_b, 2e-4, stream(seed, "b"))
         assert merge_timelines(a, b) == merge_timelines(b, a)
 
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generator_pulses_merge_key_sorted_in_any_order(self, seed, data):
+        # fake pulses plus flag pulses of both widths, some at the instant
+        # of a fake pulse, so that ties reach the later fields of the key
+        dur = 50e-6
+        attack = gen_attack(
+            AttackScenario(blind_power_level=5e-10, fake_pulse_rate=2e5), dur, stream(seed)
+        )
+        fake_times = [p.time_ps for p in attack.pulses]
+        instants = st.integers(0, to_ps(dur) - to_ps(25e-9))
+        if fake_times:
+            instants = instants | st.sampled_from(fake_times)
+        plans = [
+            SelfTestPlan(strategy=Strategy.FLAG_PULSE, test_duration=25e-9),
+            SelfTestPlan(strategy=Strategy.FLAG_PULSE, test_duration=25e-9,
+                         flag_photon_number=None),
+            SelfTestPlan(strategy=Strategy.SELF_BLIND, test_duration=25e-9),
+        ]
+        flags = [
+            gen_le_schedule(data.draw(st.sampled_from(plans)), start_ps * 1e-12, dur, stream(1))
+            for start_ps in data.draw(st.lists(instants, max_size=4), label="flag starts")
+        ]
+        fragments = [attack, *flags]
+        # the sort key before sources sorted as enums: the source's text
+        expected = tuple(sorted(
+            (p for f in fragments for p in f.pulses),
+            key=lambda p: (p.time_ps, p.width_ps, p.peak_power, p.source.value,
+                           -1 if p.photon_number is None else p.photon_number),
+        ))
+        merged = merge_timelines(*fragments)
+        assert merged.pulses == expected
+        assert merge_timelines(*data.draw(st.permutations(fragments), label="order")) == merged
+
 
 class TestTimelineValidation:
     def test_pulse_energy_is_peak_times_width(self):
