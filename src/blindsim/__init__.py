@@ -37,18 +37,14 @@ from .optics import (
 )
 from .rng import stream
 from .selftest import (
-    BinomialCounts,
     Decision,
     DecisionCalibration,
-    EmpiricalCounts,
     PoissonCounts,
     SelfTestPlan,
     Strategy,
     Verdict,
-    choose_threshold,
     decision_error_rates,
     evaluate_flag_pulse,
-    evaluate_flag_pulse_batch,
     evaluate_salt,
     evaluate_self_blind,
     schedule_tests,

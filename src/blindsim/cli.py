@@ -26,7 +26,7 @@ from .engine import (
     sweep,
     tally_verdicts,
 )
-from .errors import BlindsimError, ValidationError
+from .errors import BlindsimError
 from .manifest import (
     RunManifest,
     _format_value,
@@ -42,7 +42,6 @@ from .manifest import (
 from .presets import (
     FIGURE_TRIALS,
     SALT_NULL,
-    SALT_NULL_WINDOWS,
     SIGNAL_RATE,
     preset_config,
     reference_detector,
@@ -51,7 +50,7 @@ from .presets import (
 from .rng import stream
 from .selftest import Strategy
 from .stats import clopper_pearson_interval, count_distribution_oracle
-from .units import MAX_STIMULI, MAX_TRIALS
+from .units import MAX_TRIALS
 
 _SCENARIOS = {
     "normal": Scenario.NORMAL,
@@ -136,33 +135,11 @@ def _attach_salt_null(config: ExperimentConfig):
 
     The null comes from ``presets.salt_null``: the frozen
     ``presets.SALT_NULL`` for the reference detector, rate and window,
-    otherwise simulated at a fixed seed, never at ``config.seed``.  A
-    null that would simulate more than ``MAX_STIMULI`` stimuli over its
-    ``SALT_NULL_WINDOWS`` windows is rejected, naming the rate leaf with
-    the largest share.
+    otherwise simulated at a fixed seed, never at ``config.seed``.
     """
     if config.plan.strategy != Strategy.SALT:
         return config, None
-    window = config.plan.test_duration
-    terms = {
-        "signal_rate": config.signal_rate * window,
-        "salt_rate": config.plan.salt_rate * window,
-        "dark_rate": config.detector.dark_rate * window,
-        "noise_rate": config.detector.noise_rate * window,
-    }
-    total = SALT_NULL_WINDOWS * sum(terms.values())
-    if total > MAX_STIMULI:
-        leaf = max(terms, key=terms.get)
-        raise ValidationError(
-            leaf,
-            f"the salt null's {SALT_NULL_WINDOWS} windows would expect {total:.3g}"
-            f" stimuli, more than the {MAX_STIMULI:g} allowed",
-        )
-    null = salt_null(
-        config.detector,
-        config.signal_rate + config.plan.salt_rate,
-        window,
-    )
+    null = salt_null(config)
     plan = replace(config.plan, null_distribution=null, null_mean=None)
     return replace(config, plan=plan), null
 

@@ -26,18 +26,17 @@ recomputed by a test.
 from __future__ import annotations
 
 from .detector import DetectorParams, calibrate_dead_time
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .engine import ExperimentConfig, Scenario
 from .optics import AttackScenario
 from .rng import stream
 from .selftest import SelfTestPlan, Strategy
 from .stats import Histogram, count_distribution_oracle
+from .units import MAX_STIMULI
 
 CLICK_RATE = 5.0e4  # operating event rate, events/second
 SALT_TEST_RATE = 5.0e5  # event rate during a salt test (mean 100 per window)
 WINDOW = 200e-6  # counting window T
-DARK_RATE = 7.0e3
-AFTERPULSE_PROB = 0.4
 MAX_RATE = 5.0e5
 BLIND_POWER = 5.0e-10
 FAKE_PEAK_POWER = 3.0e-6
@@ -88,15 +87,32 @@ def reference_detector(
     )
 
 
-def salt_null(detector: DetectorParams, rate: float, window: float) -> Histogram:
-    """Click-count distribution of a healthy ``detector`` in a salt window.
+def salt_null(config: ExperimentConfig) -> Histogram:
+    """Click-count distribution of a healthy detector in one salt window.
 
-    ``rate`` is the total photon rate (signal plus salt) and ``window``
-    the counting time T.  The reference detector at the preset rate and
+    The detector, total photon rate (signal plus salt) and window T come
+    from ``config``.  The reference detector at the preset rate and
     window gets the frozen ``SALT_NULL``; any other is simulated over
     ``SALT_NULL_WINDOWS`` windows from the ``NULL_SEED`` stream, which
-    takes about 0.6 s.
+    takes about 0.6 s.  A null that would expect more than
+    ``MAX_STIMULI`` stimuli over those windows is rejected first, naming
+    the rate leaf with the largest share.
     """
+    detector, window = config.detector, config.plan.test_duration
+    terms = {
+        "signal_rate": config.signal_rate * window,
+        "salt_rate": config.plan.salt_rate * window,
+        "dark_rate": detector.dark_rate * window,
+        "noise_rate": detector.noise_rate * window,
+    }
+    total = SALT_NULL_WINDOWS * sum(terms.values())
+    if total > MAX_STIMULI:
+        raise ValidationError(
+            max(terms, key=terms.get),
+            f"the salt null's {SALT_NULL_WINDOWS} windows would expect {total:.3g}"
+            f" stimuli, more than the {MAX_STIMULI:g} allowed",
+        )
+    rate = config.signal_rate + config.plan.salt_rate
     if (detector, rate, window) == (reference_detector(), SIGNAL_RATE + SALT_RATE, WINDOW):
         return SALT_NULL
     return count_distribution_oracle(

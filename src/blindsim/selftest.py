@@ -25,12 +25,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
-from .stats import Histogram, binomial_tail, poisson_tail
+from .stats import Histogram, poisson_tail
 from .units import Count, NonNegative, Positive, PositiveCount, PositiveDuration, Probability
 from .units import Rate, to_ps, to_seconds
 
@@ -74,7 +74,6 @@ class SelfTestPlan:
     null_mean: Positive | None = None  # salt-test count mean under normal operation
     null_distribution: Histogram | None = None  # salt-test null, from presets.salt_null
     null_response_prob: Probability = 0.934  # flag response of a healthy detector
-    alt_response_prob: Probability = 0.003  # flag response of a manipulated detector
     null_onset_prob: Probability = 0.976  # self-blind onset click probability
     null_in_blind_mean: NonNegative = 1e-3  # expected noise clicks while self-blinded
 
@@ -192,40 +191,6 @@ def evaluate_flag_pulse(
     return Verdict(decision, count, flag_seen=seen, p_value=p)
 
 
-def evaluate_flag_pulse_batch(
-    plan: SelfTestPlan,
-    test_starts: Sequence[float],
-    clicks: Sequence[ClickRecord],
-    response_threshold: int | None = None,
-) -> Verdict:
-    """Aggregate verdict over many flag pulses.
-
-    Declares NEGATIVE_MANIPULATION when the number of responses falls
-    below a count threshold; by default the threshold is chosen from the
-    calibrated response probabilities to minimize the larger of the two
-    decision error rates.
-    """
-    k = len(test_starts)
-    if k == 0:
-        return Verdict(Decision.INCONCLUSIVE, 0)
-    responses = sum(
-        1 for start in test_starts if evaluate_flag_pulse(plan, start, clicks).flag_seen
-    )
-    if response_threshold is None:
-        cal = DecisionCalibration(
-            manipulated=BinomialCounts(k, plan.alt_response_prob),
-            normal=BinomialCounts(k, plan.null_response_prob),
-        )
-        response_threshold = choose_threshold(cal, 0, k)
-    decision = (
-        Decision.NORMAL
-        if responses >= response_threshold
-        else Decision.NEGATIVE_MANIPULATION
-    )
-    p = binomial_tail(k, plan.null_response_prob, responses, "lower")
-    return Verdict(decision, responses, flag_seen=responses > 0, p_value=p)
-
-
 def evaluate_self_blind(
     plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
 ) -> Verdict:
@@ -267,14 +232,6 @@ def evaluate_self_blind(
     )
 
 
-class CountModel(Protocol):
-    """Distribution of a decision statistic (a count)."""
-
-    def tail_geq(self, k: int) -> float: ...
-
-    def tail_lt(self, k: int) -> float: ...
-
-
 @dataclass(frozen=True)
 class PoissonCounts:
     mean: float
@@ -287,34 +244,11 @@ class PoissonCounts:
 
 
 @dataclass(frozen=True)
-class BinomialCounts:
-    n: int
-    p: float
-
-    def tail_geq(self, k: int) -> float:
-        return binomial_tail(self.n, self.p, k, "upper") if k > 0 else 1.0
-
-    def tail_lt(self, k: int) -> float:
-        return binomial_tail(self.n, self.p, k - 1, "lower") if k > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class EmpiricalCounts:
-    histogram: Histogram
-
-    def tail_geq(self, k: int) -> float:
-        return 1.0 - self.histogram.lower_tail(k - 1)
-
-    def tail_lt(self, k: int) -> float:
-        return self.histogram.lower_tail(k - 1) if k > 0 else 0.0
-
-
-@dataclass(frozen=True)
 class DecisionCalibration:
     """Calibrated statistic distributions under the two hypotheses."""
 
-    manipulated: CountModel
-    normal: CountModel
+    manipulated: PoissonCounts
+    normal: PoissonCounts
 
 
 def decision_error_rates(
@@ -336,30 +270,3 @@ def decision_error_rates(
     miss = calibration.normal.tail_lt(threshold)
     return false_alarm, miss
 
-
-def choose_threshold(
-    calibration: DecisionCalibration, lo: int, hi: int
-) -> int:
-    """Integer threshold in [lo, hi] minimizing max(false_alarm, miss).
-
-    false_alarm is non-increasing and miss non-decreasing in the
-    threshold, so max of the two is V-shaped; binary search finds the
-    crossing and the neighbors decide.
-    """
-    if hi < lo:
-        raise ValidationError("hi", "must be >= lo")
-
-    def score(t: int) -> float:
-        return max(
-            calibration.manipulated.tail_geq(t), calibration.normal.tail_lt(t)
-        )
-
-    a, b = lo, hi
-    while b - a > 2:
-        m = (a + b) // 2
-        if calibration.manipulated.tail_geq(m) > calibration.normal.tail_lt(m):
-            a = m
-        else:
-            b = m
-    candidates = range(max(lo, a - 1), min(hi, b + 1) + 1)
-    return min(candidates, key=score)

@@ -53,9 +53,11 @@ class TestConfigRoundTrip:
         assert config_from_flat(config_to_flat(config)) == config
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(Exception) as err:
-            config_from_flat({"detector.effciency": "0.5"})
-        assert "effciency" in str(err.value)
+        # a typo, and a leaf that older manifests still carry
+        for key in ("detector.effciency", "plan.alt_response_prob"):
+            with pytest.raises(Exception) as err:
+                config_from_flat({key: "0.5"})
+            assert key in str(err.value)
 
     def test_manifest_round_trip(self):
         config = salt_config(Scenario.NORMAL, trials=3, seed=4)

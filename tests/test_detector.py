@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from blindsim import (
     PHOTON_SOURCES,
     PhotonSource,
     PulseSource,
+    Scenario,
     ValidationError,
     calibrate_dead_time,
     count_distribution_oracle,
@@ -767,6 +769,10 @@ class TestCalibrateDeadTime:
         assert frac == pytest.approx(0.934, abs=0.02)
 
 
+def salt_preset():
+    return presets.salt_config(Scenario.NORMAL, trials=1, seed=1)
+
+
 class TestSourceRates:
     def test_preset_rates_match_calibration(self):
         flag = presets.reference_detector(presets.FLAG_ARMED_FRACTION)
@@ -792,9 +798,16 @@ class TestSourceRates:
         # on a mismatch, the literal to freeze as SALT_NULL_COUNTS
         literal = f"from bin {null.bin_edges[0]:g}: {null.counts}"
         assert presets.SALT_NULL == null, literal
-        assert presets.salt_null(
-            presets.reference_detector(), presets.SIGNAL_RATE + presets.SALT_RATE, presets.WINDOW
-        ) is presets.SALT_NULL
+        assert presets.salt_null(salt_preset()) is presets.SALT_NULL
+
+    def test_salt_null_over_budget_is_rejected_before_simulating(self, monkeypatch):
+        def oracle(*args):
+            raise AssertionError("the over-budget null was simulated")
+
+        monkeypatch.setattr(presets, "count_distribution_oracle", oracle)
+        with pytest.raises(ValidationError) as err:
+            presets.salt_null(replace(salt_preset(), signal_rate=2.5e8))
+        assert err.value.field == "signal_rate"
 
     @pytest.mark.parametrize("dead_time", [4.8e-7, 1.32e-6])
     @pytest.mark.parametrize("photon_rate", [5e4, 5e5])
