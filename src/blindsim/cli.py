@@ -19,7 +19,6 @@ import click
 
 from . import __version__
 from .engine import (
-    CONFIG_LEAVES,
     ExperimentConfig,
     Scenario,
     run_experiment,
@@ -30,10 +29,10 @@ from .errors import BlindsimError
 from .manifest import (
     RunManifest,
     _format_value,
-    _parse_scalar,
     config_from_flat,
     config_to_flat,
-    load_config_text,
+    flat_config_text,
+    parse_leaf,
     read_trial_records,
     sha256_file,
     write_histogram_csv,
@@ -74,7 +73,8 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _resolve_seed(cli_seed: int | None, config_seed: int) -> int:
+def _resolve_seed(cli_seed: int | None, default: int | None = None) -> int | None:
+    """The --seed value, else BLINDSIM_SEED, else ``default``."""
     if cli_seed is not None:
         return cli_seed
     env = os.environ.get("BLINDSIM_SEED")
@@ -83,7 +83,7 @@ def _resolve_seed(cli_seed: int | None, config_seed: int) -> int:
             return int(env)
         except ValueError as e:
             raise click.ClickException(f"BLINDSIM_SEED: expected an integer, got {env!r}") from e
-    return config_seed
+    return default
 
 
 def _build_config(
@@ -94,38 +94,39 @@ def _build_config(
     seed: int | None,
     overrides: tuple[str, ...],
 ) -> ExperimentConfig:
+    """The config of a config file, manifest or preset, with every override applied.
+
+    Each source and override is config text, parsed and validated once.
+    """
     try:
         if config_path is not None:
             try:
                 text = Path(config_path).read_text()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise _IOFailure(f"cannot read config: {e}") from e
-            config = load_config_text(text)
+            flat = flat_config_text(text)
         else:
-            config = preset_config(
+            flat = config_to_flat(preset_config(
                 _SCENARIOS[scenario or "normal"],
                 _PROTOCOLS[protocol or "salt"],
-                trials=trials if trials is not None else 1000,
-                seed=seed if seed is not None else 1,
-            )
-        # Every override is edited as config-file text and parsed once,
-        # exactly like a config file.
-        flat = config_to_flat(config)
+                trials=1000,
+                seed=1,
+            ))
         if scenario is not None:
             flat["scenario"] = _SCENARIOS[scenario].value
         if protocol is not None:
             flat["plan.strategy"] = _PROTOCOLS[protocol].value
         if trials is not None:
             flat["trials"] = str(trials)
-        flat["seed"] = str(_resolve_seed(seed, config.seed))
+        resolved_seed = _resolve_seed(seed)
+        if resolved_seed is not None:
+            flat["seed"] = str(resolved_seed)
         for item in overrides:
             if "=" not in item:
                 raise click.ClickException(f"--set expects dotted.path=value, got {item!r}")
             path, _, value = item.partition("=")
             flat[path.strip()] = value.strip()
         return config_from_flat(flat)
-    except click.ClickException:
-        raise
     except BlindsimError as e:
         raise click.ClickException(str(e)) from e
 
@@ -253,7 +254,7 @@ def figure(name, outdir, seed, trials, threads):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise _IOFailure(f"cannot create output directory: {e}") from e
-    seed = _resolve_seed(seed, 1)
+    seed = _resolve_seed(seed, default=1)
     try:
         if name == "fig3b":
             n = FIGURE_TRIALS[name][0] if trials is None else trials
@@ -341,11 +342,9 @@ def analyze(results_dir):
 def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outdir, threads):
     """Re-run the experiment across parameter values and tabulate metrics."""
     config = _build_config(config_path, scenario, protocol, trials, seed, ())
-    if param not in CONFIG_LEAVES:
-        raise click.ClickException(f"unknown config keys: {param}")
     try:
         # each value text is parsed like a config file line for that field
-        typed = [_parse_scalar(text, CONFIG_LEAVES[param], param) for text in _parse_values(values)]
+        typed = [parse_leaf(param, text) for text in _parse_values(values)]
         rows = sweep(config, param, typed, threads=threads)
     except BlindsimError as e:
         raise click.ClickException(str(e)) from e

@@ -92,16 +92,20 @@ class ExperimentConfig:
             raise ValidationError(
                 leaf,
                 f"a trial would expect {total:.3g} stimuli ({terms[leaf]:.3g} from this"
-                f" rate), more than the {MAX_STIMULI:g} allowed",
+                f" leaf), more than the {MAX_STIMULI:g} allowed",
             )
 
 
 def _expected_stimuli(config: ExperimentConfig, n_tests: int) -> dict[str, float]:
-    """Expected stimuli per trial from each rate leaf: its rate times the span it acts over."""
+    """Expected stimuli per trial by leaf: each rate times the span it acts over.
+
+    The tests count too, under ``test_duration``: each fires a flag pulse
+    or builds a fragment, and each gets a verdict.
+    """
     trial = config.trial_duration
     plan, attack, detector = config.plan, config.attack, config.detector
     fake_span = trial
-    if attack.stop_blind_at is not None and not attack.allow_fakes_without_blinding:
+    if attack.stop_blind_at is not None:
         fake_span = min(trial, attack.stop_blind_at)
     salt = plan.salt_rate * plan.test_duration * n_tests if plan.strategy == Strategy.SALT else 0.0
     return {
@@ -110,6 +114,7 @@ def _expected_stimuli(config: ExperimentConfig, n_tests: int) -> dict[str, float
         "dark_rate": detector.dark_rate * trial,
         "noise_rate": detector.noise_rate * trial,
         "fake_pulse_rate": attack.fake_pulse_rate * fake_span,
+        "test_duration": n_tests,
     }
 
 

@@ -34,8 +34,6 @@ def _format_value(value: Any) -> str:
         return "none"
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -46,54 +44,38 @@ def config_to_flat(config: ExperimentConfig) -> dict[str, str]:
     return {path: _format_value(attrgetter(path)(config)) for path in CONFIG_LEAVES}
 
 
-def _parse_scalar(text: str, annotation: Any, key: str) -> Any:
-    target, optional = field_kind(annotation)
+def parse_leaf(path: str, text: str) -> Any:
+    """The value that config text ``text`` gives the leaf at dotted ``path``."""
+    if path not in CONFIG_LEAVES:
+        raise ConfigError(f"unknown config key: {path}")
+    target, optional = field_kind(CONFIG_LEAVES[path])
     if text == "none":
         if optional:
             return None
-        raise ConfigError(f"{key}: 'none' not allowed here")
-    if isinstance(target, type) and issubclass(target, Enum):
+        raise ConfigError(f"{path}: 'none' not allowed here")
+    if issubclass(target, Enum):
         try:
             return target(text.upper())
         except ValueError as e:
-            raise ConfigError(f"{key}: unknown value {text!r}") from e
-    if target is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+            raise ConfigError(f"{path}: unknown value {text!r}") from e
     if target is int:
         try:
             return int(text)
         except ValueError:
             pass  # integral numbers such as 1e3 are accepted below
-    if target in (int, float):
-        try:
-            number = float(text)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number) or (target is int and not number.is_integer()):
-            kind = "an integer" if target is int else "a finite number"
-            raise ConfigError(f"{key}: expected {kind}, got {text!r}")
-        return int(number) if target is int else number
-    if target is str:
-        return text
-    raise ConfigError(f"{key}: unsupported field type {annotation!r}")
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number) or (target is int and not number.is_integer()):
+        kind = "an integer" if target is int else "a finite number"
+        raise ConfigError(f"{path}: expected {kind}, got {text!r}")
+    return int(number) if target is int else number
 
 
 def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
-    """Rebuild a config from dotted-path text values; unknown keys fail."""
-    unknown = flat.keys() - CONFIG_LEAVES.keys()
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return build_config(
-        {
-            path: _parse_scalar(flat[path], ann, path)
-            for path, ann in CONFIG_LEAVES.items()
-            if path in flat
-        }
-    )
+    """Build a config from dotted-path text values; unknown keys fail."""
+    return build_config({path: parse_leaf(path, text) for path, text in flat.items()})
 
 
 def dumps_flat(mapping: dict[str, str]) -> str:
@@ -113,14 +95,15 @@ def parse_flat(text: str) -> dict[str, str]:
     return out
 
 
-def load_config_text(text: str) -> ExperimentConfig:
-    """Load a config from plain config text or from a manifest."""
+def _section(flat: dict[str, str], prefix: str) -> dict[str, str]:
+    """The entries of ``flat`` under ``prefix``, with the prefix stripped."""
+    return {k[len(prefix):]: v for k, v in flat.items() if k.startswith(prefix)}
+
+
+def flat_config_text(text: str) -> dict[str, str]:
+    """The config entries of plain config text or of a manifest, as text."""
     flat = parse_flat(text)
-    if any(k.startswith("config.") for k in flat):
-        flat = {
-            k[len("config."):]: v for k, v in flat.items() if k.startswith("config.")
-        }
-    return config_from_flat(flat)
+    return _section(flat, "config.") or flat
 
 
 @dataclass(frozen=True)
@@ -168,17 +151,11 @@ class RunManifest:
             threads = int(flat.get("run.threads", "1"))
         except KeyError as e:
             raise ConfigError(f"manifest missing field {e.args[0]!r}") from e
-        config_flat = {
-            k[len("config."):]: v for k, v in flat.items() if k.startswith("config.")
-        }
+        config_flat = _section(flat, "config.")
         if not config_flat:
             raise ConfigError("manifest carries no config snapshot")
-        digests = {
-            k[len("digest."):]: v for k, v in flat.items() if k.startswith("digest.")
-        }
-        timings = {
-            k[len("timing."):]: float(v) for k, v in flat.items() if k.startswith("timing.")
-        }
+        digests = _section(flat, "digest.")
+        timings = {k: float(v) for k, v in _section(flat, "timing.").items()}
         return cls(
             version, seed, started, finished, threads, config_flat, digests,
             flat.get("run.salt_null"), timings,

@@ -163,9 +163,8 @@ class OpticalTimeline:
 class AttackScenario:
     """Eavesdropper activity: CW blinding plus fake-state pulses.
 
-    Fake states only make sense against a blinded detector; generating
-    them without blinding must be requested explicitly via
-    ``allow_fakes_without_blinding``.
+    Fake states only make sense against a blinded detector, so they need
+    blinding light and stop when it stops.
     """
 
     blind_power_level: NonNegative = 0.0  # watts; 0 means no attack
@@ -173,19 +172,11 @@ class AttackScenario:
     fake_peak_power: NonNegative = 3.0e-6  # watts
     fake_width: PositiveDuration = 2.0e-9  # seconds
     stop_blind_at: Duration | None = None  # attacker ceases at this time
-    allow_fakes_without_blinding: bool = False
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if (
-            self.fake_pulse_rate > 0
-            and self.blind_power_level == 0
-            and not self.allow_fakes_without_blinding
-        ):
-            raise ValidationError(
-                "fake_pulse_rate",
-                "fake states without blinding require allow_fakes_without_blinding",
-            )
+        if self.fake_pulse_rate > 0 and self.blind_power_level == 0:
+            raise ValidationError("fake_pulse_rate", "fake states need blinding light")
 
 
 def _poisson_arrival_ps(
@@ -241,12 +232,11 @@ def gen_attack(
     pulses: tuple[BrightPulse, ...] = ()
     if scenario.fake_pulse_rate > 0:
         width_ps = to_ps(scenario.fake_width)
-        active_ps = duration_ps if scenario.allow_fakes_without_blinding else stop_ps
         peak, fake = scenario.fake_peak_power, PulseSource.FAKE
         # tuple.__new__ skips the NamedTuple's Python-level constructor
         pulses = tuple([
             tuple.__new__(BrightPulse, (t, width_ps, peak, fake, None))
-            for t in _poisson_arrival_ps(scenario.fake_pulse_rate, active_ps, rng).tolist()
+            for t in _poisson_arrival_ps(scenario.fake_pulse_rate, stop_ps, rng).tolist()
         ])
     return OpticalTimeline(duration_ps=duration_ps, cw_segments=segments, pulses=pulses)
 

@@ -15,14 +15,14 @@ from click.testing import CliRunner
 
 import blindsim
 from blindsim.cli import _build_config, main
-from blindsim.engine import CONFIG_LEAVES, ExperimentConfig, run_experiment
+from blindsim.engine import ExperimentConfig, run_experiment
 from blindsim.manifest import (
     RunManifest,
-    _parse_scalar,
     config_from_flat,
     config_to_flat,
-    load_config_text,
+    flat_config_text,
     parse_flat,
+    parse_leaf,
     read_histogram_csv,
 )
 from blindsim.presets import salt_config
@@ -53,11 +53,15 @@ class TestConfigRoundTrip:
         assert config_from_flat(config_to_flat(config)) == config
 
     def test_unknown_keys_rejected(self):
-        # a typo, and a leaf that older manifests still carry
-        for key in ("detector.effciency", "plan.alt_response_prob"):
+        # a typo, and leaves that older manifests still carry
+        for key in (
+            "detector.effciency",
+            "plan.alt_response_prob",
+            "attack.allow_fakes_without_blinding",
+        ):
             with pytest.raises(Exception) as err:
                 config_from_flat({key: "0.5"})
-            assert key in str(err.value)
+            assert f"unknown config key: {key}" in str(err.value)
 
     def test_manifest_round_trip(self):
         config = salt_config(Scenario.NORMAL, trials=3, seed=4)
@@ -91,7 +95,7 @@ class TestConfigRoundTrip:
         text = "# comment\n\nseed = 5\ntrials = 2\n"
         flat = parse_flat(text)
         assert flat == {"seed": "5", "trials": "2"}
-        config = load_config_text(text)
+        config = config_from_flat(flat_config_text(text))
         assert config.seed == 5 and config.trials == 2
 
 
@@ -213,6 +217,25 @@ class TestSimulateCommand:
         manifest2 = RunManifest.loads((out2 / "manifest.txt").read_text())
         assert manifest2.seed == 123
 
+    @pytest.mark.parametrize(
+        "config_text,option",
+        [
+            # a NORMAL scenario carries no attack
+            ("scenario = NORMAL\nattack.blind_power_level = 5e-10\n", ("--scenario", "manipulated")),
+            # self-blinding light below the detector's blinding threshold
+            ("plan.strategy = SELF_BLIND\nplan.self_blind_power = 1e-12\n", ("--protocol", "salt")),
+        ],
+        ids=["scenario", "protocol"],
+    )
+    def test_options_apply_before_the_config_is_validated(self, tmp_path, config_text, option):
+        # the file alone is invalid; the option makes it valid
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config_text + "trials = 2\n")
+        out = tmp_path / "run"
+        result = run_cli("simulate", "--config", str(cfg), *option, "--out", str(out))
+        assert result.exit_code == 0
+        assert RunManifest.loads((out / "manifest.txt").read_text()).config().trials == 2
+
     def test_set_override(self, tmp_path):
         out = tmp_path / "run"
         result = run_cli(
@@ -229,8 +252,6 @@ class TestSimulateCommand:
         [
             ("plan.count_threshold=abc", "plan.count_threshold"),
             ("plan.count_threshold=2.7", "plan.count_threshold"),
-            ("attack.allow_fakes_without_blinding=maybe",
-             "attack.allow_fakes_without_blinding"),
             ("signal_rate=nan", "signal_rate"),
             ("trial_duration=inf", "trial_duration"),
             ("detector.dark_rate=nan", "detector.dark_rate"),
@@ -256,6 +277,11 @@ class TestSimulateCommand:
             # each leaf in range, but a trial would expect over 1e7 stimuli
             ("signal_rate=1e12 trial_duration=1", "signal_rate"),
             ("detector.dark_rate=1e11", "dark_rate"),
+            # 1.25e9 flag-pulse tests in a 10 s trial
+            (
+                "trial_duration=10 plan.test_duration=1e-12 plan.response_window=1e-12",
+                "test_duration",
+            ),
             # each trial in budget, but the salt null's 2000 windows would
             # expect over 1e7 stimuli
             ("signal_rate=2.5e8", "signal_rate"),
@@ -433,7 +459,7 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         values = [row.split(",")[0] for row in rows]
         assert values == ["NORMAL", "MANIPULATED"]
-        assert [_parse_scalar(v, CONFIG_LEAVES["scenario"], "scenario") for v in values] == [
+        assert [parse_leaf("scenario", v) for v in values] == [
             Scenario.NORMAL, Scenario.MANIPULATED,
         ]
 
@@ -477,6 +503,21 @@ def test_fewer_than_one_worker_exits_one(tmp_path, command, threads):
     result = run_cli(*command, "--threads", threads, "--out", str(out))
     assert result.exit_code == 1
     assert "threads" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["sweep", "--param", "seed", "--values", "1,2"]],
+    ids=["simulate", "sweep"],
+)
+def test_undecodable_config_exits_two(tmp_path, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"seed = 5\n\xff\n")
+    out = tmp_path / "x"
+    result = run_cli(*command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 2
+    assert "cannot read config:" in result.output
     assert not out.exists()
 
 

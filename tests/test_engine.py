@@ -245,10 +245,13 @@ class TestConfigValidation:
         assert err.value.field == field
 
     def test_longest_accepted_duration_fits_int64_picoseconds(self):
-        # construction only; with no light and no dark counts a trial this
-        # long stays inside the stimulus budget
+        # construction only; with no light, no dark counts and one test a
+        # trial this long stays inside the stimulus budget
         dark = DetectorParams(dark_rate=0.0)
-        cfg = ExperimentConfig(trial_duration=MAX_SECONDS, signal_rate=0.0, detector=dark)
+        plan = SelfTestPlan(Strategy.SALT, test_duration=MAX_SECONDS / 2)
+        cfg = ExperimentConfig(
+            trial_duration=MAX_SECONDS, signal_rate=0.0, detector=dark, plan=plan
+        )
         assert to_ps(cfg.trial_duration) <= 2**63 - 1
         with pytest.raises(ValidationError) as err:
             replace(cfg, trial_duration=math.nextafter(MAX_SECONDS, math.inf))
@@ -271,6 +274,16 @@ class TestConfigValidation:
                     "attack": AttackScenario(blind_power_level=1e-3, fake_pulse_rate=1e12 / 40),
                 },
                 "fake_pulse_rate",
+            ),
+            # 1e9 tests of 1 ps in a 2 ms trial
+            (
+                {
+                    "trial_duration": 2e-3,
+                    "plan": SelfTestPlan(
+                        Strategy.FLAG_PULSE, test_duration=1e-12, response_window=1e-12
+                    ),
+                },
+                "test_duration",
             ),
         ],
     )
@@ -444,9 +457,6 @@ def test_every_numeric_leaf_declares_its_range():
         ("plan.strategy", "bogus"),
         ("plan.strategy", "SALT"),
         ("plan.strategy", None),
-        ("attack.allow_fakes_without_blinding", "no"),
-        ("attack.allow_fakes_without_blinding", 1),
-        ("attack.allow_fakes_without_blinding", None),
     ],
 )
 def test_enum_or_bool_leaf_takes_only_its_kind(path, bad):
