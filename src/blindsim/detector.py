@@ -188,8 +188,12 @@ def process_timeline(
     # every afterpulse kept is before the horizon, so this drains the heap
     events.append((dur, _END, 0))
 
-    rng_random = rng.random
-    rng_exponential = rng.exponential
+    # numpy's random() is u = (raw >> 11) * 2**-53 of one word, so u < ap_prob
+    # exactly when raw < ap_cut; tau * standard_exponential() is the float
+    # exponential(tau) gives from the same draw, and also takes tau = -0.0
+    draw_raw = rng.bit_generator.random_raw
+    ap_cut = math.ceil(ap_prob * 2.0**53) << 11
+    rng_exponential = rng.standard_exponential
     clicks_append = clicks.append
     new_click = tuple.__new__
 
@@ -205,8 +209,8 @@ def process_timeline(
                 continue
             clicks_append(new_click(ClickRecord, (a, ClickCause.AFTERPULSE)))
             dead_until = a + dead_ps
-            if ap_prob > 0.0 and rng_random() < ap_prob:
-                ap_t = dead_until + int(rng_exponential(ap_tau) * PS_PER_SECOND + 0.5)
+            if ap_prob > 0.0 and draw_raw() < ap_cut:
+                ap_t = dead_until + int(ap_tau * rng_exponential() * PS_PER_SECOND + 0.5)
                 if ap_t < dur:
                     heappush(ap_heap, ap_t)
         if prio == _GATED:  # never blinded: the held ones were dropped
@@ -239,8 +243,8 @@ def process_timeline(
             break
         clicks_append(new_click(ClickRecord, (t, cause)))
         dead_until = t + dead_ps
-        if ap_prob > 0.0 and rng_random() < ap_prob:
-            ap_t = dead_until + int(rng_exponential(ap_tau) * PS_PER_SECOND + 0.5)
+        if ap_prob > 0.0 and draw_raw() < ap_cut:
+            ap_t = dead_until + int(ap_tau * rng_exponential() * PS_PER_SECOND + 0.5)
             if ap_t < dur:
                 heappush(ap_heap, ap_t)
 

@@ -156,6 +156,7 @@ _EVALUATORS = {
 # Offsets are collected over this window after each test start for
 # time-resolved response histograms (10 ns bins downstream).
 _OFFSET_SPAN = 200e-9
+_OFFSET_SPAN_PS = to_ps(_OFFSET_SPAN)
 
 
 def expected_decisions(scenario: Scenario, strategy: Strategy) -> frozenset[Decision]:
@@ -190,7 +191,7 @@ def tally_verdicts(decisions, scenario: Scenario, strategy: Strategy) -> tuple[C
 
 
 def build_trial_timeline(config: ExperimentConfig, trial_index: int):
-    """Scheduled test start times and the merged optical timeline of one trial.
+    """Scheduled test starts in picoseconds and the merged optical timeline of one trial.
 
     Exposed separately from run_trial so callers can inspect the exact
     stimuli and detector output behind a verdict.
@@ -209,7 +210,7 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     if config.scenario == Scenario.RECOVERY_ATTACK and attack.stop_blind_at is None:
         # Worst case for the defender: the attacker releases its blinding
         # light in the middle of the self-test interval.
-        attack = replace(attack, stop_blind_at=starts[0] + plan.test_duration / 2)
+        attack = replace(attack, stop_blind_at=to_seconds(starts[0]) + plan.test_duration / 2)
     fragments = [
         gen_signal_photons(
             config.signal_rate, config.trial_duration, stream(seed, trial_index, "signal")
@@ -233,12 +234,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     evaluator = _EVALUATORS[config.plan.strategy]
     verdicts = tuple(evaluator(config.plan, start, clicks) for start in starts)
     offsets: list[int] = []
-    span_ps = to_ps(_OFFSET_SPAN)
     for start in starts:
         # clicks come in time order from process_timeline
-        a = to_ps(start)
-        lo, hi = _click_span(clicks, a, a + span_ps)
-        offsets.extend(c.time_ps - a for c in clicks[lo:hi])
+        lo, hi = _click_span(clicks, start, start + _OFFSET_SPAN_PS)
+        offsets.extend(c.time_ps - start for c in clicks[lo:hi])
     causes = Counter(map(itemgetter(1), clicks))
     return TrialResult(
         index=trial_index,

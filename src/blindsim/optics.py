@@ -259,21 +259,20 @@ def flag_pulse(plan: SelfTestPlan, start_ps: int) -> BrightPulse:
 
 def gen_le_schedule(
     plan: SelfTestPlan,
-    test_start: float,
+    start_ps: int,
     duration: float,
     rng: np.random.Generator,
 ) -> OpticalTimeline:
-    """Light-emitter schedule of one self-test starting at ``test_start``.
+    """Light-emitter schedule of one self-test starting at ``start_ps``.
 
     SALT: salt photon arrivals at ``plan.salt_rate`` over the test
     interval.  FLAG_PULSE: the few-photon ``flag_pulse``.  SELF_BLIND: a
     CW blinding segment covering the test interval, whose onset fires
     ``flag_pulse`` as a deterministic flag.
     """
-    if test_start < 0:
+    if start_ps < 0:
         raise ValidationError("test_start", "must be >= 0")
     duration_ps = to_ps(duration)
-    start_ps = to_ps(test_start)
     stop_ps = min(duration_ps, start_ps + to_ps(plan.test_duration))
 
     if plan.strategy == Strategy.SALT:

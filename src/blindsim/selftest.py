@@ -13,8 +13,8 @@ light emitter:
   flag betrays external blinding, including the case where a recovery
   transient would otherwise be hidden by the local blinding light.
 
-Verdicts are a pure function of the plan, the test start and the
-observable click timestamps.  Ground-truth cause labels on clicks are never consulted.
+Verdicts are a pure function of the plan, the test start in picoseconds
+and the observable click timestamps.  Ground-truth cause labels on clicks are never consulted.
 Every verdict function takes its clicks in time order, as
 ``process_timeline`` returns them.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError, require_finite
 from .stats import Histogram, poisson_tail
 from .units import Count, NonNegative, Positive, PositiveCount, PositiveDuration, Probability
-from .units import Rate, to_ps, to_seconds
+from .units import Rate, to_ps
 
 if TYPE_CHECKING:
     from .detector import ClickRecord
@@ -119,8 +119,8 @@ def schedule_tests(
     duty_cycle: float,
     plan: SelfTestPlan,
     rng: np.random.Generator,
-) -> list[float]:
-    """Start times in seconds of randomly placed, non-overlapping tests.
+) -> list[int]:
+    """Start times in picoseconds of randomly placed, non-overlapping tests.
 
     ``fit_tests`` gives their number; starts are uniform conditioned on
     non-overlap (sorted uniform draws plus fixed offsets).  Timing is
@@ -137,13 +137,13 @@ def schedule_tests(
         return []
     slack = to_ps(trial_duration) - n * occupancy
     if n == 1:
-        return [to_seconds(int(rng.integers(0, slack + 1)))]
+        return [int(rng.integers(0, slack + 1))]
     starts = sorted(rng.integers(0, slack + 1, size=n).tolist())
-    return [to_seconds(s + i * occupancy) for i, s in enumerate(starts)]
+    return [s + i * occupancy for i, s in enumerate(starts)]
 
 
 def evaluate_salt(
-    plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
+    plan: SelfTestPlan, start_ps: int, clicks: Sequence[ClickRecord]
 ) -> Verdict:
     """Count clicks in the test interval and compare with the threshold.
 
@@ -155,8 +155,7 @@ def evaluate_salt(
     """
     if plan.strategy != Strategy.SALT:
         raise ConfigError(f"evaluate_salt needs a SALT plan, got {plan.strategy}")
-    a = to_ps(test_start)
-    lo, hi = _click_span(clicks, a, a + to_ps(plan.test_duration))
+    lo, hi = _click_span(clicks, start_ps, start_ps + to_ps(plan.test_duration))
     count = hi - lo
     if plan.salt_rate <= 0:
         return Verdict(Decision.INCONCLUSIVE, count)
@@ -175,15 +174,14 @@ def evaluate_salt(
 
 
 def evaluate_flag_pulse(
-    plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
+    plan: SelfTestPlan, start_ps: int, clicks: Sequence[ClickRecord]
 ) -> Verdict:
     """Single flag pulse: any click inside the response window passes."""
     if plan.strategy != Strategy.FLAG_PULSE:
         raise ConfigError(
             f"evaluate_flag_pulse needs a FLAG_PULSE plan, got {plan.strategy}"
         )
-    a = to_ps(test_start)
-    lo, hi = _click_span(clicks, a, a + to_ps(plan.response_window))
+    lo, hi = _click_span(clicks, start_ps, start_ps + to_ps(plan.response_window))
     count = hi - lo
     seen = count > 0
     decision = Decision.NORMAL if seen else Decision.NEGATIVE_MANIPULATION
@@ -192,7 +190,7 @@ def evaluate_flag_pulse(
 
 
 def evaluate_self_blind(
-    plan: SelfTestPlan, test_start: float, clicks: Sequence[ClickRecord]
+    plan: SelfTestPlan, start_ps: int, clicks: Sequence[ClickRecord]
 ) -> Verdict:
     """Combined onset-flag and silence check during self-blinding.
 
@@ -206,12 +204,10 @@ def evaluate_self_blind(
         raise ConfigError(
             f"evaluate_self_blind needs a SELF_BLIND plan, got {plan.strategy}"
         )
-    a = to_ps(test_start)
-    w = a + to_ps(plan.response_window)
-    b = a + to_ps(plan.test_duration)
-    lo, mid = _click_span(clicks, a, w)
+    w = start_ps + to_ps(plan.response_window)
+    lo, mid = _click_span(clicks, start_ps, w)
     flag_seen = mid > lo
-    in_blind = _click_span(clicks, w, b)[1] - mid
+    in_blind = _click_span(clicks, w, start_ps + to_ps(plan.test_duration))[1] - mid
     if flag_seen and in_blind == 0:
         decision = Decision.NORMAL
     elif not flag_seen and in_blind == 0:

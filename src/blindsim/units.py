@@ -3,10 +3,11 @@
 Every event timestamp inside the simulator is an integer number of
 picoseconds.  Nanosecond-scale pulses and response windows then compare
 exactly, sums never accumulate rounding error, and serialized results are
-byte-stable.  Public interfaces speak SI seconds, and each function that
-takes a time converts it with ``to_ps`` where it starts: a flag-pulse
-trial makes about 16 such calls across its layers, each giving the same
-picoseconds for the same seconds.
+byte-stable.  Config durations are SI seconds, and each function that
+takes one converts it with ``to_ps`` where it starts: a flag-pulse trial
+makes 12 such calls across its layers, each giving the same picoseconds
+for the same seconds.  Test start times are drawn as picoseconds and
+stay so from ``schedule_tests`` to the verdicts.
 
 A numeric config leaf declares its legal values by annotating it with
 one of the ``Annotated`` kinds below; ``errors.require_finite`` checks.
@@ -63,5 +64,6 @@ PositiveDuration = Annotated[
 Positive = Annotated[float, Range(math.nextafter(0, 1), math.inf, "must be > 0")]
 NonNegative = Annotated[float, Range(0, math.inf, "must be >= 0")]
 Count = Annotated[int, Range(0, math.inf, "must be >= 0")]
-PositiveCount = Annotated[int, Range(1, math.inf, "must be >= 1")]
+# at most an int64, so that a photon number converts to a float exponent
+PositiveCount = Annotated[int, Range(1, 2**63 - 1, "must lie in [1, 2**63 - 1]")]
 TrialCount = Annotated[int, Range(1, MAX_TRIALS, f"must lie in [1, {MAX_TRIALS}]")]

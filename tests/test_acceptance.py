@@ -134,7 +134,7 @@ def test_criterion_5_recovery_attack():
         clicks = process_timeline(
             cfg.detector, timeline, stream(cfg.seed, trial.index, "detector")
         )
-        a = to_ps(starts[0])
+        a = starts[0]
         b = a + to_ps(cfg.plan.test_duration)
         # the local blinding light holds the power above threshold when
         # the attacker lets go, so the recovery transient never fires

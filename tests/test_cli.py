@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,10 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blindsim
+from blindsim import presets
 from blindsim.cli import _build_config, main
-from blindsim.engine import ExperimentConfig, run_experiment
+from blindsim.engine import CONFIG_LEAVES, ExperimentConfig, run_experiment
 from blindsim.manifest import (
     RunManifest,
     config_from_flat,
@@ -519,6 +523,56 @@ def test_undecodable_config_exits_two(tmp_path, command):
     assert result.exit_code == 2
     assert "cannot read config:" in result.output
     assert not out.exists()
+
+
+# Texts that a --set value may hold at the extremes: floats near the ends
+# of the double range and beyond it, ints past int64, empty text and
+# non-ASCII.  Ordinary values are left out, since an accepted long trial
+# would run for seconds.
+_FUZZ_TEXTS = st.one_of(
+    st.sampled_from([
+        math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max,
+        5e-324, -5e-324, sys.float_info.min, -0.0, math.nextafter(1, 0),
+    ]).map(repr),
+    st.floats(min_value=1e16).map(repr),
+    st.floats(max_value=-1e16).map(repr),
+    st.floats(min_value=-1e-300, max_value=1e-300).map(repr),
+    st.integers(min_value=2**63).map(str),
+    st.integers(max_value=-(2**63)).map(str),
+    st.sampled_from(["", " ", "none", "1e400", "-1e400", "9" * 400, "-" + "9" * 400]),
+    st.text(st.characters(min_codepoint=128), min_size=1, max_size=8),
+)
+_FIELD_NAMES = {*CONFIG_LEAVES, *(path.rsplit(".", 1)[-1] for path in CONFIG_LEAVES)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    # a salt run whose detector or rates differ from the preset simulates
+    # its null; 20 windows in place of 2000 keep each case in milliseconds
+    oracle = presets.count_distribution_oracle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            presets,
+            "count_distribution_oracle",
+            lambda detector, rate, window, _windows, rng: oracle(detector, rate, window, 20, rng),
+        )
+        yield tmp_path_factory.mktemp("fuzz") / "run"
+
+
+@pytest.mark.parametrize("protocol", ["salt", "flag", "self-blind"])
+@pytest.mark.parametrize("leaf", list(CONFIG_LEAVES))
+@given(text=_FUZZ_TEXTS)
+@settings(max_examples=5, deadline=None)
+def test_extreme_set_value_exits_cleanly(fuzz_out, protocol, leaf, text):
+    result = CliRunner().invoke(main, [
+        "simulate", "--protocol", protocol, "--trials", "1",
+        "--out", str(fuzz_out), "--set", f"{leaf}={text}",
+    ])
+    assert result.exit_code in (0, 1), result.output
+    if result.exit_code == 1:
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        named = re.match(r"Error: ([\w.]+): ", result.output.splitlines()[-1])
+        assert named and named[1] in _FIELD_NAMES, result.output
 
 
 def test_cli_import_leaves_scipy_out():

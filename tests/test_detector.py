@@ -34,6 +34,7 @@ from blindsim.engine import calibrate_source_rate, realized_click_rate
 from blindsim.optics import _poisson_arrival_ps
 from blindsim.presets import MAX_RATE
 from blindsim.units import to_ps, to_seconds
+from reference_kernel import reference_clicks
 
 
 def quiet_params(**overrides) -> DetectorParams:
@@ -531,6 +532,101 @@ class TestAfterpulseLaws:
         ]
         assert len(delays) > 10_000
         assert kstest(delays, "expon", args=(0, params.afterpulse_tau)).pvalue > 1e-4
+
+
+def inject_words(rng: np.random.Generator, words) -> None:
+    """Make the next raw 64-bit draws of a Philox generator ``words`` (at most 4)."""
+    state = rng.bit_generator.state
+    state["buffer"] = np.array([*words, *[0] * (4 - len(words))], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    rng.bit_generator.state = state
+
+
+@pytest.mark.parametrize("p", [0.4, 1 / 3, 5e-324, math.nextafter(1, 0)])
+def test_afterpulse_decision_word_cut(p):
+    # numpy's random() is (raw >> 11) * 2**-53 of one word, so u < p holds
+    # exactly for the words below ceil(p * 2**53) << 11
+    cut = math.ceil(p * 2.0**53) << 11
+    params = DetectorParams(
+        efficiency=1.0, dark_rate=0.0, afterpulse_prob=p, afterpulse_tau=1e-9
+    )
+    timeline = OpticalTimeline(duration_ps=to_ps(1e-3), **photon_arrays([0]))
+    for word, spawns in ((cut - 1, True), (cut, False)):
+        probe = stream(5, "word")
+        inject_words(probe, [word])
+        assert (probe.random() < p) is spawns
+        rng = stream(5, "word")
+        # the photon's uniform, the decision word of its click, the delay,
+        # and a word that spawns nothing
+        inject_words(rng, [0, word, 0, 2**64 - 1])
+        clicks = process_timeline(params, timeline, rng)
+        assert clicks[0] == ClickRecord(0, ClickCause.SIGNAL)
+        assert (len(clicks) > 1) is spawns
+
+
+def test_negative_zero_afterpulse_delay_is_zero():
+    # -0.0 lies in the delay's range [0, MAX_SECONDS], though numpy's
+    # exponential(-0.0) rejects its sign
+    timeline = OpticalTimeline(duration_ps=to_ps(1e-5), **photon_arrays([0, 4_000_000]))
+    runs = []
+    for tau in (0.0, -0.0):
+        params = DetectorParams(efficiency=1.0, afterpulse_prob=0.5, afterpulse_tau=tau)
+        rng = stream(9, "tau")
+        runs.append((process_timeline(params, timeline, rng), state_of(rng)))
+    assert runs[0] == runs[1]
+    assert ClickCause.AFTERPULSE in {c.cause for c in runs[0][0]}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_reference_reading(data):
+    # small horizons on whole picoseconds, so that photons, pulses, dark
+    # counts and afterpulses often meet the edges of held spans
+    dur = data.draw(st.integers(2, 60), label="duration")
+    instants = st.integers(0, dur - 1)
+    segments = []
+    for start in data.draw(st.lists(instants, max_size=4), label="segment starts"):
+        stop = data.draw(st.integers(start + 1, dur))
+        power = data.draw(st.sampled_from([2e-10, 3e-10, 5e-10, 1e-9]))
+        segments.append(CwSegment(start, stop, power, data.draw(st.sampled_from(CwSource))))
+    # about half the stimuli on or next to an edge
+    near = sorted({t + d for s in segments for t in s[:2] for d in (-1, 0, 1)} & set(range(dur)))
+    if near:
+        instants = instants | st.sampled_from(near)
+    photons = sorted(data.draw(st.lists(
+        st.tuples(instants, st.integers(0, len(PHOTON_SOURCES) - 1)), max_size=30
+    ), label="photons"))
+    kinds = {
+        "fake": (2000, 3e-6, PulseSource.FAKE, None),  # forced: 6e-15 J
+        "flag": (25, 4e-7, PulseSource.FLAG, None),  # 1e-17 J, answers if armed
+        "few": (25, 4e-7, PulseSource.FLAG, 2),
+    }
+    pulses = tuple(
+        BrightPulse(t, *kinds[kind])
+        for t, kind in sorted(data.draw(st.lists(
+            st.tuples(instants, st.sampled_from(sorted(kinds))), max_size=4
+        ), label="pulses"))
+    )
+    params = DetectorParams(
+        efficiency=data.draw(st.sampled_from([0.3, 0.9, 1.0])),
+        dark_rate=data.draw(st.sampled_from([0.0, 5e10])),
+        dead_time=data.draw(st.sampled_from([1e-12, 3e-12, 1e-11])),
+        afterpulse_prob=data.draw(st.sampled_from([0.0, 0.5, 0.9])),
+        afterpulse_tau=data.draw(st.sampled_from([0.0, 2e-12, 1e-11])),
+        recovery_click_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        noise_rate=data.draw(st.sampled_from([0.0, 5e10])),
+    )
+    timeline = OpticalTimeline(
+        duration_ps=dur,
+        photons=np.array([t for t, _ in photons], dtype=np.int64),
+        photon_sources=np.array([code for _, code in photons], dtype=np.uint8),
+        cw_segments=tuple(segments),
+        pulses=pulses,
+    )
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng, ref = stream(seed, "kernel"), stream(seed, "kernel")
+    assert process_timeline(params, timeline, rng) == reference_clicks(params, timeline, ref)
+    assert state_of(rng) == state_of(ref)
 
 
 class TestThinningAndBlindingLaws:

@@ -138,7 +138,7 @@ class TestScenarioOutcomes:
             clicks = process_timeline(
                 cfg.detector, timeline, stream(cfg.seed, trial.index, "detector")
             )
-            a = to_ps(starts[0])
+            a = starts[0]
             b = a + to_ps(cfg.plan.test_duration)
             assert not any(
                 c.cause is ClickCause.RECOVERY and a <= c.time_ps < b for c in clicks
@@ -397,7 +397,7 @@ def test_accepted_config_fires_flag_pulses_below_the_fake_threshold(
     except ValidationError as err:
         assert err.field == "flag_pulse_energy"
     else:
-        (pulse,) = gen_le_schedule(cfg.plan, 0.0, cfg.trial_duration, stream(1)).pulses
+        (pulse,) = gen_le_schedule(cfg.plan, 0, cfg.trial_duration, stream(1)).pulses
         assert pulse.energy < fake_energy
 
 
@@ -661,7 +661,7 @@ def trial_fragments(cfg, index):
     )
     attack = cfg.attack
     if cfg.scenario == Scenario.RECOVERY_ATTACK:
-        attack = replace(attack, stop_blind_at=starts[0] + cfg.plan.test_duration / 2)
+        attack = replace(attack, stop_blind_at=to_seconds(starts[0]) + cfg.plan.test_duration / 2)
     le_rng = stream(cfg.seed, index, "le")
     return [
         gen_signal_photons(

@@ -124,7 +124,7 @@ class TestLeSchedule:
         )
         counts = []
         for i in range(800):
-            frag = gen_le_schedule(plan, 100e-6, 500e-6, stream(10, i))
+            frag = gen_le_schedule(plan, to_ps(100e-6), 500e-6, stream(10, i))
             counts.append(len(frag.photons))
             assert (frag.photon_sources == PHOTON_CODE[PhotonSource.SALT]).all()
             assert (to_ps(100e-6) <= frag.photons).all()
@@ -133,7 +133,7 @@ class TestLeSchedule:
 
     def test_flag_pulse_schedule(self):
         plan = SelfTestPlan(strategy=Strategy.FLAG_PULSE, test_duration=25e-9)
-        frag = gen_le_schedule(plan, 10e-6, 100e-6, stream(11))
+        frag = gen_le_schedule(plan, to_ps(10e-6), 100e-6, stream(11))
         assert len(frag.pulses) == 1
         pulse = frag.pulses[0]
         assert pulse.width_ps == to_ps(25e-9)
@@ -143,7 +143,7 @@ class TestLeSchedule:
 
     def test_self_blind_schedule(self):
         plan = SelfTestPlan(strategy=Strategy.SELF_BLIND, test_duration=200e-6)
-        frag = gen_le_schedule(plan, 100e-6, 500e-6, stream(12))
+        frag = gen_le_schedule(plan, to_ps(100e-6), 500e-6, stream(12))
         assert len(frag.cw_segments) == 1
         seg = frag.cw_segments[0]
         assert seg.source is CwSource.LE_BLIND
@@ -170,7 +170,7 @@ class TestLeSchedule:
     def test_negative_start_rejected(self):
         plan = SelfTestPlan(strategy=Strategy.SALT, salt_rate=450e3)
         with pytest.raises(ValidationError) as err:
-            gen_le_schedule(plan, -1e-6, 1e-3, stream(14))
+            gen_le_schedule(plan, to_ps(-1e-6), 1e-3, stream(14))
         assert err.value.field == "test_start"
 
 
@@ -206,7 +206,7 @@ class TestMergeTimelines:
     def test_photon_arrays_are_read_only(self):
         plan = SelfTestPlan(strategy=Strategy.SALT, salt_rate=450e3)
         signal = gen_signal_photons(1e5, 1e-3, stream(16, "a"))
-        salt = gen_le_schedule(plan, 100e-6, 1e-3, stream(16, "b"))
+        salt = gen_le_schedule(plan, to_ps(100e-6), 1e-3, stream(16, "b"))
         for tl in (signal, salt, merge_timelines(signal, salt)):
             assert not tl.photons.flags.writeable
             assert not tl.photon_sources.flags.writeable
@@ -249,7 +249,7 @@ class TestMergeTimelines:
             SelfTestPlan(strategy=Strategy.SELF_BLIND, test_duration=25e-9),
         ]
         flags = [
-            gen_le_schedule(data.draw(st.sampled_from(plans)), start_ps * 1e-12, dur, stream(1))
+            gen_le_schedule(data.draw(st.sampled_from(plans)), start_ps, dur, stream(1))
             for start_ps in data.draw(st.lists(instants, max_size=4), label="flag starts")
         ]
         fragments = [attack, *flags]

@@ -20,6 +20,7 @@ from blindsim import (
     evaluate_flag_pulse,
     evaluate_salt,
     evaluate_self_blind,
+    gen_le_schedule,
     schedule_tests,
     stream,
 )
@@ -27,9 +28,9 @@ from blindsim.selftest import fit_tests
 from blindsim.units import to_ps, to_seconds
 
 
-SALT_START = 100e-6
-FLAG_START = 10e-6
-BLIND_START = 100e-6
+SALT_START = to_ps(100e-6)
+FLAG_START = to_ps(10e-6)
+BLIND_START = to_ps(100e-6)
 
 
 def clicks_at(times_s, cause=ClickCause.SIGNAL):
@@ -54,7 +55,7 @@ class TestScheduleTests:
         assert len(starts) == 50
         for start in starts:
             assert 0 <= start
-            assert start + plan.test_duration <= 1.0
+            assert start + to_ps(plan.test_duration) <= to_ps(1.0)
 
     def test_zero_duty_cycle_is_empty(self):
         assert schedule_tests(1.0, 0.0, SelfTestPlan(strategy=Strategy.SALT), stream(2)) == []
@@ -62,7 +63,7 @@ class TestScheduleTests:
     def test_intervals_do_not_overlap(self):
         plan = SelfTestPlan(strategy=Strategy.SELF_BLIND)
         starts = schedule_tests(0.01, 0.5, plan, stream(3))
-        spans = sorted((s, s + plan.test_duration) for s in starts)
+        spans = sorted((s, s + to_ps(plan.test_duration)) for s in starts)
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert start >= stop
 
@@ -91,11 +92,11 @@ class TestScheduleTests:
     def test_schedule_respects_bounds(self, duty, seed):
         plan = salt_plan()
         starts = schedule_tests(0.01, duty, plan, stream(seed))
-        spans = sorted((s, s + plan.test_duration) for s in starts)
+        spans = sorted((s, s + to_ps(plan.test_duration)) for s in starts)
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert b0 >= a1
         for start, stop in spans:
-            assert 0 <= start and stop <= 0.01 + 1e-12
+            assert 0 <= start and stop <= to_ps(0.01)
 
     @given(
         slack=st.sampled_from([0, 1])
@@ -118,8 +119,23 @@ class TestScheduleTests:
         rng, ref = stream(seed, "schedule"), stream(seed, "schedule")
         starts = schedule_tests(trial, duty, plan, rng)
         drawn = np.sort(ref.integers(0, slack + 1, size=n))
-        assert starts == [to_seconds(int(s) + i * occupancy) for i, s in enumerate(drawn)]
+        assert starts == [int(s) + i * occupancy for i, s in enumerate(drawn)]
         assert rng.random() == ref.random()
+
+    def test_long_trial_starts_are_the_drawn_picoseconds(self):
+        # 1000 s tests in a 10,000 s trial: starts near 1e16 ps, where a
+        # trip through float seconds no longer gives the drawn value back
+        plan = SelfTestPlan(strategy=Strategy.FLAG_PULSE, test_duration=1000.0)
+        n, occupancy = fit_tests(1e4, 0.5, plan)
+        starts = schedule_tests(1e4, 0.5, plan, stream(7, "schedule"))
+        drawn = np.sort(stream(7, "schedule").integers(0, to_ps(1e4) - n * occupancy + 1, size=n))
+        assert starts == [int(s) + i * occupancy for i, s in enumerate(drawn)]
+        assert len(starts) == 5 and all(type(s) is int for s in starts)
+        assert all(b - a >= occupancy for a, b in zip(starts, starts[1:]))
+        assert starts[-1] + occupancy <= to_ps(1e4)
+        for start in starts:
+            (pulse,) = gen_le_schedule(plan, start, 1e4, stream(7, "le")).pulses
+            assert pulse.time_ps == start
 
 
 class TestEvaluateSalt:
@@ -262,8 +278,8 @@ class TestObservableOnly:
         ]
         tests = [
             (evaluate_salt, salt_plan(), SALT_START),
-            (evaluate_flag_pulse, SelfTestPlan(strategy=Strategy.FLAG_PULSE), 50e-6),
-            (evaluate_self_blind, SelfTestPlan(strategy=Strategy.SELF_BLIND), 100e-6),
+            (evaluate_flag_pulse, SelfTestPlan(strategy=Strategy.FLAG_PULSE), to_ps(50e-6)),
+            (evaluate_self_blind, SelfTestPlan(strategy=Strategy.SELF_BLIND), to_ps(100e-6)),
         ]
         for evaluate, plan, start in tests:
             assert evaluate(plan, start, original) == evaluate(plan, start, shuffled)
@@ -331,6 +347,15 @@ class TestDecisionErrorRates:
             SelfTestPlan(strategy=Strategy.FLAG_PULSE, **{field: value})
         assert err.value.field == field
 
+
+def test_flag_photon_number_stays_an_int64():
+    # a larger int does not convert to the float exponent of the
+    # few-photon click probability
+    with pytest.raises(ValidationError) as err:
+        SelfTestPlan(strategy=Strategy.FLAG_PULSE, flag_photon_number=2**63)
+    assert err.value.field == "flag_photon_number"
+    plan = SelfTestPlan(strategy=Strategy.FLAG_PULSE, flag_photon_number=2**63 - 1)
+    assert 1.0 - (1.0 - 0.9) ** plan.flag_photon_number == 1.0
 
 @pytest.mark.parametrize(
     "trial_duration,duty_cycle,field",
