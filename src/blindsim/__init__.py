@@ -17,7 +17,6 @@ from .engine import (
     run_experiment,
     run_trial,
     set_config_value,
-    sweep,
 )
 from .errors import BlindsimError, ConfigError, ValidationError
 from .optics import (

@@ -18,21 +18,13 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .engine import (
-    ExperimentConfig,
-    Scenario,
-    run_experiment,
-    sweep,
-    tally_verdicts,
-)
-from .errors import BlindsimError
+from .engine import ExperimentConfig, Scenario, run_experiment, tally_verdicts
+from .errors import BlindsimError, ConfigError
 from .manifest import (
-    RunManifest,
-    _format_value,
     config_from_flat,
     config_to_flat,
     flat_config_text,
-    parse_leaf,
+    manifest_text,
     read_trial_records,
     sha256_file,
     write_histogram_csv,
@@ -86,18 +78,15 @@ def _resolve_seed(cli_seed: int | None, default: int | None = None) -> int | Non
     return default
 
 
-def _build_config(
+def _build_flat(
     config_path: str | None,
     scenario: str | None,
     protocol: str | None,
     trials: int | None,
     seed: int | None,
     overrides: tuple[str, ...],
-) -> ExperimentConfig:
-    """The config of a config file, manifest or preset, with every override applied.
-
-    Each source and override is config text, parsed and validated once.
-    """
+) -> dict[str, str]:
+    """The config text of a config file, manifest or preset, with every override applied."""
     try:
         if config_path is not None:
             try:
@@ -126,6 +115,14 @@ def _build_config(
                 raise click.ClickException(f"--set expects dotted.path=value, got {item!r}")
             path, _, value = item.partition("=")
             flat[path.strip()] = value.strip()
+        return flat
+    except BlindsimError as e:
+        raise click.ClickException(str(e)) from e
+
+
+def _config(flat: dict[str, str]) -> ExperimentConfig:
+    """The config that text ``flat`` gives, parsed and validated once."""
+    try:
         return config_from_flat(flat)
     except BlindsimError as e:
         raise click.ClickException(str(e)) from e
@@ -145,8 +142,8 @@ def _attach_salt_null(config: ExperimentConfig):
     return replace(config, plan=plan), null
 
 
-def _write_run(outdir: Path, manifest: RunManifest, result, extra_hists):
-    """Write trials, histograms and ``manifest`` completed with digests and write time."""
+def _write_run(outdir: Path, run: dict[str, str], timings, config, result, extra_hists):
+    """Write trials, histograms and the manifest, with digests, write time and finish time."""
     t0 = time.perf_counter()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -160,11 +157,9 @@ def _write_run(outdir: Path, manifest: RunManifest, result, extra_hists):
             path = outdir / f"hist_{name}.csv"
             write_histogram_csv(path, hist)
             digests[path.name] = sha256_file(path)
-        timings = {**manifest.timings, "write_s": time.perf_counter() - t0}
-        manifest = replace(
-            manifest, finished_utc=_now(), digests=digests, timings=timings
-        )
-        (outdir / "manifest.txt").write_text(manifest.dumps())
+        timings = {**timings, "write_s": time.perf_counter() - t0}
+        text = manifest_text({**run, "finished_utc": _now()}, timings, config, digests)
+        (outdir / "manifest.txt").write_text(text)
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
 
@@ -203,7 +198,7 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
     """Run an experiment and persist trials, histograms, and a manifest."""
     started = _now()
     t0 = time.perf_counter()
-    config = _build_config(config_path, scenario, protocol, trials, seed, overrides)
+    config = _config(_build_flat(config_path, scenario, protocol, trials, seed, overrides))
     t1 = time.perf_counter()
     try:
         run_config, null_hist = _attach_salt_null(config)
@@ -212,23 +207,18 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
     except BlindsimError as e:
         raise click.ClickException(str(e)) from e
     t3 = time.perf_counter()
-    manifest = RunManifest(
-        version=__version__,
-        seed=config.seed,
-        started_utc=started,
-        finished_utc="",
-        threads=threads,
-        config_flat=config_to_flat(config),
-        digests={},
-        salt_null=(
+    run = {
+        "started_utc": started,
+        "threads": str(threads),
+        "salt_null": (
             "none" if null_hist is None
             else "reference" if null_hist is SALT_NULL
             else "simulated"
         ),
-        timings={"config_s": t1 - t0, "salt_null_s": t2 - t1, "trials_s": t3 - t2},
-    )
+    }
+    timings = {"config_s": t1 - t0, "salt_null_s": t2 - t1, "trials_s": t3 - t2}
     extra = {"salt_null": null_hist} if null_hist is not None else {}
-    _write_run(Path(outdir), manifest, result, extra)
+    _write_run(Path(outdir), run, timings, config, result, extra)
     summary = result.summary()
     for key in sorted(summary):
         click.echo(f"{key} = {summary[key]}")
@@ -299,8 +289,10 @@ def analyze(results_dir):
     if not manifest_path.exists():
         raise _IOFailure(f"missing manifest: {manifest_path}")
     try:
-        manifest = RunManifest.loads(manifest_path.read_text())
-        config = manifest.config()
+        flat = flat_config_text(manifest_path.read_text())
+        if not flat:  # else it would read as the default config
+            raise ConfigError("manifest carries no config snapshot")
+        config = config_from_flat(flat)
         records = read_trial_records(root / "trials.jsonl")
         decisions, accuracy = tally_verdicts(
             (v["decision"] for rec in records for v in rec["verdicts"]),
@@ -341,27 +333,28 @@ def analyze(results_dir):
 @_threads_option
 def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outdir, threads):
     """Re-run the experiment across parameter values and tabulate metrics."""
-    config = _build_config(config_path, scenario, protocol, trials, seed, ())
+    flat = _build_flat(config_path, scenario, protocol, trials, seed, ())
+    # each value text applies like --set, and every point is validated before any runs
+    points = [_config({**flat, param: text}) for text in _parse_values(values)]
+    rows = []
     try:
-        # each value text is parsed like a config file line for that field
-        typed = [parse_leaf(param, text) for text in _parse_values(values)]
-        rows = sweep(config, param, typed, threads=threads)
+        for cfg in points:
+            counts, accuracy = run_experiment(cfg, threads=threads).tally()
+            rows.append((config_to_flat(cfg)[param], accuracy, sorted(counts.items())))
     except BlindsimError as e:
         raise click.ClickException(str(e)) from e
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         lines = ["value,accuracy,error_rate,verdicts"]
-        for row in rows:
-            verdicts = ";".join(f"{k}:{v}" for k, v in row.decisions)
-            lines.append(
-                f"{_format_value(row.value)},{row.accuracy!r},{1.0 - row.accuracy!r},{verdicts}"
-            )
+        for value, accuracy, decisions in rows:
+            verdicts = ";".join(f"{k}:{v}" for k, v in decisions)
+            lines.append(f"{value},{accuracy!r},{1.0 - accuracy!r},{verdicts}")
         (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
-    for row in rows:
-        click.echo(f"{param} = {_format_value(row.value)}: accuracy = {row.accuracy}")
+    for value, accuracy, _ in rows:
+        click.echo(f"{param} = {value}: accuracy = {accuracy}")
 
 
 def _parse_values(text: str) -> list[str]:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heappush, heappop
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -143,13 +144,16 @@ def process_timeline(
         edge_times = sorted(
             {s.start_ps for s in segments}.union(s.stop_ps for s in segments if s.stop_ps < dur)
         )
-        held = [
-            math.fsum(s.power for s in segments if s.start_ps <= t < s.stop_ps)
-            >= params.blind_power
-            for t in edge_times
-        ]
+        # sweep the edges in order, keeping the segments active at each
+        pending = sorted(segments, key=attrgetter("start_ps"), reverse=True)
+        active: list = []
         onset = None
-        for t, h in zip(edge_times, held):
+        for t in edge_times:
+            while pending and pending[-1].start_ps <= t:
+                active.append(pending.pop())
+            active = [s for s in active if t < s.stop_ps]
+            h = math.fsum(s.power for s in active) >= params.blind_power
+            held.append(h)
             if h and onset is None:
                 onset = t
             elif not h and onset is not None:

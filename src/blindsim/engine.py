@@ -15,6 +15,7 @@ are built, so that their exit overlaps that work.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from collections import Counter
@@ -43,7 +44,8 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import MAX_STIMULI, Duration, Fraction, Rate, TrialCount, to_ps, to_seconds
+from .units import MAX_SECONDS, MAX_STIMULI, Duration, Fraction, Rate, TrialCount
+from .units import to_ps, to_seconds
 
 
 class Scenario(str, Enum):
@@ -85,15 +87,23 @@ class ExperimentConfig:
         if n_tests == 0:
             name = "trial_duration" if self.trial_duration == 0 else "duty_cycle"
             raise ValidationError(name, "leaves no self-test in a trial")
-        terms = _expected_stimuli(self, n_tests)
-        total = sum(terms.values())
-        if total > MAX_STIMULI:
-            leaf = max(terms, key=terms.get)
-            raise ValidationError(
-                leaf,
-                f"a trial would expect {total:.3g} stimuli ({terms[leaf]:.3g} from this"
-                f" leaf), more than the {MAX_STIMULI:g} allowed",
-            )
+        require_stimulus_budget(
+            _expected_stimuli(self, n_tests),
+            "a trial would expect {total:.3g} stimuli ({share:.3g} from this leaf)",
+        )
+
+
+def require_stimulus_budget(terms: dict[str, float], expect: str) -> None:
+    """Reject stimuli ``terms`` (expected stimuli by leaf) that sum past ``MAX_STIMULI``.
+
+    The error names the leaf with the largest term.  ``expect`` begins the
+    message and is formatted with the ``total`` and that leaf's ``share``.
+    """
+    total = sum(terms.values())
+    if total > MAX_STIMULI:
+        leaf = max(terms, key=terms.get)
+        message = expect.format(total=total, share=terms[leaf])
+        raise ValidationError(leaf, f"{message}, more than the {MAX_STIMULI:g} allowed")
 
 
 def _expected_stimuli(config: ExperimentConfig, n_tests: int) -> dict[str, float]:
@@ -456,28 +466,6 @@ def set_config_value(config: ExperimentConfig, path: str, value: Any) -> Experim
     return build_config({path: value}, config)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: Any
-    accuracy: float
-    decisions: tuple[tuple[str, int], ...]
-
-
-def sweep(
-    config: ExperimentConfig, parameter_path: str, values, threads: int = 1
-) -> list[SweepRow]:
-    """Run one experiment per parameter value and tabulate verdict metrics.
-
-    Every point's config is built, and so validated, before any runs.
-    """
-    points = [(value, set_config_value(config, parameter_path, value)) for value in values]
-    rows = []
-    for value, cfg in points:
-        counts, accuracy = run_experiment(cfg, threads=threads).tally()
-        rows.append(SweepRow(value, accuracy, tuple(sorted(counts.items()))))
-    return rows
-
-
 def realized_click_rate(
     params: DetectorParams,
     arrival_rate: float,
@@ -485,6 +473,8 @@ def realized_click_rate(
     seed: int = 0xB11D,
 ) -> float:
     """Observed total click rate for a Poissonian source, by pilot simulation."""
+    if not 0 < duration <= MAX_SECONDS:  # also false for nan
+        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
     timeline = gen_signal_photons(arrival_rate, duration, stream(seed, "pilot-src"))
     clicks = process_timeline(params, timeline, stream(seed, "pilot-det"))
     return len(clicks) / duration
@@ -504,8 +494,10 @@ def calibrate_source_rate(
     Accounts for dead-time losses, dark counts and the afterpulse
     cascade, which a closed form would have to approximate.
     """
-    if target_click_rate <= 0:
-        raise ValidationError("target_click_rate", "must be > 0")
+    if not 0 < target_click_rate < math.inf:  # also false for nan
+        raise ValidationError("target_click_rate", "must be finite and > 0")
+    if not 0 <= tolerance < math.inf:
+        raise ValidationError("tolerance", "must be finite and >= 0")
     lo = 0.0
     hi = max(target_click_rate / max(params.efficiency, 1e-9), 1.0)
     for _ in range(40):

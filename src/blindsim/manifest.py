@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .engine import CONFIG_LEAVES, ExperimentConfig, build_config
 from .errors import ConfigError, field_kind
 from .stats import Histogram
@@ -78,10 +78,6 @@ def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
     return build_config({path: parse_leaf(path, text) for path, text in flat.items()})
 
 
-def dumps_flat(mapping: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in mapping.items())
-
-
 def parse_flat(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -95,74 +91,37 @@ def parse_flat(text: str) -> dict[str, str]:
     return out
 
 
-def _section(flat: dict[str, str], prefix: str) -> dict[str, str]:
-    """The entries of ``flat`` under ``prefix``, with the prefix stripped."""
-    return {k[len(prefix):]: v for k, v in flat.items() if k.startswith(prefix)}
-
-
 def flat_config_text(text: str) -> dict[str, str]:
     """The config entries of plain config text or of a manifest, as text."""
     flat = parse_flat(text)
-    return _section(flat, "config.") or flat
+    return {k[len("config."):]: v for k, v in flat.items() if k.startswith("config.")} or flat
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    version: str
-    seed: int
-    started_utc: str
-    finished_utc: str
-    threads: int
-    config_flat: dict[str, str]
-    digests: dict[str, str]
-    salt_null: str | None = None  # reference, simulated or none
-    timings: dict[str, float] = field(default_factory=dict)  # stage -> seconds
+def manifest_text(
+    run: dict[str, str], timings: dict[str, float], config: ExperimentConfig, digests: dict
+) -> str:
+    """The text of a run's ``manifest.txt``; ``flat_config_text`` reads its config back.
 
-    def dumps(self) -> str:
-        lines = {
-            "blindsim.version": self.version,
-            "run.master_seed": str(self.seed),
-            "run.started_utc": self.started_utc,
-            "run.finished_utc": self.finished_utc,
-            "run.threads": str(self.threads),
-            # Generator streams, and the Philox state layout that rng
-            # re-keys, are tied to the numpy version.
-            "env.python": "{}.{}.{}".format(*sys.version_info[:3]),
-            "env.numpy": np.__version__,
-        }
-        if self.salt_null is not None:
-            lines["run.salt_null"] = self.salt_null
-        for stage, seconds in self.timings.items():
-            lines[f"timing.{stage}"] = repr(seconds)
-        for k, v in self.config_flat.items():
-            lines[f"config.{k}"] = v
-        for name, digest in sorted(self.digests.items()):
-            lines[f"digest.{name}"] = digest
-        return dumps_flat(lines)
-
-    @classmethod
-    def loads(cls, text: str) -> "RunManifest":
-        flat = parse_flat(text)
-        try:
-            version = flat["blindsim.version"]
-            seed = int(flat["run.master_seed"])
-            started = flat["run.started_utc"]
-            finished = flat["run.finished_utc"]
-            threads = int(flat.get("run.threads", "1"))
-        except KeyError as e:
-            raise ConfigError(f"manifest missing field {e.args[0]!r}") from e
-        config_flat = _section(flat, "config.")
-        if not config_flat:
-            raise ConfigError("manifest carries no config snapshot")
-        digests = _section(flat, "digest.")
-        timings = {k: float(v) for k, v in _section(flat, "timing.").items()}
-        return cls(
-            version, seed, started, finished, threads, config_flat, digests,
-            flat.get("run.salt_null"), timings,
-        )
-
-    def config(self) -> ExperimentConfig:
-        return config_from_flat(self.config_flat)
+    ``run`` holds the ``started_utc``, ``finished_utc``, ``threads`` and
+    ``salt_null`` (reference, simulated or none) texts; ``timings`` maps
+    each stage to wall-clock seconds.
+    """
+    lines = {
+        "blindsim.version": __version__,
+        "run.master_seed": str(config.seed),
+        "run.started_utc": run["started_utc"],
+        "run.finished_utc": run["finished_utc"],
+        "run.threads": run["threads"],
+        # Generator streams, and the Philox state layout that rng
+        # re-keys, are tied to the numpy version.
+        "env.python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "env.numpy": np.__version__,
+        "run.salt_null": run["salt_null"],
+    }
+    lines.update((f"timing.{stage}", repr(seconds)) for stage, seconds in timings.items())
+    lines.update((f"config.{k}", v) for k, v in config_to_flat(config).items())
+    lines.update((f"digest.{name}", d) for name, d in sorted(digests.items()))
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
 
 
 def sha256_file(path: Path) -> str:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ValidationError, require_finite
 from .selftest import SelfTestPlan, Strategy
-from .units import Duration, NonNegative, PositiveDuration, Rate, to_ps, to_seconds
+from .units import MAX_SECONDS, PS_PER_SECOND, Duration, NonNegative, PositiveDuration, Rate
+from .units import to_ps, to_seconds
 
 
 class PhotonSource(str, Enum):
@@ -204,8 +205,10 @@ def gen_signal_photons(
     rate: float, duration: float, rng: np.random.Generator
 ) -> OpticalTimeline:
     """Poissonian signal photon arrivals at the given rate over the horizon."""
-    if rate < 0:
-        raise ValidationError("rate", "must be >= 0")
+    if not (0 <= rate <= PS_PER_SECOND and 0 <= duration <= MAX_SECONDS):  # false for nan
+        if not 0 <= rate <= PS_PER_SECOND:
+            raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
+        raise ValidationError("duration", f"must lie in [0, {MAX_SECONDS:g}] s")
     duration_ps = to_ps(duration)
     times = _frozen(_poisson_arrival_ps(rate, duration_ps, rng))
     codes = _frozen(np.full(times.size, PHOTON_CODE[PhotonSource.SIGNAL], dtype=np.uint8))

@@ -26,13 +26,12 @@ recomputed by a test.
 from __future__ import annotations
 
 from .detector import DetectorParams, calibrate_dead_time
-from .errors import ConfigError, ValidationError
-from .engine import ExperimentConfig, Scenario
+from .errors import ConfigError
+from .engine import ExperimentConfig, Scenario, require_stimulus_budget
 from .optics import AttackScenario
 from .rng import stream
 from .selftest import SelfTestPlan, Strategy
 from .stats import Histogram, count_distribution_oracle
-from .units import MAX_STIMULI
 
 CLICK_RATE = 5.0e4  # operating event rate, events/second
 SALT_TEST_RATE = 5.0e5  # event rate during a salt test (mean 100 per window)
@@ -99,19 +98,16 @@ def salt_null(config: ExperimentConfig) -> Histogram:
     the rate leaf with the largest share.
     """
     detector, window = config.detector, config.plan.test_duration
-    terms = {
-        "signal_rate": config.signal_rate * window,
-        "salt_rate": config.plan.salt_rate * window,
-        "dark_rate": detector.dark_rate * window,
-        "noise_rate": detector.noise_rate * window,
-    }
-    total = SALT_NULL_WINDOWS * sum(terms.values())
-    if total > MAX_STIMULI:
-        raise ValidationError(
-            max(terms, key=terms.get),
-            f"the salt null's {SALT_NULL_WINDOWS} windows would expect {total:.3g}"
-            f" stimuli, more than the {MAX_STIMULI:g} allowed",
-        )
+    span = SALT_NULL_WINDOWS * window
+    require_stimulus_budget(
+        {
+            "signal_rate": config.signal_rate * span,
+            "salt_rate": config.plan.salt_rate * span,
+            "dark_rate": detector.dark_rate * span,
+            "noise_rate": detector.noise_rate * span,
+        },
+        f"the salt null's {SALT_NULL_WINDOWS} windows would expect {{total:.3g}} stimuli",
+    )
     rate = config.signal_rate + config.plan.salt_rate
     if (detector, rate, window) == (reference_detector(), SIGNAL_RATE + SALT_RATE, WINDOW):
         return SALT_NULL

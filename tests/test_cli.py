@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +17,13 @@ from hypothesis import strategies as st
 
 import blindsim
 from blindsim import presets
-from blindsim.cli import _build_config, main
+from blindsim.cli import _build_flat, _config, main
 from blindsim.engine import CONFIG_LEAVES, ExperimentConfig, run_experiment
 from blindsim.manifest import (
-    RunManifest,
     config_from_flat,
     config_to_flat,
     flat_config_text,
+    manifest_text,
     parse_flat,
     parse_leaf,
     read_histogram_csv,
@@ -35,6 +34,14 @@ from blindsim import Scenario, Histogram
 
 def run_cli(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env, catch_exceptions=False)
+
+
+def manifest_flat(out: Path) -> dict[str, str]:
+    return parse_flat((out / "manifest.txt").read_text())
+
+
+def manifest_config(out: Path) -> ExperimentConfig:
+    return config_from_flat(flat_config_text((out / "manifest.txt").read_text()))
 
 
 def digest_dir(path: Path) -> dict[str, str]:
@@ -69,31 +76,31 @@ class TestConfigRoundTrip:
 
     def test_manifest_round_trip(self):
         config = salt_config(Scenario.NORMAL, trials=3, seed=4)
-        manifest = RunManifest(
-            version="0.1.0",
-            seed=4,
-            started_utc="2026-01-01T00:00:00Z",
-            finished_utc="2026-01-01T00:00:05Z",
-            threads=2,
-            config_flat=config_to_flat(config),
-            digests={"trials.jsonl": "ab" * 32},
-            salt_null="reference",
-            timings={"config_s": 0.1, "trials_s": 1 / 3},
-        )
-        text = manifest.dumps()
+        run = {
+            "started_utc": "2026-01-01T00:00:00Z",
+            "finished_utc": "2026-01-01T00:00:05Z",
+            "threads": "2",
+            "salt_null": "reference",
+        }
+        timings = {"config_s": 0.1, "trials_s": 1 / 3}
+        text = manifest_text(run, timings, config, {"trials.jsonl": "ab" * 32})
         flat = parse_flat(text)
+        assert flat["blindsim.version"] == blindsim.__version__
+        assert flat["run.master_seed"] == "4"
+        assert {k: flat[f"run.{k}"] for k in run} == run
         assert flat["env.python"] == "{}.{}.{}".format(*sys.version_info[:3])
         assert flat["env.numpy"] == np.__version__
-        loaded = RunManifest.loads(text)
-        assert loaded == manifest
-        assert loaded.config() == config
-        # a manifest written before the env.*, run.salt_null and timing.*
-        # keys existed still loads
+        assert {k: float(flat[f"timing.{k}"]) for k in timings} == timings
+        assert flat["digest.trials.jsonl"] == "ab" * 32
+        # the reader that --config and analyze share gives back the config
+        assert flat_config_text(text) == config_to_flat(config)
+        assert config_from_flat(flat_config_text(text)) == config
+        # a manifest without env.*, run.* or timing.* keys still loads
         older = "".join(
             line for line in text.splitlines(True)
-            if not line.startswith(("env.", "run.salt_null", "timing."))
+            if not line.startswith(("env.", "run.", "timing.", "blindsim."))
         )
-        assert RunManifest.loads(older) == replace(manifest, salt_null=None, timings={})
+        assert config_from_flat(flat_config_text(older)) == config
 
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nseed = 5\ntrials = 2\n"
@@ -115,8 +122,11 @@ class TestSimulateCommand:
         assert (out / "trials.jsonl").exists()
         assert (out / "hist_test_counts.csv").exists()
         assert (out / "hist_salt_null.csv").exists()
-        manifest = RunManifest.loads((out / "manifest.txt").read_text())
-        for name, digest in manifest.digests.items():
+        digests = {
+            k[len("digest."):]: v for k, v in manifest_flat(out).items() if k.startswith("digest.")
+        }
+        assert sorted(digests) == sorted(p.name for p in out.iterdir() if p.name != "manifest.txt")
+        for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -131,6 +141,29 @@ class TestSimulateCommand:
         for stage in ("config", "salt_null", "trials", "write"):
             seconds = float(flat[f"timing.{stage}_s"])
             assert math.isfinite(seconds) and seconds >= 0, stage
+
+    def test_manifest_key_order(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--trials", "2", "--out", str(out)).exit_code == 0
+        assert list(manifest_flat(out)) == [
+            "blindsim.version",
+            "run.master_seed",
+            "run.started_utc",
+            "run.finished_utc",
+            "run.threads",
+            "env.python",
+            "env.numpy",
+            "run.salt_null",
+            "timing.config_s",
+            "timing.salt_null_s",
+            "timing.trials_s",
+            "timing.write_s",
+            *(f"config.{path}" for path in CONFIG_LEAVES),
+            "digest.hist_clicks_per_trial.csv",
+            "digest.hist_salt_null.csv",
+            "digest.hist_test_counts.csv",
+            "digest.trials.jsonl",
+        ]
 
     def test_preset_salt_run_simulates_no_null(self, tmp_path, monkeypatch):
         def no_oracle(*args, **kwargs):
@@ -151,7 +184,7 @@ class TestSimulateCommand:
             )
             assert rerun.exit_code == 0
             assert digest_dir(out) == digest_dir(tmp_path / f"{scenario}-rerun")
-            assert RunManifest.loads((out / "manifest.txt").read_text()).salt_null == "reference"
+            assert manifest_flat(out)["run.salt_null"] == "reference"
 
     def test_custom_detector_null_ignores_the_run_seed(self, tmp_path):
         nulls = []
@@ -162,7 +195,7 @@ class TestSimulateCommand:
                 "--set", "detector.afterpulse_prob=0.3", "--out", str(out),
             )
             assert result.exit_code == 0
-            assert RunManifest.loads((out / "manifest.txt").read_text()).salt_null == "simulated"
+            assert manifest_flat(out)["run.salt_null"] == "simulated"
             nulls.append((out / "hist_salt_null.csv").read_bytes())
         assert nulls[0] == nulls[1]
         reference = tmp_path / "reference"
@@ -213,13 +246,13 @@ class TestSimulateCommand:
         out = tmp_path / "o1"
         run_cli("simulate", "--config", str(cfg), "--out", str(out),
                 env={"BLINDSIM_SEED": "77"})
-        manifest = RunManifest.loads((out / "manifest.txt").read_text())
-        assert manifest.seed == 77
+        assert manifest_flat(out)["run.master_seed"] == "77"
+        assert manifest_config(out).seed == 77
         out2 = tmp_path / "o2"
         run_cli("simulate", "--config", str(cfg), "--out", str(out2),
                 "--seed", "123", env={"BLINDSIM_SEED": "77"})
-        manifest2 = RunManifest.loads((out2 / "manifest.txt").read_text())
-        assert manifest2.seed == 123
+        assert manifest_flat(out2)["run.master_seed"] == "123"
+        assert manifest_config(out2).seed == 123
 
     @pytest.mark.parametrize(
         "config_text,option",
@@ -238,7 +271,7 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         result = run_cli("simulate", "--config", str(cfg), *option, "--out", str(out))
         assert result.exit_code == 0
-        assert RunManifest.loads((out / "manifest.txt").read_text()).config().trials == 2
+        assert manifest_config(out).trials == 2
 
     def test_set_override(self, tmp_path):
         out = tmp_path / "run"
@@ -248,8 +281,7 @@ class TestSimulateCommand:
             "--set", "plan.count_threshold=60",
         )
         assert result.exit_code == 0
-        manifest = RunManifest.loads((out / "manifest.txt").read_text())
-        assert manifest.config().plan.count_threshold == 60
+        assert manifest_config(out).plan.count_threshold == 60
 
     @pytest.mark.parametrize(
         "override,field",
@@ -333,9 +365,9 @@ class TestSimulateCommand:
         ],
     )
     def test_set_own_text_round_trips_every_leaf(self, scenario, protocol):
-        config = _build_config(None, scenario, protocol, 7, 3, ())
+        config = _config(_build_flat(None, scenario, protocol, 7, 3, ()))
         for path, text in config_to_flat(config).items():
-            rebuilt = _build_config(None, scenario, protocol, 7, 3, (f"{path}={text}",))
+            rebuilt = _config(_build_flat(None, scenario, protocol, 7, 3, (f"{path}={text}",)))
             assert rebuilt == config, path
 
 
@@ -383,6 +415,31 @@ class TestAnalyzeCommand:
         result = run_cli("analyze", str(tmp_path))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text", ["", "# comment only\n"])
+    def test_manifest_without_config_exits_two(self, tmp_path, text):
+        # it must not read as the default config
+        (tmp_path / "manifest.txt").write_text(text)
+        (tmp_path / "trials.jsonl").write_text("")
+        result = run_cli("analyze", str(tmp_path))
+        assert result.exit_code == 2
+        assert "no config" in result.output
+
+    def test_manifest_of_config_lines_only_analyzes_the_same(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(
+            "simulate", "--scenario", "manipulated", "--protocol", "salt",
+            "--trials", "20", "--seed", "5", "--out", str(out),
+        )
+        full = run_cli("analyze", str(out))
+        manifest = out / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(True) if line.startswith("config.")
+        ))
+        result = run_cli("analyze", str(out))
+        assert result.exit_code == 0
+        assert full.exit_code == 0
+        assert result.output == full.output
+
     def test_analyze_reports_and_is_idempotent(self, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -402,7 +459,7 @@ class TestAnalyzeCommand:
             "simulate", "--scenario", "manipulated", "--protocol", "flag",
             "--trials", "60", "--seed", "32", "--out", str(out),
         )
-        config = RunManifest.loads((out / "manifest.txt").read_text()).config()
+        config = manifest_config(out)
         summary = run_experiment(config).summary()
         lines = run_cli("analyze", str(out)).output.splitlines()
         decisions = {
@@ -466,6 +523,19 @@ class TestSweepCommand:
         assert [parse_leaf("scenario", v) for v in values] == [
             Scenario.NORMAL, Scenario.MANIPULATED,
         ]
+
+    def test_base_config_needs_to_be_valid_only_at_each_point(self, tmp_path):
+        # a NORMAL scenario carries no attack: the file alone is invalid
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario = NORMAL\nattack.blind_power_level = 5e-10\ntrials = 3\n")
+        out = tmp_path / "sweep"
+        result = run_cli(
+            "sweep", "--config", str(cfg),
+            "--param", "scenario", "--values", "manipulated,custom", "--out", str(out),
+        )
+        assert result.exit_code == 0, result.output
+        rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["MANIPULATED", "CUSTOM"]
 
     @pytest.mark.parametrize(
         "param,values,named",

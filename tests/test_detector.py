@@ -201,6 +201,36 @@ class TestBlinding:
         clicks = process_timeline(params, timeline, stream(4, "d"))
         assert [(c.time_ps, c.cause) for c in clicks] == [(t0, ClickCause.FLAG)]
 
+    def test_held_flags_read_only_the_segments_active_at_each_edge(self):
+        # n disjoint segments give 2n edges; summing every segment at
+        # every edge would read the segment times about 2n**2 times
+        reads = [0]
+
+        class CountedSegment(CwSegment):
+            @property
+            def start_ps(self):
+                reads[0] += 1
+                return self[0]
+
+            @property
+            def stop_ps(self):
+                reads[0] += 1
+                return self[1]
+
+        n = 400
+        params = quiet_params(dead_time=1e-12, recovery_click_prob=1.0)
+        spans = [(10 * i, 10 * i + 5, 1e-9, CwSource.LE_BLIND) for i in range(n)]
+        counted = OpticalTimeline(
+            duration_ps=10 * n, cw_segments=tuple(CountedSegment(*s) for s in spans)
+        )
+        clicks = process_timeline(params, counted, stream(3, "d"))
+        assert reads[0] <= 12 * n
+        assert [(c.time_ps, c.cause) for c in clicks] == [
+            (10 * i + 5, ClickCause.RECOVERY) for i in range(n)
+        ]
+        plain = replace(counted, cw_segments=tuple(CwSegment(*s) for s in spans))
+        assert process_timeline(params, plain, stream(3, "d")) == clicks
+
 
 GATED_CAUSES = (ClickCause.SIGNAL, ClickCause.SALT, ClickCause.DARK)
 
@@ -867,6 +897,35 @@ class TestCalibrateDeadTime:
 
 def salt_preset():
     return presets.salt_config(Scenario.NORMAL, trials=1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call,field",
+    [
+        (lambda p: realized_click_rate(p, 1e4, duration=0.0), "duration"),
+        (lambda p: realized_click_rate(p, 1e4, duration=math.nan), "duration"),
+        (lambda p: calibrate_source_rate(p, math.nan), "target_click_rate"),
+        (lambda p: calibrate_source_rate(p, math.inf), "target_click_rate"),
+        (lambda p: calibrate_source_rate(p, 1e4, tolerance=-1), "tolerance"),
+        (lambda p: calibrate_source_rate(p, 1e4, tolerance=math.nan), "tolerance"),
+        (lambda p: gen_signal_photons(math.nan, 1e-3, stream(1)), "rate"),
+        (lambda p: gen_signal_photons(math.inf, 1e-3, stream(1)), "rate"),
+        (lambda p: gen_signal_photons(1e4, math.nan, stream(1)), "duration"),
+        (lambda p: gen_signal_photons(1e4, math.inf, stream(1)), "duration"),
+        (lambda p: count_distribution_oracle(p, math.nan, 1e-4, 10, stream(1)), "rate"),
+    ],
+    ids=[
+        "click_rate-zero-duration", "click_rate-nan-duration",
+        "calibrate-nan-target", "calibrate-inf-target",
+        "calibrate-negative-tolerance", "calibrate-nan-tolerance",
+        "photons-nan-rate", "photons-inf-rate", "photons-nan-duration", "photons-inf-duration",
+        "oracle-nan-rate",
+    ],
+)
+def test_library_call_names_its_bad_argument(call, field):
+    with pytest.raises(ValidationError) as err:
+        call(quiet_params())
+    assert err.value.field == field
 
 
 class TestSourceRates:

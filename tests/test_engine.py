@@ -34,7 +34,6 @@ from blindsim import (
     run_trial,
     schedule_tests,
     stream,
-    sweep,
 )
 from blindsim.engine import (
     CONFIG_LEAVES,
@@ -167,6 +166,11 @@ class TestExpectedDecisions:
         assert expected_decisions(Scenario.CUSTOM, Strategy.SALT) == frozenset()
 
 
+def tally_at(cfg, path, value):
+    """Decision counts and accuracy of ``cfg`` run with one leaf set."""
+    return run_experiment(set_config_value(cfg, path, value)).tally()
+
+
 class TestSweep:
     def test_threshold_sweep_has_perfect_plateau(self):
         # the accuracy plateau spans at least [31, 78]: the manipulated
@@ -175,32 +179,30 @@ class TestSweep:
         cfg = salt_config(Scenario.NORMAL, trials=500, seed=12)
         cfg_m = salt_config(Scenario.MANIPULATED, trials=500, seed=12)
         for thr in (31, 50, 78):
-            row_n = sweep(cfg, "plan.count_threshold", [thr])[0]
-            row_m = sweep(cfg_m, "plan.count_threshold", [thr])[0]
-            assert row_n.accuracy == 1.0
-            assert row_m.accuracy == 1.0
+            assert tally_at(cfg, "plan.count_threshold", thr)[1] == 1.0
+            assert tally_at(cfg_m, "plan.count_threshold", thr)[1] == 1.0
         # extreme thresholds break one side
-        assert sweep(cfg_m, "plan.count_threshold", [5])[0].accuracy < 1.0
+        assert tally_at(cfg_m, "plan.count_threshold", 5)[1] < 1.0
 
     def test_salt_rate_zero_collapses_detection(self):
         cfg = salt_config(Scenario.MANIPULATED, trials=50, seed=13)
-        row = sweep(cfg, "plan.salt_rate", [0.0])[0]
+        counts, accuracy = tally_at(cfg, "plan.salt_rate", 0.0)
         # without salt light every verdict is INCONCLUSIVE: no detection
-        assert row.accuracy == 0.0
-        assert dict(row.decisions) == {"INCONCLUSIVE": 50}
+        assert accuracy == 0.0
+        assert dict(counts) == {"INCONCLUSIVE": 50}
 
     def test_fake_rate_zero_with_blinding_is_silent_negative(self):
         cfg = salt_config(Scenario.MANIPULATED, trials=50, seed=14)
-        row = sweep(cfg, "attack.fake_pulse_rate", [0.0])[0]
-        assert row.accuracy == 1.0
-        assert dict(row.decisions) == {"NEGATIVE_MANIPULATION": 50}
+        counts, accuracy = tally_at(cfg, "attack.fake_pulse_rate", 0.0)
+        assert accuracy == 1.0
+        assert dict(counts) == {"NEGATIVE_MANIPULATION": 50}
 
     def test_unknown_path_rejected(self):
         cfg = salt_config(Scenario.NORMAL, trials=5, seed=15)
         with pytest.raises(ValidationError):
-            sweep(cfg, "plan.count_treshold", [50])
+            set_config_value(cfg, "plan.count_treshold", 50)
         with pytest.raises(ValidationError):
-            sweep(cfg, "nonsense", [1])
+            set_config_value(cfg, "nonsense", 1)
 
 
 class TestConfigValidation:
@@ -632,9 +634,6 @@ class TestWorkerInvariance:
         cfg = flag_pulse_config(Scenario.NORMAL, trials=2, seed=19)
         with pytest.raises(ValidationError) as err:
             run_experiment(cfg, threads=threads)
-        assert err.value.field == "threads"
-        with pytest.raises(ValidationError) as err:
-            sweep(cfg, "seed", [1, 2], threads=threads)
         assert err.value.field == "threads"
 
 
