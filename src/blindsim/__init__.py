@@ -8,15 +8,13 @@ from .detector import (
     calibrate_dead_time,
     process_timeline,
 )
+from .config import ExperimentConfig, Scenario, set_config_value
 from .engine import (
-    ExperimentConfig,
     ExperimentResult,
-    Scenario,
     TrialResult,
     build_trial_timeline,
     run_experiment,
     run_trial,
-    set_config_value,
 )
 from .errors import BlindsimError, ConfigError, ValidationError
 from .optics import (

@@ -18,12 +18,11 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .engine import ExperimentConfig, Scenario, run_experiment, tally_verdicts
+from .config import ExperimentConfig, Scenario, config_from_flat, config_to_flat
+from .config import flat_config_text
+from .engine import run_experiment, tally_verdicts
 from .errors import BlindsimError, ConfigError
 from .manifest import (
-    config_from_flat,
-    config_to_flat,
-    flat_config_text,
     manifest_text,
     read_trial_records,
     sha256_file,

@@ -21,15 +21,14 @@ import pickle
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Any, get_type_hints
+from typing import Any
 
+from .config import ExperimentConfig, Scenario
 from .detector import DetectorParams, process_timeline
-from .errors import BlindsimError, ConfigError, ValidationError, require_finite
-from .optics import AttackScenario, flag_pulse, gen_attack, gen_le_schedule
-from .optics import gen_signal_photons, merge_timelines
+from .errors import BlindsimError, ValidationError
+from .optics import gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
 from .rng import trial_stream as stream  # perfbench traces engine.stream
 from .selftest import (
     Decision,
@@ -40,92 +39,10 @@ from .selftest import (
     evaluate_flag_pulse,
     evaluate_salt,
     evaluate_self_blind,
-    fit_tests,
     schedule_tests,
 )
 from .stats import Histogram
-from .units import MAX_SECONDS, MAX_STIMULI, Duration, Fraction, Rate, TrialCount
-from .units import to_ps, to_seconds
-
-
-class Scenario(str, Enum):
-    NORMAL = "NORMAL"
-    MANIPULATED = "MANIPULATED"
-    RECOVERY_ATTACK = "RECOVERY_ATTACK"
-    CUSTOM = "CUSTOM"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    detector: DetectorParams = field(default_factory=DetectorParams)
-    attack: AttackScenario = field(default_factory=AttackScenario)
-    plan: SelfTestPlan = field(default_factory=lambda: SelfTestPlan(strategy=Strategy.SALT))
-    signal_rate: Rate = 5.5e4  # legitimate photon arrival rate at the detector
-    duty_cycle: Fraction = 0.5
-    trial_duration: Duration = 4.0e-4
-    trials: TrialCount = 100
-    seed: int = 1
-    scenario: Scenario = Scenario.NORMAL
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.scenario == Scenario.NORMAL and self.attack.blind_power_level > 0:
-            raise ValidationError("scenario", "NORMAL scenario cannot carry an attack")
-        if (
-            self.plan.strategy == Strategy.SELF_BLIND
-            and self.plan.self_blind_power < self.detector.blind_power
-        ):
-            raise ValidationError(
-                "self_blind_power", "must reach the detector blinding threshold"
-            )
-        emitted = flag_pulse(self.plan, 0).energy  # can round 1 ulp above the plan's
-        if max(self.plan.flag_pulse_energy, emitted) >= self.detector.fake_energy:
-            raise ValidationError(
-                "flag_pulse_energy", "must stay below the fake-state energy threshold"
-            )
-        n_tests = fit_tests(self.trial_duration, self.duty_cycle, self.plan)[0]
-        if n_tests == 0:
-            name = "trial_duration" if self.trial_duration == 0 else "duty_cycle"
-            raise ValidationError(name, "leaves no self-test in a trial")
-        require_stimulus_budget(
-            _expected_stimuli(self, n_tests),
-            "a trial would expect {total:.3g} stimuli ({share:.3g} from this leaf)",
-        )
-
-
-def require_stimulus_budget(terms: dict[str, float], expect: str) -> None:
-    """Reject stimuli ``terms`` (expected stimuli by leaf) that sum past ``MAX_STIMULI``.
-
-    The error names the leaf with the largest term.  ``expect`` begins the
-    message and is formatted with the ``total`` and that leaf's ``share``.
-    """
-    total = sum(terms.values())
-    if total > MAX_STIMULI:
-        leaf = max(terms, key=terms.get)
-        message = expect.format(total=total, share=terms[leaf])
-        raise ValidationError(leaf, f"{message}, more than the {MAX_STIMULI:g} allowed")
-
-
-def _expected_stimuli(config: ExperimentConfig, n_tests: int) -> dict[str, float]:
-    """Expected stimuli per trial by leaf: each rate times the span it acts over.
-
-    The tests count too, under ``test_duration``: each fires a flag pulse
-    or builds a fragment, and each gets a verdict.
-    """
-    trial = config.trial_duration
-    plan, attack, detector = config.plan, config.attack, config.detector
-    fake_span = trial
-    if attack.stop_blind_at is not None:
-        fake_span = min(trial, attack.stop_blind_at)
-    salt = plan.salt_rate * plan.test_duration * n_tests if plan.strategy == Strategy.SALT else 0.0
-    return {
-        "signal_rate": config.signal_rate * trial,
-        "salt_rate": salt,
-        "dark_rate": detector.dark_rate * trial,
-        "noise_rate": detector.noise_rate * trial,
-        "fake_pulse_rate": attack.fake_pulse_rate * fake_span,
-        "test_duration": n_tests,
-    }
+from .units import MAX_SECONDS, to_ps, to_seconds
 
 
 @dataclass(frozen=True)
@@ -416,54 +333,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         return ExperimentResult(
             config=config, trials=trials, histograms=_build_histograms(config, trials)
         )
-
-
-def _config_fields(cls, prefix: str = ""):
-    """(dotted path, annotation) of every config field below ``cls``, in field order."""
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        if f.name != "null_distribution":  # runtime-only, never serialized
-            yield prefix + f.name, hints[f.name]
-            if is_dataclass(hints[f.name]):
-                yield from _config_fields(hints[f.name], f"{prefix}{f.name}.")
-
-
-_CONFIG_FIELDS = dict(_config_fields(ExperimentConfig))
-# Every settable leaf, dotted path -> annotation, in field order: the paths
-# that configs, manifests, ``--set`` and sweeps address.
-CONFIG_LEAVES = {p: a for p, a in _CONFIG_FIELDS.items() if not is_dataclass(a)}
-
-
-def build_config(values: dict[str, Any], base: Any = None, prefix: str = "") -> Any:
-    """A config with the given leaf values, derived from ``base`` or built anew.
-
-    ``values`` maps dotted leaf paths, relative to the node at ``prefix``,
-    to typed values.  A nested object is built only when a path reaches
-    into it; the others keep ``base``'s object, or their defaults when
-    there is no base.
-    """
-    kwargs: dict[str, Any] = {}
-    nested: dict[str, dict[str, Any]] = {}
-    for path, value in values.items():
-        name, dot, rest = path.partition(".")
-        if dot:
-            nested.setdefault(name, {})[rest] = value
-        else:
-            kwargs[name] = value
-    for name, sub_values in nested.items():
-        kwargs[name] = build_config(sub_values, getattr(base, name, None), f"{prefix}{name}.")
-    cls = _CONFIG_FIELDS[prefix[:-1]] if prefix else ExperimentConfig
-    try:
-        return cls(**kwargs) if base is None else replace(base, **kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{prefix or 'config'}: {e}") from e
-
-
-def set_config_value(config: ExperimentConfig, path: str, value: Any) -> ExperimentConfig:
-    """Return a config with the dotted-path leaf replaced."""
-    if path not in CONFIG_LEAVES:
-        raise ValidationError("parameter", f"not a config leaf: {path!r}")
-    return build_config({path: value}, config)
 
 
 def realized_click_rate(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import fields
-from enum import Enum
+from dataclasses import fields, is_dataclass
+from enum import EnumMeta
 from functools import cache
 from typing import Annotated, Any, get_args, get_origin, get_type_hints
 
@@ -33,28 +33,26 @@ class ValidationError(BlindsimError, ValueError):
         return type(self), (self.field, self.message)
 
 
-def field_kind(annotation) -> tuple[Any, bool]:
-    """The type a field annotated ``annotation`` holds, and whether it may be None."""
-    args = [a for a in get_args(annotation) if a is not type(None)]
-    optional = len(args) < len(get_args(annotation))
-    return (args[0] if optional and len(args) == 1 else annotation), optional
-
-
 @cache
-def _checked_fields(cls) -> tuple[tuple[str, Any, bool, Range | None, Any, Any], ...]:
-    """(name, kind, may be None, range, least, most) of each int, float, bool or Enum field.
+def checked_fields(cls) -> tuple[tuple[str, Any, bool, Range | None, Any, Any], ...]:
+    """(name, kind, may be None, range, least, most) of each checked field of ``cls``.
 
-    A number of the field's own type from ``least`` to ``most``, the
-    declared range narrowed to finite floats, passes at once.
+    A field is checked if it holds an int, float, bool, Enum or dataclass.
+    A number of its own type from ``least`` to ``most``, the declared
+    range narrowed to finite floats, passes at once.  The config leaves
+    are read from this table too.
     """
     hints = get_type_hints(cls, include_extras=True)
     out = []
     for f in fields(cls):
-        kind, optional = field_kind(hints[f.name])
+        hint = hints[f.name]
+        args = [a for a in get_args(hint) if a is not type(None)]
+        optional = len(args) < len(get_args(hint))
+        kind = args[0] if optional and len(args) == 1 else hint
         bounds = None
         if get_origin(kind) is Annotated:
             kind, bounds = get_args(kind)
-        if kind in (int, float, bool) or (isinstance(kind, type) and issubclass(kind, Enum)):
+        if kind in (int, float, bool) or is_dataclass(kind) or isinstance(kind, EnumMeta):
             least, most = (bounds.least, bounds.most) if bounds else (-math.inf, math.inf)
             if kind is float:
                 least, most = max(least, -sys.float_info.max), min(most, sys.float_info.max)
@@ -75,12 +73,13 @@ def require_finite(obj) -> None:
 
     The type hints decide: an ``int`` field takes only ints, a ``float``
     field takes finite numbers and the ints a float holds exactly, a
-    ``bool`` field takes only ``True`` or ``False``, an Enum field takes
-    only a member of its Enum, and a ``| None`` field may also be None.
+    ``bool`` field takes only ``True`` or ``False``, an Enum or dataclass
+    field takes only a member of its class, and a ``| None`` field may
+    also be None.
     A bool is not a number here, and nothing is coerced.  A number must
     also lie in the ``units.Range`` its annotation declares, if any.
     """
-    for name, kind, optional, bounds, least, most in _checked_fields(type(obj)):
+    for name, kind, optional, bounds, least, most in checked_fields(type(obj)):
         value = getattr(obj, name)
         if least is not None and type(value) is kind and least <= value <= most:
             continue  # the common case, decided at once
@@ -89,7 +88,7 @@ def require_finite(obj) -> None:
         try:
             if kind in (int, bool):
                 ok = type(value) is kind
-            elif kind is not float:  # an Enum
+            elif kind is not float:  # an Enum or a dataclass
                 ok = isinstance(value, kind)
             elif type(value) is int:
                 ok = float(value) == value  # float() overflows on huge ints

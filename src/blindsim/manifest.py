@@ -1,12 +1,9 @@
-"""Flat-text configuration files, run manifests, and result writers.
+"""Run manifests and result writers.
 
-Configs are ``dotted.path = value`` lines, one scalar per line, with the
-same dotted paths the sweep command addresses.  All durations are
-seconds, powers watts, energies joules; scientific notation is allowed.
-A run manifest is the same format with ``config.`` prefixed entries plus
-run metadata, the Python and numpy versions, and SHA-256 digests of
-every output file, which is enough to bit-reproduce the run.  Its
-``timing.<stage>_s`` entries are wall-clock seconds; no other output
+A run manifest is flat config text (see ``config``) with ``config.``
+prefixed entries, plus run metadata, the Python and numpy versions, and
+SHA-256 digests of every output file: enough to bit-reproduce the run.
+Its ``timing.<stage>_s`` entries are wall-clock seconds; no other output
 file holds wall-clock data.
 """
 
@@ -14,87 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
-from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .engine import CONFIG_LEAVES, ExperimentConfig, build_config
-from .errors import ConfigError, field_kind
+from .config import ExperimentConfig, config_to_flat
 from .stats import Histogram
-
-
-def _format_value(value: Any) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def config_to_flat(config: ExperimentConfig) -> dict[str, str]:
-    """Flatten a config into dotted-path keys with text values."""
-    return {path: _format_value(attrgetter(path)(config)) for path in CONFIG_LEAVES}
-
-
-def parse_leaf(path: str, text: str) -> Any:
-    """The value that config text ``text`` gives the leaf at dotted ``path``."""
-    if path not in CONFIG_LEAVES:
-        raise ConfigError(f"unknown config key: {path}")
-    target, optional = field_kind(CONFIG_LEAVES[path])
-    if text == "none":
-        if optional:
-            return None
-        raise ConfigError(f"{path}: 'none' not allowed here")
-    if issubclass(target, Enum):
-        try:
-            return target(text.upper())
-        except ValueError as e:
-            raise ConfigError(f"{path}: unknown value {text!r}") from e
-    if target is int:
-        try:
-            return int(text)
-        except ValueError:
-            pass  # integral numbers such as 1e3 are accepted below
-    try:
-        number = float(text)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number) or (target is int and not number.is_integer()):
-        kind = "an integer" if target is int else "a finite number"
-        raise ConfigError(f"{path}: expected {kind}, got {text!r}")
-    return int(number) if target is int else number
-
-
-def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
-    """Build a config from dotted-path text values; unknown keys fail."""
-    return build_config({path: parse_leaf(path, text) for path, text in flat.items()})
-
-
-def parse_flat(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def flat_config_text(text: str) -> dict[str, str]:
-    """The config entries of plain config text or of a manifest, as text."""
-    flat = parse_flat(text)
-    return {k[len("config."):]: v for k, v in flat.items() if k.startswith("config.")} or flat
 
 
 def manifest_text(
@@ -125,9 +50,7 @@ def manifest_text(
 
 
 def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_histogram_csv(path: Path, hist: Histogram) -> None:
@@ -159,10 +82,4 @@ def write_trials_jsonl(path: Path, trials) -> None:
 
 
 def read_trial_records(path: Path) -> list[dict[str, Any]]:
-    records = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]

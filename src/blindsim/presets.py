@@ -25,9 +25,9 @@ recomputed by a test.
 
 from __future__ import annotations
 
+from .config import ExperimentConfig, Scenario, require_stimulus_budget
 from .detector import DetectorParams, calibrate_dead_time
 from .errors import ConfigError
-from .engine import ExperimentConfig, Scenario, require_stimulus_budget
 from .optics import AttackScenario
 from .rng import stream
 from .selftest import SelfTestPlan, Strategy

@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 import blindsim
 from blindsim import presets
 from blindsim.cli import _build_flat, _config, main
-from blindsim.engine import CONFIG_LEAVES, ExperimentConfig, run_experiment
-from blindsim.manifest import (
+from blindsim.config import (
+    CONFIG_LEAVES,
+    ExperimentConfig,
     config_from_flat,
     config_to_flat,
     flat_config_text,
-    manifest_text,
     parse_flat,
     parse_leaf,
-    read_histogram_csv,
 )
+from blindsim.engine import run_experiment
+from blindsim.manifest import manifest_text, read_histogram_csv
 from blindsim.presets import salt_config
 from blindsim import Scenario, Histogram
 

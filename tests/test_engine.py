@@ -35,16 +35,15 @@ from blindsim import (
     schedule_tests,
     stream,
 )
-from blindsim.engine import (
+from blindsim.config import (
     CONFIG_LEAVES,
-    _run_trials,
     build_config,
-    build_trial_timeline,
-    expected_decisions,
+    config_from_flat,
+    config_to_flat,
     set_config_value,
 )
-from blindsim.errors import BlindsimError, field_kind, require_finite
-from blindsim.manifest import config_from_flat, config_to_flat
+from blindsim.engine import _run_trials, build_trial_timeline, expected_decisions
+from blindsim.errors import BlindsimError, require_finite
 from blindsim.optics import flag_pulse
 from blindsim.presets import (
     flag_pulse_config,
@@ -435,8 +434,8 @@ def test_positive_duration_is_at_least_one_picosecond(path):
 def test_every_numeric_leaf_declares_its_range():
     # a new leaf without a declared range fails here
     unbounded = {"seed"}
-    for path, annotation in CONFIG_LEAVES.items():
-        if field_kind(annotation)[0] not in (int, float):
+    for path, (kind, _) in CONFIG_LEAVES.items():
+        if kind not in (int, float):
             continue
         *parents, name = path.split(".")
         owner = ExperimentConfig

@@ -29,7 +29,8 @@ import pytest
 from click.testing import CliRunner
 
 from blindsim.cli import main
-from blindsim.engine import Scenario, run_experiment
+from blindsim.config import Scenario
+from blindsim.engine import run_experiment
 from blindsim.manifest import write_histogram_csv, write_trials_jsonl
 from blindsim.presets import preset_config
 from blindsim.selftest import Strategy

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from blindsim import engine
+from blindsim.config import Scenario
 from blindsim.engine import run_trial
 from blindsim.presets import flag_pulse_config
 from blindsim.rng import _key, stream, trial_stream
@@ -85,13 +86,13 @@ def test_one_trial_keys_each_tag_once(monkeypatch):
         return rng
 
     monkeypatch.setattr(engine, "stream", recording)
-    run_trial(flag_pulse_config(engine.Scenario.MANIPULATED, trials=2, seed=4), 1)
+    run_trial(flag_pulse_config(Scenario.MANIPULATED, trials=2, seed=4), 1)
     assert sorted(tag for tag, _ in keyed) == sorted(TRIAL_TAGS)
     assert len({id(rng) for _, rng in keyed}) == len(TRIAL_TAGS)
 
 
 def test_concurrent_threads_match_serial_trials():
-    cfg = flag_pulse_config(engine.Scenario.MANIPULATED, trials=40, seed=12)
+    cfg = flag_pulse_config(Scenario.MANIPULATED, trials=40, seed=12)
     serial = [run_trial(cfg, i) for i in range(cfg.trials)]
     results: dict[int, object] = {}
     generators = {}
