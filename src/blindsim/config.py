@@ -62,16 +62,27 @@ class ExperimentConfig:
             raise ValidationError(name, "leaves no self-test in a trial")
         require_stimulus_budget(
             _expected_stimuli(self, n_tests),
+            self.detector,
+            self.trial_duration,
             "a trial would expect {total:.3g} stimuli ({share:.3g} from this leaf)",
         )
 
 
-def require_stimulus_budget(terms: dict[str, float], expect: str) -> None:
-    """Reject stimuli ``terms`` (expected stimuli by leaf) that sum past ``MAX_STIMULI``.
+def require_stimulus_budget(
+    terms: dict[str, float], detector: DetectorParams, span: float, expect: str, spans: int = 1
+) -> None:
+    """Reject ``spans`` spans of ``span`` seconds whose stimuli sum past ``MAX_STIMULI``.
 
-    The error names the leaf with the largest term.  ``expect`` begins the
-    message and is formatted with the ``total`` and that leaf's ``share``.
+    ``terms`` holds the expected stimuli by leaf.  At ``afterpulse_prob``
+    p, each stimulus sets off a cascade of p/(1-p) afterpulses on
+    average, counted under that leaf; dead time follows every click, so
+    a span holds at most ``span / dead_time + 1`` of them.  The error
+    names the leaf with the largest term.  ``expect`` begins the message
+    and is formatted with the ``total`` and that leaf's ``share``.
     """
+    p = detector.afterpulse_prob
+    cascade = p / (1 - p) * sum(terms.values())
+    terms = {**terms, "afterpulse_prob": min(cascade, spans * (span / detector.dead_time + 1))}
     total = sum(terms.values())
     if total > MAX_STIMULI:
         leaf = max(terms, key=terms.get)

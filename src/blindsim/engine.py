@@ -42,7 +42,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import MAX_SECONDS, to_ps, to_seconds
+from .units import MAX_SECONDS, MAX_STIMULI, to_ps, to_seconds
 
 
 @dataclass(frozen=True)
@@ -361,20 +361,32 @@ def calibrate_source_rate(
     Deterministic bisection against pilot simulations with a fixed
     internal seed (common random numbers keep the response monotone).
     Accounts for dead-time losses, dark counts and the afterpulse
-    cascade, which a closed form would have to approximate.
+    cascade, which a closed form would have to approximate.  A target at
+    or above ``1/dead_time``, which no detector reaches, is rejected
+    before any pilot runs, and the upper bracket stops doubling before a
+    pilot would expect more than ``MAX_STIMULI`` photons.
     """
     if not 0 < target_click_rate < math.inf:  # also false for nan
         raise ValidationError("target_click_rate", "must be finite and > 0")
+    if target_click_rate >= 1 / params.dead_time:
+        raise ValidationError(
+            "target_click_rate", "must stay below the dead-time saturation rate 1/dead_time"
+        )
     if not 0 <= tolerance < math.inf:
         raise ValidationError("tolerance", "must be finite and >= 0")
+    if not 0 < duration <= MAX_SECONDS:  # before the bracket reads it
+        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
     lo = 0.0
     hi = max(target_click_rate / max(params.efficiency, 1e-9), 1.0)
-    for _ in range(40):
+    # a pilot holds every photon in memory: it may expect at most MAX_STIMULI
+    while hi * duration <= MAX_STIMULI:
         if realized_click_rate(params, hi, duration, seed) >= target_click_rate:
             break
         hi *= 2
     else:
-        raise ValidationError("target_click_rate", "unreachable at any source rate")
+        raise ValidationError(
+            "target_click_rate", f"unreachable by a pilot of at most {MAX_STIMULI:g} photons"
+        )
     for _ in range(30):
         mid = 0.5 * (lo + hi)
         rate = realized_click_rate(params, mid, duration, seed)

@@ -94,8 +94,8 @@ def salt_null(config: ExperimentConfig) -> Histogram:
     window gets the frozen ``SALT_NULL``; any other is simulated over
     ``SALT_NULL_WINDOWS`` windows from the ``NULL_SEED`` stream, which
     takes about 0.6 s.  A null that would expect more than
-    ``MAX_STIMULI`` stimuli over those windows is rejected first, naming
-    the rate leaf with the largest share.
+    ``MAX_STIMULI`` stimuli over those windows, afterpulses included, is
+    rejected first, naming the leaf with the largest share.
     """
     detector, window = config.detector, config.plan.test_duration
     span = SALT_NULL_WINDOWS * window
@@ -106,7 +106,10 @@ def salt_null(config: ExperimentConfig) -> Histogram:
             "dark_rate": detector.dark_rate * span,
             "noise_rate": detector.noise_rate * span,
         },
+        detector,
+        window,
         f"the salt null's {SALT_NULL_WINDOWS} windows would expect {{total:.3g}} stimuli",
+        SALT_NULL_WINDOWS,
     )
     rate = config.signal_rate + config.plan.salt_rate
     if (detector, rate, window) == (reference_detector(), SIGNAL_RATE + SALT_RATE, WINDOW):

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
+from .units import MAX_SECONDS, PS_PER_SECOND
 
 _REL_CUTOFF = 1e-22  # stop summing once terms are this small vs the anchor
 _MAX_TERMS = 2_000_000
@@ -301,6 +302,10 @@ def count_distribution_oracle(
     from .detector import process_timeline
     from .optics import gen_signal_photons
 
+    if not 0 <= rate <= PS_PER_SECOND:  # also false for nan
+        raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
+    if not 0 <= window <= MAX_SECONDS:
+        raise ValidationError("window", f"must lie in [0, {MAX_SECONDS:g}] s")
     if n_trials < 1:
         raise ValidationError("n_trials", "must be >= 1")
     counts = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import os
@@ -324,6 +325,15 @@ class TestSimulateCommand:
             ("signal_rate=2.5e8", "signal_rate"),
             ("plan.salt_rate=5e7", "salt_rate"),
             ("detector.dark_rate=1e9", "dark_rate"),
+            # at a 1 ps dead time, the afterpulse cascade of a 1 ms trial,
+            # and of the null's windows
+            ("detector.afterpulse_prob=0.999999 detector.dead_time=1e-12 trial_duration=1e-3",
+             "afterpulse_prob"),
+            (
+                "detector.afterpulse_prob=0.999999 detector.afterpulse_tau=0"
+                " detector.dead_time=1e-12 trial_duration=1e-6 plan.test_duration=5e-7",
+                "afterpulse_prob",
+            ),
             # no self-test fits the trial; several settings, space-separated
             ("trial_duration=0", "trial_duration"),
             ("duty_cycle=0.99 trial_duration=1e-5", "duty_cycle"),
@@ -346,6 +356,7 @@ class TestSimulateCommand:
             "signal_rate": ("--protocol", "salt"),
             "dark_rate": ("--protocol", "salt"),
             "duty_cycle": ("--protocol", "salt"),
+            "afterpulse_prob": ("--protocol", "salt"),
         }.get(field, ("--protocol", "flag"))
         settings = [arg for item in override.split() for arg in ("--set", item)]
         result = run_cli(
@@ -672,6 +683,29 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == ["False", "False", "7"]
+
+
+def test_config_layer_imports_no_run_machinery():
+    # config, presets and manifest stay below engine, and config below
+    # manifest and presets, so that the run path can import any of them
+    forbidden = {
+        "config": {"engine", "manifest", "presets"},
+        "presets": {"engine"},
+        "manifest": {"engine"},
+    }
+    package = Path(blindsim.__file__).parent
+    for module, banned in forbidden.items():
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):  # relative ones as absolute
+                base = "blindsim." * (node.level > 0) + (node.module or "")
+                names = [base] if node.module else [base + a.name for a in node.names]
+            else:
+                continue
+            imported.update(n.split(".")[1] for n in names if n.startswith("blindsim."))
+        assert not imported & banned, (module, imported & banned)
 
 
 class TestHistogramCsv:

@@ -29,11 +29,11 @@ from blindsim import (
     process_timeline,
     stream,
 )
-from blindsim import presets
+from blindsim import engine, presets
 from blindsim.engine import calibrate_source_rate, realized_click_rate
 from blindsim.optics import _poisson_arrival_ps
 from blindsim.presets import MAX_RATE
-from blindsim.units import to_ps, to_seconds
+from blindsim.units import MAX_STIMULI, to_ps, to_seconds
 from reference_kernel import reference_clicks
 
 
@@ -607,6 +607,35 @@ def test_negative_zero_afterpulse_delay_is_zero():
     assert ClickCause.AFTERPULSE in {c.cause for c in runs[0][0]}
 
 
+def test_pulse_at_exactly_the_fake_energy_forces_a_click():
+    # forced at energy >= fake_energy: with no efficiency, an armed detector
+    # clicks on a pulse that reaches the threshold, and not 1 ulp below it
+    pulse = BrightPulse(1_000, to_ps(2e-9), 3e-6, PulseSource.FAKE, 5)
+    timeline = OpticalTimeline(duration_ps=to_ps(1e-6), pulses=(pulse,))
+    for fake_energy, clicks in (
+        (pulse.energy, [ClickRecord(1_000, ClickCause.FAKE)]),
+        (math.nextafter(pulse.energy, math.inf), []),
+    ):
+        params = quiet_params(efficiency=0.0, fake_energy=fake_energy)
+        assert process_timeline(params, timeline, stream(2, "fake")) == clicks
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_afterpulse_due_at_the_horizon_is_dropped(n):
+    # with no delay and p just below 1, afterpulse k of a click at 0 is due
+    # at k dead times.  A horizon of n dead times drops the one due on it:
+    # the primary click's afterpulse at n = 1, an afterpulse's at n = 2.
+    params = DetectorParams(
+        efficiency=1.0, dark_rate=0.0, afterpulse_prob=math.nextafter(1, 0), afterpulse_tau=0.0
+    )
+    dead_ps = to_ps(params.dead_time)
+    for dur, kept in ((n * dead_ps, n), (n * dead_ps + 1, n + 1)):
+        timeline = OpticalTimeline(duration_ps=dur, **photon_arrays([0]))
+        clicks = process_timeline(params, timeline, stream(3, "horizon"))
+        causes = [ClickCause.SIGNAL] + [ClickCause.AFTERPULSE] * (kept - 1)
+        assert clicks == [ClickRecord(k * dead_ps, c) for k, c in enumerate(causes)]
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_the_reference_reading(data):
@@ -913,13 +942,18 @@ def salt_preset():
         (lambda p: gen_signal_photons(1e4, math.nan, stream(1)), "duration"),
         (lambda p: gen_signal_photons(1e4, math.inf, stream(1)), "duration"),
         (lambda p: count_distribution_oracle(p, math.nan, 1e-4, 10, stream(1)), "rate"),
+        (lambda p: calibrate_source_rate(p, 1e4, duration=math.nan), "duration"),
+        (lambda p: count_distribution_oracle(p, -1.0, 1e-4, 10, stream(1)), "rate"),
+        (lambda p: count_distribution_oracle(p, 1e4, math.nan, 10, stream(1)), "window"),
+        (lambda p: count_distribution_oracle(p, 1e4, math.inf, 10, stream(1)), "window"),
     ],
     ids=[
         "click_rate-zero-duration", "click_rate-nan-duration",
         "calibrate-nan-target", "calibrate-inf-target",
         "calibrate-negative-tolerance", "calibrate-nan-tolerance",
         "photons-nan-rate", "photons-inf-rate", "photons-nan-duration", "photons-inf-duration",
-        "oracle-nan-rate",
+        "oracle-nan-rate", "calibrate-nan-duration", "oracle-negative-rate",
+        "oracle-nan-window", "oracle-inf-window",
     ],
 )
 def test_library_call_names_its_bad_argument(call, field):
@@ -963,6 +997,53 @@ class TestSourceRates:
         with pytest.raises(ValidationError) as err:
             presets.salt_null(replace(salt_preset(), signal_rate=2.5e8))
         assert err.value.field == "signal_rate"
+
+    def test_salt_null_counts_the_afterpulse_cascade(self, monkeypatch):
+        # each 1 us trial fits the budget, but at a 1 ps dead time the
+        # null's 2000 windows of 0.5 us leave room for 1e9 afterpulses
+        def oracle(*args):
+            raise AssertionError("the cascading null was simulated")
+
+        monkeypatch.setattr(presets, "count_distribution_oracle", oracle)
+        preset = salt_preset()
+        detector = replace(
+            preset.detector, afterpulse_prob=0.999999, afterpulse_tau=0.0, dead_time=1e-12
+        )
+        config = replace(
+            preset, detector=detector, trial_duration=1e-6,
+            plan=replace(preset.plan, test_duration=5e-7),
+        )
+        with pytest.raises(ValidationError) as err:
+            presets.salt_null(config)
+        assert err.value.field == "afterpulse_prob"
+
+    def test_calibration_rejects_a_target_past_saturation_before_any_pilot(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(
+            engine, "realized_click_rate", lambda params, rate, *args: asked.append(rate) or 0.0
+        )
+        params = quiet_params()  # a 10 ns dead time: at most 1e8 clicks/s
+        with pytest.raises(ValidationError) as err:
+            calibrate_source_rate(params, 1 / params.dead_time)
+        assert err.value.field == "target_click_rate"
+        assert asked == []
+
+    def test_calibration_bracket_stops_at_the_pilot_budget(self, monkeypatch):
+        # a click rate that saturates at 1e3/s never reaches the 1e4/s
+        # target; the bracket doubles until one more 0.5 s pilot would
+        # expect more than MAX_STIMULI photons
+        asked = []
+
+        def saturating(params, rate, duration, seed):
+            asked.append(rate)
+            return min(rate, 1e3)
+
+        monkeypatch.setattr(engine, "realized_click_rate", saturating)
+        with pytest.raises(ValidationError) as err:
+            calibrate_source_rate(quiet_params(), 1e4)
+        assert err.value.field == "target_click_rate"
+        assert asked == [asked[0] * 2**k for k in range(len(asked))]
+        assert asked[-1] * 0.5 <= MAX_STIMULI < asked[-1] * 2 * 0.5
 
     @pytest.mark.parametrize("dead_time", [4.8e-7, 1.32e-6])
     @pytest.mark.parametrize("photon_rate", [5e4, 5e5])

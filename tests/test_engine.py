@@ -311,6 +311,16 @@ class TestConfigValidation:
         plan = SelfTestPlan(Strategy.FLAG_PULSE, salt_rate=1e12, test_duration=1e-8)
         ExperimentConfig(plan=plan, duty_cycle=0.05)  # as SALT, 2e7 salt photons
 
+    def test_stimulus_budget_counts_the_afterpulse_cascade(self):
+        # at p = 0.999999 each of a trial's 26 stimuli sets off 1e6
+        # afterpulses on average; a 1 ps dead time leaves room for 4e8
+        # clicks in the 400 us trial, a 100 ps one for only 4e6
+        cascading = DetectorParams(afterpulse_prob=0.999999, dead_time=1e-12)
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(detector=cascading)
+        assert err.value.field == "afterpulse_prob"
+        ExperimentConfig(detector=replace(cascading, dead_time=1e-10))
+
 
 def numeric_leaves(cls=ExperimentConfig, prefix=""):
     """Dotted path and type (int or float) of every numeric, possibly optional, leaf."""
