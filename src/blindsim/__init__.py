@@ -46,11 +46,11 @@ from .selftest import (
     evaluate_self_blind,
     schedule_tests,
 )
+from .presets import count_distribution_oracle
 from .stats import (
     Histogram,
     binomial_tail,
     clopper_pearson_interval,
-    count_distribution_oracle,
     poisson_tail,
 )
 

@@ -33,13 +33,14 @@ from .presets import (
     FIGURE_TRIALS,
     SALT_NULL,
     SIGNAL_RATE,
+    count_distribution_oracle,
     preset_config,
     reference_detector,
     salt_null,
 )
 from .rng import stream
 from .selftest import Strategy
-from .stats import clopper_pearson_interval, count_distribution_oracle
+from .stats import clopper_pearson_interval
 from .units import MAX_TRIALS
 
 _SCENARIOS = {

@@ -15,7 +15,6 @@ are built, so that their exit overlaps that work.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 from collections import Counter
@@ -26,7 +25,7 @@ from operator import itemgetter
 from typing import Any
 
 from .config import ExperimentConfig, Scenario
-from .detector import DetectorParams, process_timeline
+from .detector import process_timeline
 from .errors import BlindsimError, ValidationError
 from .optics import gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
 from .rng import trial_stream as stream  # perfbench traces engine.stream
@@ -42,7 +41,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import MAX_SECONDS, MAX_STIMULI, to_ps, to_seconds
+from .units import to_ps, to_seconds
 
 
 @dataclass(frozen=True)
@@ -334,66 +333,3 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             config=config, trials=trials, histograms=_build_histograms(config, trials)
         )
 
-
-def realized_click_rate(
-    params: DetectorParams,
-    arrival_rate: float,
-    duration: float = 0.5,
-    seed: int = 0xB11D,
-) -> float:
-    """Observed total click rate for a Poissonian source, by pilot simulation."""
-    if not 0 < duration <= MAX_SECONDS:  # also false for nan
-        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
-    timeline = gen_signal_photons(arrival_rate, duration, stream(seed, "pilot-src"))
-    clicks = process_timeline(params, timeline, stream(seed, "pilot-det"))
-    return len(clicks) / duration
-
-
-def calibrate_source_rate(
-    params: DetectorParams,
-    target_click_rate: float,
-    duration: float = 0.5,
-    tolerance: float = 0.01,
-    seed: int = 0xB11D,
-) -> float:
-    """Photon arrival rate that yields the target total click rate.
-
-    Deterministic bisection against pilot simulations with a fixed
-    internal seed (common random numbers keep the response monotone).
-    Accounts for dead-time losses, dark counts and the afterpulse
-    cascade, which a closed form would have to approximate.  A target at
-    or above ``1/dead_time``, which no detector reaches, is rejected
-    before any pilot runs, and the upper bracket stops doubling before a
-    pilot would expect more than ``MAX_STIMULI`` photons.
-    """
-    if not 0 < target_click_rate < math.inf:  # also false for nan
-        raise ValidationError("target_click_rate", "must be finite and > 0")
-    if target_click_rate >= 1 / params.dead_time:
-        raise ValidationError(
-            "target_click_rate", "must stay below the dead-time saturation rate 1/dead_time"
-        )
-    if not 0 <= tolerance < math.inf:
-        raise ValidationError("tolerance", "must be finite and >= 0")
-    if not 0 < duration <= MAX_SECONDS:  # before the bracket reads it
-        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
-    lo = 0.0
-    hi = max(target_click_rate / max(params.efficiency, 1e-9), 1.0)
-    # a pilot holds every photon in memory: it may expect at most MAX_STIMULI
-    while hi * duration <= MAX_STIMULI:
-        if realized_click_rate(params, hi, duration, seed) >= target_click_rate:
-            break
-        hi *= 2
-    else:
-        raise ValidationError(
-            "target_click_rate", f"unreachable by a pilot of at most {MAX_STIMULI:g} photons"
-        )
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        rate = realized_click_rate(params, mid, duration, seed)
-        if abs(rate - target_click_rate) <= tolerance * target_click_rate:
-            return mid
-        if rate < target_click_rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

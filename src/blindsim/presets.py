@@ -1,4 +1,4 @@
-"""Reference operating point and bundled demonstration experiments.
+"""Reference operating point, the simulated calibrations and the bundled experiments.
 
 The reference detector registers about 5e4 events per second, an order
 of magnitude below its 5e5/s saturation rate, with a 7e3/s dark rate and
@@ -11,27 +11,27 @@ Dead time is tied to published response probabilities rather than set by
 hand: the flag-pulse experiments ran at a 93.4 % armed fraction and the
 self-blinding experiments at 97.6 %, so the corresponding presets
 calibrate dead time to each target at the 5e4/s operating rate.  The
-photon rates that realise those click rates are frozen constants, found
-by ``engine.calibrate_source_rate`` (a deterministic pilot-simulation
-bisection) and recomputed by a test; the same function calibrates a
-custom detector.
-
-The salt test's null, the click-count distribution of a healthy detector
-in one salt window, is a calibration of the detector too, not of a run:
-``salt_null`` simulates it at the fixed ``NULL_SEED``, so ``seed`` never
-moves it.  The reference detector's null is frozen below as data and
-recomputed by a test.
+rest of a detector's healthy behaviour is calibrated by simulation at
+the fixed ``CALIBRATION_SEED``, which no run's ``seed`` moves:
+``calibrate_source_rate`` bisects pilot simulations for the photon rate
+that gives a target click rate, and ``salt_null`` draws the salt test's
+null with ``count_distribution_oracle``.  The reference detector's
+results are frozen below as data and recomputed by a test; a custom
+detector is calibrated by calling the same functions.
 """
 
 from __future__ import annotations
 
+import math
+
 from .config import ExperimentConfig, Scenario, require_stimulus_budget
-from .detector import DetectorParams, calibrate_dead_time
-from .errors import ConfigError
-from .optics import AttackScenario
-from .rng import stream
+from .detector import DetectorParams, calibrate_dead_time, process_timeline
+from .errors import ConfigError, ValidationError
+from .optics import AttackScenario, gen_signal_photons
+from .rng import RandomStream, stream
 from .selftest import SelfTestPlan, Strategy
-from .stats import Histogram, count_distribution_oracle
+from .stats import Histogram
+from .units import MAX_SECONDS, MAX_STIMULI, PS_PER_SECOND
 
 CLICK_RATE = 5.0e4  # operating event rate, events/second
 SALT_TEST_RATE = 5.0e5  # event rate during a salt test (mean 100 per window)
@@ -57,7 +57,7 @@ SELF_BLIND_SIGNAL_RATE = 26909.72222222222
 # stream, so it is the calibrated total minus SIGNAL_RATE.
 SALT_RATE = 1221354.1666666667
 
-NULL_SEED = 0xB11D  # calibration seed, as in engine.calibrate_source_rate
+CALIBRATION_SEED = 0xB11D  # seed of the pilots and of the salt null
 SALT_NULL_WINDOWS = 2000
 # Salt-window click counts of the reference detector at SIGNAL_RATE +
 # SALT_RATE over SALT_NULL_WINDOWS windows, from bin 85 on.
@@ -86,13 +86,106 @@ def reference_detector(
     )
 
 
+def realized_click_rate(
+    params: DetectorParams,
+    arrival_rate: float,
+    duration: float = 0.5,
+    seed: int = CALIBRATION_SEED,
+) -> float:
+    """Observed total click rate for a Poissonian source, by pilot simulation."""
+    if not 0 < duration <= MAX_SECONDS:  # also false for nan
+        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
+    timeline = gen_signal_photons(arrival_rate, duration, stream(seed, "pilot-src"))
+    clicks = process_timeline(params, timeline, stream(seed, "pilot-det"))
+    return len(clicks) / duration
+
+
+def calibrate_source_rate(
+    params: DetectorParams,
+    target_click_rate: float,
+    duration: float = 0.5,
+    tolerance: float = 0.01,
+    seed: int = CALIBRATION_SEED,
+) -> float:
+    """Photon arrival rate that yields the target total click rate.
+
+    Deterministic bisection against pilot simulations with a fixed
+    internal seed (common random numbers keep the response monotone).
+    Accounts for dead-time losses, dark counts and the afterpulse
+    cascade, which a closed form would have to approximate.  A target at
+    or above ``1/dead_time``, which no detector reaches, is rejected
+    before any pilot runs, and the upper bracket stops doubling before a
+    pilot would expect more than ``MAX_STIMULI`` photons.
+    """
+    if not 0 < target_click_rate < math.inf:  # also false for nan
+        raise ValidationError("target_click_rate", "must be finite and > 0")
+    if target_click_rate >= 1 / params.dead_time:
+        raise ValidationError(
+            "target_click_rate", "must stay below the dead-time saturation rate 1/dead_time"
+        )
+    if not 0 <= tolerance < math.inf:
+        raise ValidationError("tolerance", "must be finite and >= 0")
+    if not 0 < duration <= MAX_SECONDS:  # before the bracket reads it
+        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
+    lo = 0.0
+    hi = max(target_click_rate / max(params.efficiency, 1e-9), 1.0)
+    # a pilot holds every photon in memory: it may expect at most MAX_STIMULI
+    while hi * duration <= MAX_STIMULI:
+        if realized_click_rate(params, hi, duration, seed) >= target_click_rate:
+            break
+        hi *= 2
+    else:
+        raise ValidationError(
+            "target_click_rate", f"unreachable by a pilot of at most {MAX_STIMULI:g} photons"
+        )
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        rate = realized_click_rate(params, mid, duration, seed)
+        if abs(rate - target_click_rate) <= tolerance * target_click_rate:
+            return mid
+        if rate < target_click_rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def count_distribution_oracle(
+    params: DetectorParams,
+    rate: float,
+    window: float,
+    n_trials: int,
+    rng: RandomStream,
+) -> Histogram:
+    """Empirical click-count distribution in a window, by brute force.
+
+    Simulates ``n_trials`` independent windows of Poissonian photons at
+    ``rate`` and bins the click counts.  It reflects dead-time pileup and
+    the afterpulse cascade rather than assuming a Poisson law.
+    ``salt_null`` runs it as the salt test's calibrated null (frozen as
+    data for the reference detector), and ``figure fig3b`` draws the
+    normal-operation count distribution with it.
+    """
+    if not 0 <= rate <= PS_PER_SECOND:  # also false for nan
+        raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
+    if not 0 <= window <= MAX_SECONDS:
+        raise ValidationError("window", f"must lie in [0, {MAX_SECONDS:g}] s")
+    if n_trials < 1:
+        raise ValidationError("n_trials", "must be >= 1")
+    counts = []
+    for _ in range(n_trials):
+        timeline = gen_signal_photons(rate, window, rng)
+        counts.append(len(process_timeline(params, timeline, rng)))
+    return Histogram.from_event_counts(counts)
+
+
 def salt_null(config: ExperimentConfig) -> Histogram:
     """Click-count distribution of a healthy detector in one salt window.
 
     The detector, total photon rate (signal plus salt) and window T come
     from ``config``.  The reference detector at the preset rate and
     window gets the frozen ``SALT_NULL``; any other is simulated over
-    ``SALT_NULL_WINDOWS`` windows from the ``NULL_SEED`` stream, which
+    ``SALT_NULL_WINDOWS`` windows from the ``CALIBRATION_SEED`` stream, which
     takes about 0.6 s.  A null that would expect more than
     ``MAX_STIMULI`` stimuli over those windows, afterpulses included, is
     rejected first, naming the leaf with the largest share.
@@ -115,7 +208,7 @@ def salt_null(config: ExperimentConfig) -> Histogram:
     if (detector, rate, window) == (reference_detector(), SIGNAL_RATE + SALT_RATE, WINDOW):
         return SALT_NULL
     return count_distribution_oracle(
-        detector, rate, window, SALT_NULL_WINDOWS, stream(NULL_SEED, "salt-null")
+        detector, rate, window, SALT_NULL_WINDOWS, stream(CALIBRATION_SEED, "salt-null")
     )
 
 

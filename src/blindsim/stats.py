@@ -1,12 +1,10 @@
 """Counting-statistics toolkit.
 
-Exact Poisson and binomial tail probabilities, integer-bin histograms,
-exact binomial confidence intervals, and a brute-force oracle for the
-detector's click-count distribution used to calibrate decision
-thresholds.  One outward walk of pmf ratios serves both tails: it sums
-the far side of the mean from a log-space anchor with compensated
-summation (stable up to k = 1e6) and gets a near-side tail as its
-complement.
+Exact Poisson and binomial tail probabilities, integer-bin histograms
+and exact binomial confidence intervals.  One outward walk of pmf ratios
+serves both tails: it sums the far side of the mean from a log-space
+anchor with compensated summation (stable up to k = 1e6) and gets a
+near-side tail as its complement.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .units import MAX_SECONDS, PS_PER_SECOND
 
 _REL_CUTOFF = 1e-22  # stop summing once terms are this small vs the anchor
 _MAX_TERMS = 2_000_000
@@ -282,34 +279,3 @@ class Histogram:
         for low, high, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
             yield (low, high, c)
 
-
-def count_distribution_oracle(
-    params,
-    rate: float,
-    window: float,
-    n_trials: int,
-    rng: np.random.Generator,
-) -> Histogram:
-    """Empirical click-count distribution in a window, by brute force.
-
-    Simulates ``n_trials`` independent windows of Poissonian photons at
-    ``rate`` and bins the click counts.  It reflects dead-time pileup and
-    the afterpulse cascade rather than assuming a Poisson law.
-    ``presets.salt_null`` runs it as the salt test's calibrated null
-    (frozen as data for the reference detector), and ``figure fig3b``
-    draws the normal-operation count distribution with it.
-    """
-    from .detector import process_timeline
-    from .optics import gen_signal_photons
-
-    if not 0 <= rate <= PS_PER_SECOND:  # also false for nan
-        raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
-    if not 0 <= window <= MAX_SECONDS:
-        raise ValidationError("window", f"must lie in [0, {MAX_SECONDS:g}] s")
-    if n_trials < 1:
-        raise ValidationError("n_trials", "must be >= 1")
-    counts = []
-    for _ in range(n_trials):
-        timeline = gen_signal_photons(rate, window, rng)
-        counts.append(len(process_timeline(params, timeline, rng)))
-    return Histogram.from_event_counts(counts)

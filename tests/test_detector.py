@@ -29,10 +29,9 @@ from blindsim import (
     process_timeline,
     stream,
 )
-from blindsim import engine, presets
-from blindsim.engine import calibrate_source_rate, realized_click_rate
+from blindsim import presets
 from blindsim.optics import _poisson_arrival_ps
-from blindsim.presets import MAX_RATE
+from blindsim.presets import MAX_RATE, calibrate_source_rate, realized_click_rate
 from blindsim.units import MAX_STIMULI, to_ps, to_seconds
 from reference_kernel import reference_clicks
 
@@ -982,7 +981,7 @@ class TestSourceRates:
             presets.SIGNAL_RATE + presets.SALT_RATE,
             presets.WINDOW,
             presets.SALT_NULL_WINDOWS,
-            stream(presets.NULL_SEED, "salt-null"),
+            stream(presets.CALIBRATION_SEED, "salt-null"),
         )
         # on a mismatch, the literal to freeze as SALT_NULL_COUNTS
         literal = f"from bin {null.bin_edges[0]:g}: {null.counts}"
@@ -1020,7 +1019,7 @@ class TestSourceRates:
     def test_calibration_rejects_a_target_past_saturation_before_any_pilot(self, monkeypatch):
         asked = []
         monkeypatch.setattr(
-            engine, "realized_click_rate", lambda params, rate, *args: asked.append(rate) or 0.0
+            presets, "realized_click_rate", lambda params, rate, *args: asked.append(rate) or 0.0
         )
         params = quiet_params()  # a 10 ns dead time: at most 1e8 clicks/s
         with pytest.raises(ValidationError) as err:
@@ -1038,7 +1037,7 @@ class TestSourceRates:
             asked.append(rate)
             return min(rate, 1e3)
 
-        monkeypatch.setattr(engine, "realized_click_rate", saturating)
+        monkeypatch.setattr(presets, "realized_click_rate", saturating)
         with pytest.raises(ValidationError) as err:
             calibrate_source_rate(quiet_params(), 1e4)
         assert err.value.field == "target_click_rate"

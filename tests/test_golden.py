@@ -13,7 +13,7 @@ output but ``manifest.txt`` must hash to the values frozen here.
 
 The salt command's ``hist_salt_null.csv`` and ``trials.jsonl`` were
 re-frozen once, when the null became the frozen ``presets.SALT_NULL``
-(drawn at ``presets.NULL_SEED`` instead of the run seed).  Only the
+(drawn at ``presets.CALIBRATION_SEED`` instead of the run seed).  Only the
 p-values moved: decisions compare counts with ``count_threshold``, and
 the other histograms and ``perfbench/golden.json`` stayed byte-identical.
 """
