@@ -189,7 +189,8 @@ def process_timeline(
     events.extend(zip(noise_times, repeat(_NOISE), repeat(0)))
     events.extend(zip(edge_times, repeat(_CW), held))
     events.sort()
-    # every afterpulse kept is before the horizon, so this drains the heap
+    # the heap loop pops only afterpulses due before it, so those due at
+    # or past the horizon never click
     events.append((dur, _END, 0))
 
     # numpy's random() is u = (raw >> 11) * 2**-53 of one word, so u < ap_prob
@@ -215,8 +216,7 @@ def process_timeline(
             dead_until = a + dead_ps
             if ap_prob > 0.0 and draw_raw() < ap_cut:
                 ap_t = dead_until + int(ap_tau * rng_exponential() * PS_PER_SECOND + 0.5)
-                if ap_t < dur:
-                    heappush(ap_heap, ap_t)
+                heappush(ap_heap, ap_t)
         if prio == _GATED:  # never blinded: the held ones were dropped
             if t < dead_until:
                 continue
@@ -249,8 +249,7 @@ def process_timeline(
         dead_until = t + dead_ps
         if ap_prob > 0.0 and draw_raw() < ap_cut:
             ap_t = dead_until + int(ap_tau * rng_exponential() * PS_PER_SECOND + 0.5)
-            if ap_t < dur:
-                heappush(ap_heap, ap_t)
+            heappush(ap_heap, ap_t)
 
     return clicks
 
