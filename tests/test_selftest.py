@@ -58,7 +58,12 @@ class TestScheduleTests:
             assert start + to_ps(plan.test_duration) <= to_ps(1.0)
 
     def test_zero_duty_cycle_is_empty(self):
-        assert schedule_tests(1.0, 0.0, SelfTestPlan(strategy=Strategy.SALT), stream(2)) == []
+        plan = SelfTestPlan(strategy=Strategy.SALT)
+        assert schedule_tests(1.0, 0.0, plan, stream(2)) == []
+        # a trial of zero length is legal too: it holds no test and draws nothing
+        rng = stream(2)
+        assert schedule_tests(0.0, 0.5, plan, rng) == []
+        assert rng.random() == stream(2).random()
 
     def test_intervals_do_not_overlap(self):
         plan = SelfTestPlan(strategy=Strategy.SELF_BLIND)
@@ -329,6 +334,9 @@ class TestDecisionErrorRates:
     def test_plan_threshold_must_sit_below_calibrated_mean(self):
         with pytest.raises(ValidationError):
             salt_plan(count_threshold=120, null_mean=100.0)
+        with pytest.raises(ValidationError) as err:  # at the mean it does not sit below it
+            salt_plan(count_threshold=100, null_mean=100.0)
+        assert err.value.field == "count_threshold"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -359,7 +367,12 @@ def test_flag_photon_number_stays_an_int64():
 
 @pytest.mark.parametrize(
     "trial_duration,duty_cycle,field",
-    [(1.0, -0.5, "duty_cycle"), (1.0, 1.5, "duty_cycle"), (-1e-3, 0.5, "trial_duration")],
+    [
+        (1.0, -0.5, "duty_cycle"),
+        (1.0, 1.0, "duty_cycle"),
+        (1.0, 1.5, "duty_cycle"),
+        (-1e-3, 0.5, "trial_duration"),
+    ],
 )
 def test_schedule_tests_names_its_bad_argument(trial_duration, duty_cycle, field):
     # a public function checks its own raw arguments: past its checks a
