@@ -1,8 +1,10 @@
 """Run manifests and result writers.
 
 A run manifest is flat config text (see ``config``) with ``config.``
-prefixed entries, plus run metadata, the Python and numpy versions, and
-SHA-256 digests of every output file: enough to bit-reproduce the run.
+prefixed entries, plus run metadata, the environment (Python and numpy
+versions, CPU count, platform and a SHA-256 of the package sources),
+and SHA-256 digests of every output file: enough to bit-reproduce the
+run and to match it to a benchmark record.
 Its ``timing.<stage>_s`` entries are wall-clock seconds; no other output
 file holds wall-clock data.
 """
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 from typing import Any
@@ -41,12 +45,28 @@ def manifest_text(
         # re-keys, are tied to the numpy version.
         "env.python": "{}.{}.{}".format(*sys.version_info[:3]),
         "env.numpy": np.__version__,
+        "env.nproc": str(os.cpu_count()),
+        "env.platform": platform.platform(),
+        "env.source_sha256": _source_sha256(),
         "run.salt_null": run["salt_null"],
     }
     lines.update((f"timing.{stage}", repr(seconds)) for stage, seconds in timings.items())
     lines.update((f"config.{k}", v) for k, v in config_to_flat(config).items())
     lines.update((f"digest.{name}", d) for name, d in sorted(digests.items()))
     return "".join(f"{k} = {v}\n" for k, v in lines.items())
+
+
+def _source_sha256() -> str:
+    """SHA-256 of every ``*.py`` of the package, in sorted path order.
+
+    Each file is hashed as its ``blindsim/...`` posix path, a NUL byte
+    and its bytes, as the benchmark's provenance record hashes them.
+    """
+    package = Path(__file__).parent
+    h = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        h.update(path.relative_to(package.parent).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def sha256_file(path: Path) -> str:

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -92,6 +93,8 @@ class TestConfigRoundTrip:
         assert {k: flat[f"run.{k}"] for k in run} == run
         assert flat["env.python"] == "{}.{}.{}".format(*sys.version_info[:3])
         assert flat["env.numpy"] == np.__version__
+        assert flat["env.nproc"] == str(os.cpu_count())
+        assert flat["env.platform"] == platform.platform()
         assert {k: float(flat[f"timing.{k}"]) for k in timings} == timings
         assert flat["digest.trials.jsonl"] == "ab" * 32
         # the reader that --config and analyze share gives back the config
@@ -155,6 +158,9 @@ class TestSimulateCommand:
             "run.threads",
             "env.python",
             "env.numpy",
+            "env.nproc",
+            "env.platform",
+            "env.source_sha256",
             "run.salt_null",
             "timing.config_s",
             "timing.salt_null_s",
@@ -166,6 +172,17 @@ class TestSimulateCommand:
             "digest.hist_test_counts.csv",
             "digest.trials.jsonl",
         ]
+
+    def test_manifest_source_hash_matches_the_benchmark_recipe(self, tmp_path):
+        # perfbench/run.py hashes the sources the same way, so a run can be
+        # matched to a benchmark record
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--trials", "2", "--out", str(out)).exit_code == 0
+        src = Path(blindsim.__file__).parent.parent
+        h = hashlib.sha256()
+        for path in sorted((src / "blindsim").rglob("*.py")):
+            h.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
+        assert manifest_flat(out)["env.source_sha256"] == h.hexdigest()
 
     def test_preset_salt_run_simulates_no_null(self, tmp_path, monkeypatch):
         def no_oracle(*args, **kwargs):
