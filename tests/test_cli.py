@@ -702,27 +702,46 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.split() == ["False", "False", "7"]
 
 
+def _package_imports(nodes) -> set[str]:
+    """The blindsim modules that the import statements among ``nodes`` name."""
+    imported = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # relative ones as absolute
+            base = "blindsim." * (node.level > 0) + (node.module or "")
+            names = [base] if node.module else [base + a.name for a in node.names]
+        else:
+            continue
+        imported.update(n.split(".")[1] for n in names if n.startswith("blindsim."))
+    return imported
+
+
 def test_config_layer_imports_no_run_machinery():
-    # config, presets and manifest stay below engine, and config below
-    # manifest and presets, so that the run path can import any of them
+    # config, presets and manifest stay below engine, config below
+    # manifest and presets, and stats below every module that simulates,
+    # so that the run path can import any of them
+    package = Path(blindsim.__file__).parent
     forbidden = {
         "config": {"engine", "manifest", "presets"},
         "presets": {"engine"},
         "manifest": {"engine"},
+        "stats": {p.stem for p in package.glob("*.py")} - {"errors", "units"},
     }
-    package = Path(blindsim.__file__).parent
     for module, banned in forbidden.items():
-        imported = set()
-        for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):  # relative ones as absolute
-                base = "blindsim." * (node.level > 0) + (node.module or "")
-                names = [base] if node.module else [base + a.name for a in node.names]
-            else:
-                continue
-            imported.update(n.split(".")[1] for n in names if n.startswith("blindsim."))
+        imported = _package_imports(ast.walk(ast.parse((package / f"{module}.py").read_text())))
         assert not imported & banned, (module, imported & banned)
+
+
+def test_no_module_imports_the_package_inside_a_function():
+    # an import in a function body hides a dependency from the layering
+    # check above; a stdlib import there is allowed
+    package = Path(blindsim.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                imported = _package_imports(ast.walk(node))
+                assert not imported, (path.name, node.name, imported)
 
 
 class TestHistogramCsv:
