@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or configuration problem (the message
-names the offending field), 2 I/O failure.  The environment variable
-BLINDSIM_SEED overrides the config seed; --seed overrides both.
+names the offending field), 2 I/O failure.  The command group maps every
+library error (``BlindsimError``) to exit 1, so no command catches one.
+The environment variable BLINDSIM_SEED overrides the config seed; --seed
+overrides both.
 """
 
 from __future__ import annotations
@@ -87,45 +89,34 @@ def _build_flat(
     overrides: tuple[str, ...],
 ) -> dict[str, str]:
     """The config text of a config file, manifest or preset, with every override applied."""
-    try:
-        if config_path is not None:
-            try:
-                text = Path(config_path).read_text()
-            except (OSError, UnicodeDecodeError) as e:
-                raise _IOFailure(f"cannot read config: {e}") from e
-            flat = flat_config_text(text)
-        else:
-            flat = config_to_flat(preset_config(
-                _SCENARIOS[scenario or "normal"],
-                _PROTOCOLS[protocol or "salt"],
-                trials=1000,
-                seed=1,
-            ))
-        if scenario is not None:
-            flat["scenario"] = _SCENARIOS[scenario].value
-        if protocol is not None:
-            flat["plan.strategy"] = _PROTOCOLS[protocol].value
-        if trials is not None:
-            flat["trials"] = str(trials)
-        resolved_seed = _resolve_seed(seed)
-        if resolved_seed is not None:
-            flat["seed"] = str(resolved_seed)
-        for item in overrides:
-            if "=" not in item:
-                raise click.ClickException(f"--set expects dotted.path=value, got {item!r}")
-            path, _, value = item.partition("=")
-            flat[path.strip()] = value.strip()
-        return flat
-    except BlindsimError as e:
-        raise click.ClickException(str(e)) from e
-
-
-def _config(flat: dict[str, str]) -> ExperimentConfig:
-    """The config that text ``flat`` gives, parsed and validated once."""
-    try:
-        return config_from_flat(flat)
-    except BlindsimError as e:
-        raise click.ClickException(str(e)) from e
+    if config_path is not None:
+        try:
+            text = Path(config_path).read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise _IOFailure(f"cannot read config: {e}") from e
+        flat = flat_config_text(text)
+    else:
+        flat = config_to_flat(preset_config(
+            _SCENARIOS[scenario or "normal"],
+            _PROTOCOLS[protocol or "salt"],
+            trials=1000,
+            seed=1,
+        ))
+    if scenario is not None:
+        flat["scenario"] = _SCENARIOS[scenario].value
+    if protocol is not None:
+        flat["plan.strategy"] = _PROTOCOLS[protocol].value
+    if trials is not None:
+        flat["trials"] = str(trials)
+    resolved_seed = _resolve_seed(seed)
+    if resolved_seed is not None:
+        flat["seed"] = str(resolved_seed)
+    for item in overrides:
+        if "=" not in item:
+            raise click.ClickException(f"--set expects dotted.path=value, got {item!r}")
+        path, _, value = item.partition("=")
+        flat[path.strip()] = value.strip()
+    return flat
 
 
 def _attach_salt_null(config: ExperimentConfig):
@@ -176,7 +167,17 @@ _threads_option = click.option(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: a library error from any command exits 1 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BlindsimError as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
     """Simulate detector blinding attacks and self-testing countermeasures."""
@@ -198,14 +199,11 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
     """Run an experiment and persist trials, histograms, and a manifest."""
     started = _now()
     t0 = time.perf_counter()
-    config = _config(_build_flat(config_path, scenario, protocol, trials, seed, overrides))
+    config = config_from_flat(_build_flat(config_path, scenario, protocol, trials, seed, overrides))
     t1 = time.perf_counter()
-    try:
-        run_config, null_hist = _attach_salt_null(config)
-        t2 = time.perf_counter()
-        result = run_experiment(run_config, threads=threads)
-    except BlindsimError as e:
-        raise click.ClickException(str(e)) from e
+    run_config, null_hist = _attach_salt_null(config)
+    t2 = time.perf_counter()
+    result = run_experiment(run_config, threads=threads)
     t3 = time.perf_counter()
     run = {
         "started_utc": started,
@@ -274,8 +272,6 @@ def figure(name, outdir, seed, trials, threads):
             summary = result.summary()
             for key in sorted(summary):
                 click.echo(f"{label}.{key} = {summary[key]}")
-    except BlindsimError as e:
-        raise click.ClickException(str(e)) from e
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
 
@@ -335,14 +331,11 @@ def sweep_cmd(config_path, scenario, protocol, seed, trials, param, values, outd
     """Re-run the experiment across parameter values and tabulate metrics."""
     flat = _build_flat(config_path, scenario, protocol, trials, seed, ())
     # each value text applies like --set, and every point is validated before any runs
-    points = [_config({**flat, param: text}) for text in _parse_values(values)]
+    points = [config_from_flat({**flat, param: text}) for text in _parse_values(values)]
     rows = []
-    try:
-        for cfg in points:
-            counts, accuracy = run_experiment(cfg, threads=threads).tally()
-            rows.append((config_to_flat(cfg)[param], accuracy, sorted(counts.items())))
-    except BlindsimError as e:
-        raise click.ClickException(str(e)) from e
+    for cfg in points:
+        counts, accuracy = run_experiment(cfg, threads=threads).tally()
+        rows.append((config_to_flat(cfg)[param], accuracy, sorted(counts.items())))
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)

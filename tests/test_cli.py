@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import blindsim
 from blindsim import presets
-from blindsim.cli import _build_flat, _config, main
+from blindsim.cli import _build_flat, main
 from blindsim.config import (
     CONFIG_LEAVES,
     ExperimentConfig,
@@ -394,9 +394,9 @@ class TestSimulateCommand:
         ],
     )
     def test_set_own_text_round_trips_every_leaf(self, scenario, protocol):
-        config = _config(_build_flat(None, scenario, protocol, 7, 3, ()))
+        config = config_from_flat(_build_flat(None, scenario, protocol, 7, 3, ()))
         for path, text in config_to_flat(config).items():
-            rebuilt = _config(_build_flat(None, scenario, protocol, 7, 3, (f"{path}={text}",)))
+            rebuilt = config_from_flat(_build_flat(None, scenario, protocol, 7, 3, (f"{path}={text}",)))
             assert rebuilt == config, path
 
 
