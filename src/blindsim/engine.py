@@ -31,7 +31,6 @@ from .optics import gen_attack, gen_le_schedule, gen_signal_photons, merge_timel
 from .rng import trial_stream as stream  # perfbench traces engine.stream
 from .selftest import (
     Decision,
-    SelfTestPlan,
     Strategy,
     Verdict,
     _click_span,

@@ -744,6 +744,27 @@ def test_no_module_imports_the_package_inside_a_function():
                 assert not imported, (path.name, node.name, imported)
 
 
+def test_every_module_level_import_is_read():
+    # a name that a module imports and never reads is dead weight on every
+    # run; an attribute's base (np in np.int64) is an ast.Name too.
+    # __init__ imports to re-export, so it is left out.
+    package = Path(blindsim.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        top = [*tree.body, *(n for s in tree.body if isinstance(s, ast.If) for n in s.body)]
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in top
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= read, (path.name, sorted(bound - read))
+
+
 class TestHistogramCsv:
     def test_round_trip(self, tmp_path):
         from blindsim.manifest import write_histogram_csv
