@@ -482,6 +482,17 @@ class TestAnalyzeCommand:
         assert "accuracy" in first.output
         assert "undetected_rate" in first.output
 
+    def test_analyze_of_a_normal_run_reports_the_miss_rate(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(
+            "simulate", "--scenario", "normal", "--protocol", "flag",
+            "--trials", "20", "--seed", "31", "--out", str(out),
+        )
+        result = run_cli("analyze", str(out))
+        assert result.exit_code == 0
+        assert "miss_rate = " in result.output
+        assert "undetected_rate" not in result.output
+
     def test_analyze_matches_experiment_summary(self, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -578,6 +589,12 @@ class TestSweepCommand:
             ("trials", "5:1:1", "values: need at least one value"),
             # 10**12 points: rejected from the count, before any is built
             ("trials", "0:1:1e-12", "values: a range may hold at most 10000 points"),
+            ("trials", "1:2", "range values need start:stop:step"),
+            ("trials", "a:b:c", "range values need three numbers"),
+            ("trials", "1:inf:1", "range values must be finite"),
+            ("trials", "1:2:0", "range step must be > 0"),
+            # the quotient overflows the decimal context
+            ("trials", "0:1e30:1e-30", "values: a range may hold at most 10000 points"),
         ],
     )
     def test_bad_point_exits_one_naming_the_field(self, tmp_path, param, values, named):
@@ -622,6 +639,42 @@ def test_undecodable_config_exits_two(tmp_path, command):
     assert result.exit_code == 2
     assert "cannot read config:" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,env,named",
+    [
+        (["simulate"], {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
+        (["sweep", "--param", "seed", "--values", "1,2"], {"BLINDSIM_SEED": "abc"},
+         "BLINDSIM_SEED: expected an integer"),
+        (["simulate", "--set", "foo"], None, "--set expects dotted.path=value"),
+    ],
+    ids=["simulate-seed-variable", "sweep-seed-variable", "set-without-equals"],
+)
+def test_bad_option_text_exits_one(tmp_path, command, env, named):
+    out = tmp_path / "x"
+    result = run_cli(*command, "--trials", "2", "--out", str(out), env=env)
+    assert result.exit_code == 1
+    assert named in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["simulate", "--protocol", "flag", "--trials", "2"], "cannot write results"),
+        (["figure", "fig3b", "--trials", "10"], "cannot create output directory"),
+        (["sweep", "--protocol", "flag", "--trials", "2", "--param", "seed", "--values", "1"],
+         "cannot write results"),
+    ],
+    ids=["simulate", "figure", "sweep"],
+)
+def test_output_under_a_regular_file_exits_two(tmp_path, command, message):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = run_cli(*command, "--out", str(blocker / "out"))
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 # Texts that a --set value may hold at the extremes: floats near the ends
