@@ -829,8 +829,11 @@ class TestValidation:
             CwSegment(0, 500, -1e-9, CwSource.ATTACK_BLIND),
             CwSegment(0.5, 500, 1e-9, CwSource.ATTACK_BLIND),
             CwSegment(0, 500.0, 1e-9, CwSource.ATTACK_BLIND),
+            CwSegment(-1, 500, 1e-9, CwSource.ATTACK_BLIND),
+            CwSegment(500, 500, 1e-9, CwSource.ATTACK_BLIND),
         ],
-        ids=["nan-power", "inf-power", "negative-power", "float-start", "float-stop"],
+        ids=["nan-power", "inf-power", "negative-power", "float-start", "float-stop",
+             "negative-start", "empty"],
     )
     def test_bad_cw_segment_rejected(self, ref_detector, segment):
         timeline = OpticalTimeline(duration_ps=1000, cw_segments=(segment,))
@@ -848,15 +851,37 @@ class TestValidation:
             BrightPulse(100, 1000, 1e-9, PulseSource.FLAG, 0),
             BrightPulse(100, 1000.5, 1e-9, PulseSource.FLAG, 2),
             BrightPulse(100.0, 1000, 1e-9, PulseSource.FLAG, 2),
+            BrightPulse(-1, 1000, 1e-9, PulseSource.FLAG, 2),
+            BrightPulse(1000, 1000, 1e-9, PulseSource.FLAG, 2),
         ],
         ids=["nan-peak", "inf-peak", "fractional-photons", "bool-photons", "no-photons",
-             "fractional-width", "float-time"],
+             "fractional-width", "float-time", "negative-time", "at-horizon"],
     )
     def test_bad_pulse_rejected(self, ref_detector, pulse):
         timeline = OpticalTimeline(duration_ps=1000, pulses=(pulse,))
         with pytest.raises(ValidationError) as err:
             process_timeline(ref_detector, timeline, stream(1))
         assert err.value.field == "pulses"
+
+    @pytest.mark.parametrize(
+        "timeline,field",
+        [
+            (OpticalTimeline(duration_ps=-1), "duration"),
+            (OpticalTimeline(duration_ps=1000, **photon_arrays([1000])), "photons"),
+            (
+                OpticalTimeline(duration_ps=1000, pulses=(
+                    BrightPulse(500, 10, 1e-9, PulseSource.FLAG, 2),
+                    BrightPulse(100, 10, 1e-9, PulseSource.FLAG, 2),
+                )),
+                "pulses",
+            ),
+        ],
+        ids=["negative-duration", "photon-at-horizon", "pulses-out-of-order"],
+    )
+    def test_timeline_out_of_bounds_names_its_field(self, ref_detector, timeline, field):
+        with pytest.raises(ValidationError) as err:
+            process_timeline(ref_detector, timeline, stream(1))
+        assert err.value.field == field
 
     @pytest.mark.parametrize(
         "field,value",
@@ -945,6 +970,7 @@ def salt_preset():
         (lambda p: count_distribution_oracle(p, -1.0, 1e-4, 10, stream(1)), "rate"),
         (lambda p: count_distribution_oracle(p, 1e4, math.nan, 10, stream(1)), "window"),
         (lambda p: count_distribution_oracle(p, 1e4, math.inf, 10, stream(1)), "window"),
+        (lambda p: calibrate_dead_time(0.9, rate=-1), "rate"),
     ],
     ids=[
         "click_rate-zero-duration", "click_rate-nan-duration",
@@ -952,7 +978,7 @@ def salt_preset():
         "calibrate-negative-tolerance", "calibrate-nan-tolerance",
         "photons-nan-rate", "photons-inf-rate", "photons-nan-duration", "photons-inf-duration",
         "oracle-nan-rate", "calibrate-nan-duration", "oracle-negative-rate",
-        "oracle-nan-window", "oracle-inf-window",
+        "oracle-nan-window", "oracle-inf-window", "dead_time-negative-rate",
     ],
 )
 def test_library_call_names_its_bad_argument(call, field):

@@ -43,7 +43,7 @@ from blindsim.config import (
     set_config_value,
 )
 from blindsim.engine import _run_trials, build_trial_timeline, expected_decisions
-from blindsim.errors import BlindsimError, require_finite
+from blindsim.errors import BlindsimError, ConfigError, require_finite
 from blindsim.optics import flag_pulse
 from blindsim.presets import (
     flag_pulse_config,
@@ -163,6 +163,13 @@ class TestExpectedDecisions:
             Decision.BOTH,
         }
         assert expected_decisions(Scenario.CUSTOM, Strategy.SALT) == frozenset()
+
+    @pytest.mark.parametrize("strategy", [Strategy.SALT, Strategy.FLAG_PULSE])
+    def test_recovery_without_self_blinding_expects_a_negative(self, strategy):
+        # only the self-blind test can also see the recovery click
+        assert expected_decisions(Scenario.RECOVERY_ATTACK, strategy) == {
+            Decision.NEGATIVE_MANIPULATION
+        }
 
 
 def tally_at(cfg, path, value):
@@ -384,6 +391,11 @@ def test_flag_pulse_rounding_onto_the_fake_threshold_rejected(
         )
     assert err.value.field == "flag_pulse_energy"
     assert err.value.message == "must stay below the fake-state energy threshold"
+
+
+def test_build_config_rejects_an_unknown_leaf():
+    with pytest.raises(ConfigError, match="nonexistent"):
+        build_config({"nonexistent": 1})
 
 
 @given(

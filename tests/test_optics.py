@@ -218,6 +218,11 @@ class TestMergeTimelines:
                 OpticalTimeline(duration_ps=to_ps(2e-3)),
             )
 
+    def test_no_fragments_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            merge_timelines()
+        assert err.value.field == "fragments"
+
     @given(
         rate_a=st.floats(0, 2e5),
         rate_b=st.floats(0, 2e5),

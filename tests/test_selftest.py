@@ -191,6 +191,20 @@ class TestEvaluateSalt:
             evaluate_salt(SelfTestPlan(strategy=Strategy.FLAG_PULSE), SALT_START, [])
 
 
+@pytest.mark.parametrize(
+    "evaluate,strategy",
+    [
+        (evaluate_flag_pulse, Strategy.SALT),
+        (evaluate_flag_pulse, Strategy.SELF_BLIND),
+        (evaluate_self_blind, Strategy.SALT),
+        (evaluate_self_blind, Strategy.FLAG_PULSE),
+    ],
+)
+def test_evaluator_rejects_another_protocols_plan(evaluate, strategy):
+    with pytest.raises(ConfigError):
+        evaluate(SelfTestPlan(strategy=strategy), FLAG_START, [])
+
+
 class TestEvaluateFlagPulse:
     def flag_plan(self, **overrides):
         defaults = dict(strategy=Strategy.FLAG_PULSE, test_duration=25e-9)
@@ -330,6 +344,14 @@ class TestDecisionErrorRates:
     def test_uncalibrated_is_an_error(self):
         with pytest.raises(ValidationError):
             decision_error_rates(None, 50)
+
+    def test_negative_threshold_is_rejected(self):
+        cal = DecisionCalibration(
+            manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
+        )
+        with pytest.raises(ValidationError) as err:
+            decision_error_rates(cal, -1)
+        assert err.value.field == "threshold"
 
     def test_plan_threshold_must_sit_below_calibrated_mean(self):
         with pytest.raises(ValidationError):

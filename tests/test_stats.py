@@ -257,6 +257,29 @@ class TestHistogram:
         assert h.counts == (1,)
         assert h.n_samples == 1
 
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: Histogram(bin_edges=(0.0,), counts=(1,), n_samples=1), "bin_edges"),
+            (lambda: Histogram(bin_edges=(0.0, 1.0, 2.0), counts=(-1, 2), n_samples=1),
+             "counts"),
+            (lambda: Histogram.from_times([5e-9, 200e-9], 10e-9, 0.0, 200e-9), "values"),
+            (lambda: Histogram.from_times([-1e-9], 10e-9, 0.0, 200e-9), "values"),
+        ],
+        ids=["too-few-edges", "negative-count", "time-past-range", "time-before-range"],
+    )
+    def test_rejection_names_its_field(self, build, field):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.field == field
+
+    def test_empty_histogram_statistics_are_nan(self):
+        h = Histogram.from_event_counts([])
+        assert h.n_samples == 0
+        assert math.isnan(h.mean())
+        assert math.isnan(h.variance())
+        assert math.isnan(h.lower_tail(0))
+
 
 class TestCountDistributionOracle:
     def test_reduces_to_poisson_without_detector_effects(self):
