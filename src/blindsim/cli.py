@@ -35,6 +35,7 @@ from .presets import (
     FIGURE_TRIALS,
     SALT_NULL,
     SIGNAL_RATE,
+    WINDOW,
     count_distribution_oracle,
     preset_config,
     reference_detector,
@@ -237,19 +238,19 @@ def figure(name, outdir, seed, trials, threads):
         )
     if trials is not None and not 1 <= trials <= MAX_TRIALS:
         raise click.ClickException(f"trials: must lie in [1, {MAX_TRIALS}]")
+    seed = _resolve_seed(seed, default=1)
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise _IOFailure(f"cannot create output directory: {e}") from e
-    seed = _resolve_seed(seed, default=1)
     try:
         if name == "fig3b":
             n = FIGURE_TRIALS[name][0] if trials is None else trials
             hist = count_distribution_oracle(
                 reference_detector(),
                 SIGNAL_RATE,
-                200e-6,
+                WINDOW,
                 n_trials=n,
                 rng=stream(seed, "fig3b"),
             )

@@ -36,7 +36,6 @@ from .units import MAX_SECONDS, MAX_STIMULI, PS_PER_SECOND
 CLICK_RATE = 5.0e4  # operating event rate, events/second
 SALT_TEST_RATE = 5.0e5  # event rate during a salt test (mean 100 per window)
 WINDOW = 200e-6  # counting window T
-MAX_RATE = 5.0e5
 BLIND_POWER = 5.0e-10
 FAKE_PEAK_POWER = 3.0e-6
 FAKE_WIDTH = 2.0e-9
@@ -212,106 +211,85 @@ def salt_null(config: ExperimentConfig) -> Histogram:
     )
 
 
-def manipulation_attack() -> AttackScenario:
-    """Blinding plus fake states mimicking the legitimate event rate."""
-    return AttackScenario(
-        blind_power_level=BLIND_POWER,
-        fake_pulse_rate=CLICK_RATE,
-        fake_peak_power=FAKE_PEAK_POWER,
-        fake_width=FAKE_WIDTH,
-    )
+def preset_config(
+    scenario: Scenario, strategy: Strategy, trials: int, seed: int
+) -> ExperimentConfig:
+    """The bundled experiment of one protocol under one scenario.
 
-
-def salt_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
-    plan = SelfTestPlan(
-        strategy=Strategy.SALT,
-        test_duration=WINDOW,
-        salt_rate=SALT_RATE,
-        count_threshold=SALT_THRESHOLD,
-        null_mean=SALT_TEST_RATE * WINDOW,
-    )
-    attack = (
-        manipulation_attack() if scenario == Scenario.MANIPULATED else AttackScenario()
-    )
-    return ExperimentConfig(
-        detector=reference_detector(FLAG_ARMED_FRACTION),
-        attack=attack,
-        plan=plan,
-        signal_rate=SIGNAL_RATE,
-        duty_cycle=0.5,
-        trial_duration=2 * WINDOW,
-        trials=trials,
-        seed=seed,
-        scenario=scenario,
-    )
-
-
-def flag_pulse_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
-    plan = SelfTestPlan(
-        strategy=Strategy.FLAG_PULSE,
-        test_duration=FLAG_WIDTH,
-        response_window=RESPONSE_WINDOW,
-        null_response_prob=FLAG_ARMED_FRACTION,
-    )
-    attack = (
-        manipulation_attack() if scenario == Scenario.MANIPULATED else AttackScenario()
-    )
-    return ExperimentConfig(
-        detector=reference_detector(FLAG_ARMED_FRACTION),
-        attack=attack,
-        plan=plan,
-        signal_rate=SIGNAL_RATE,
-        duty_cycle=FLAG_WIDTH / WINDOW,
-        trial_duration=WINDOW,
-        trials=trials,
-        seed=seed,
-        scenario=scenario,
-    )
-
-
-def self_blind_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
-    detector = reference_detector(ONSET_ARMED_FRACTION, noise_rate=SELF_BLIND_NOISE_RATE)
-    plan = SelfTestPlan(
-        strategy=Strategy.SELF_BLIND,
-        test_duration=WINDOW,
-        response_window=RESPONSE_WINDOW,
-        self_blind_power=2 * BLIND_POWER,
-        null_onset_prob=ONSET_ARMED_FRACTION,
-        null_in_blind_mean=SELF_BLIND_NOISE_RATE * (WINDOW - RESPONSE_WINDOW),
-    )
-    if scenario == Scenario.MANIPULATED:
-        attack = manipulation_attack()
+    The scenario picks the attacker, and the protocol the plan, detector
+    and timing.  The recovery attack releases its blinding mid-test,
+    which only self-blinding catches, so it takes no other protocol.
+    """
+    if scenario == Scenario.MANIPULATED:  # blinding plus fake states at the event rate
+        attack = AttackScenario(
+            blind_power_level=BLIND_POWER,
+            fake_pulse_rate=CLICK_RATE,
+            fake_peak_power=FAKE_PEAK_POWER,
+            fake_width=FAKE_WIDTH,
+        )
     elif scenario == Scenario.RECOVERY_ATTACK:
+        if strategy != Strategy.SELF_BLIND:
+            raise ConfigError(
+                "the recovery scenario exercises the self-blind protocol; "
+                "choose protocol self-blind or a custom config"
+            )
         # stop_blind_at is filled per trial, mid-interval
         attack = AttackScenario(blind_power_level=BLIND_POWER)
     else:
         attack = AttackScenario()
+    signal_rate, duty_cycle, trial_duration = SIGNAL_RATE, 0.5, 2 * WINDOW
+    if strategy == Strategy.SALT:
+        detector = reference_detector(FLAG_ARMED_FRACTION)
+        plan = SelfTestPlan(
+            strategy=Strategy.SALT,
+            test_duration=WINDOW,
+            salt_rate=SALT_RATE,
+            count_threshold=SALT_THRESHOLD,
+            null_mean=SALT_TEST_RATE * WINDOW,
+        )
+    elif strategy == Strategy.FLAG_PULSE:
+        detector = reference_detector(FLAG_ARMED_FRACTION)
+        plan = SelfTestPlan(
+            strategy=Strategy.FLAG_PULSE,
+            test_duration=FLAG_WIDTH,
+            response_window=RESPONSE_WINDOW,
+            null_response_prob=FLAG_ARMED_FRACTION,
+        )
+        duty_cycle, trial_duration = FLAG_WIDTH / WINDOW, WINDOW
+    else:
+        detector = reference_detector(ONSET_ARMED_FRACTION, noise_rate=SELF_BLIND_NOISE_RATE)
+        plan = SelfTestPlan(
+            strategy=Strategy.SELF_BLIND,
+            test_duration=WINDOW,
+            response_window=RESPONSE_WINDOW,
+            self_blind_power=2 * BLIND_POWER,
+            null_onset_prob=ONSET_ARMED_FRACTION,
+            null_in_blind_mean=SELF_BLIND_NOISE_RATE * (WINDOW - RESPONSE_WINDOW),
+        )
+        signal_rate = SELF_BLIND_SIGNAL_RATE
     return ExperimentConfig(
         detector=detector,
         attack=attack,
         plan=plan,
-        signal_rate=SELF_BLIND_SIGNAL_RATE,
-        duty_cycle=0.5,
-        trial_duration=2 * WINDOW,
+        signal_rate=signal_rate,
+        duty_cycle=duty_cycle,
+        trial_duration=trial_duration,
         trials=trials,
         seed=seed,
         scenario=scenario,
     )
 
 
-def preset_config(
-    scenario: Scenario, strategy: Strategy, trials: int, seed: int
-) -> ExperimentConfig:
-    if scenario == Scenario.RECOVERY_ATTACK and strategy != Strategy.SELF_BLIND:
-        raise ConfigError(
-            "the recovery scenario exercises the self-blind protocol; "
-            "choose protocol self-blind or a custom config"
-        )
-    if strategy == Strategy.SALT:
-        return salt_config(scenario, trials, seed)
-    if strategy == Strategy.FLAG_PULSE:
-        return flag_pulse_config(scenario, trials, seed)
-    return self_blind_config(scenario, trials, seed)
+def salt_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
+    return preset_config(scenario, Strategy.SALT, trials, seed)
+
+
+def flag_pulse_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
+    return preset_config(scenario, Strategy.FLAG_PULSE, trials, seed)
+
+
+def self_blind_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
+    return preset_config(scenario, Strategy.SELF_BLIND, trials, seed)
 
 
 # Trial counts of the bundled figure-reproduction experiments.

@@ -237,6 +237,7 @@ class TestSimulateCommand:
             "--trials", "5", "--out", str(tmp_path / "x"),
         )
         assert result.exit_code == 1
+        assert "the recovery scenario exercises the self-blind protocol" in result.output
         result = run_cli(
             "simulate", "--scenario", "recovery", "--protocol", "self-blind",
             "--trials", "5", "--out", str(tmp_path / "ok"),
@@ -647,9 +648,13 @@ def test_undecodable_config_exits_two(tmp_path, command):
         (["simulate"], {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
         (["sweep", "--param", "seed", "--values", "1,2"], {"BLINDSIM_SEED": "abc"},
          "BLINDSIM_SEED: expected an integer"),
+        (["figure", "fig3b"], {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
         (["simulate", "--set", "foo"], None, "--set expects dotted.path=value"),
     ],
-    ids=["simulate-seed-variable", "sweep-seed-variable", "set-without-equals"],
+    ids=[
+        "simulate-seed-variable", "sweep-seed-variable", "figure-seed-variable",
+        "set-without-equals",
+    ],
 )
 def test_bad_option_text_exits_one(tmp_path, command, env, named):
     out = tmp_path / "x"
@@ -675,6 +680,13 @@ def test_output_under_a_regular_file_exits_two(tmp_path, command, message):
     result = run_cli(*command, "--out", str(blocker / "out"))
     assert result.exit_code == 2
     assert message in result.output
+
+
+def test_figure_output_file_that_is_a_directory_exits_two(tmp_path):
+    (tmp_path / "hist_fig3b_counts.csv").mkdir()
+    result = run_cli("figure", "fig3b", "--trials", "10", "--out", str(tmp_path))
+    assert result.exit_code == 2
+    assert "cannot write results" in result.output
 
 
 # Texts that a --set value may hold at the extremes: floats near the ends
@@ -797,25 +809,55 @@ def test_no_module_imports_the_package_inside_a_function():
                 assert not imported, (path.name, node.name, imported)
 
 
+def _module_trees() -> dict[str, ast.Module]:
+    """Each module of the package, parsed, by file name."""
+    package = Path(blindsim.__file__).parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def _module_level(tree: ast.Module) -> list[ast.stmt]:
+    """The statements at module level, those under a module-level ``if`` included."""
+    return [*tree.body, *(n for s in tree.body if isinstance(s, ast.If) for n in s.body)]
+
+
 def test_every_module_level_import_is_read():
     # a name that a module imports and never reads is dead weight on every
     # run; an attribute's base (np in np.int64) is an ast.Name too.
     # __init__ imports to re-export, so it is left out.
-    package = Path(blindsim.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in _module_trees().items():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
-        top = [*tree.body, *(n for s in tree.body if isinstance(s, ast.If) for n in s.body)]
         bound = {
             alias.asname or alias.name.split(".")[0]
-            for node in top
+            for node in _module_level(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and getattr(node, "module", None) != "__future__"
             for alias in node.names
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert bound <= read, (path.name, sorted(bound - read))
+        assert bound <= read, (name, sorted(bound - read))
+
+
+def test_every_module_level_constant_is_read():
+    # a constant that no module of the package reads is dead weight; a
+    # test that needs a value names its own
+    trees = _module_trees()
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    unread = [
+        (name, target.id)
+        for name, tree in trees.items()
+        for node in _module_level(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id not in read
+    ]
+    assert unread == []
 
 
 class TestHistogramCsv:

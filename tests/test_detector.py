@@ -31,7 +31,7 @@ from blindsim import (
 )
 from blindsim import presets
 from blindsim.optics import _poisson_arrival_ps
-from blindsim.presets import MAX_RATE, calibrate_source_rate, realized_click_rate
+from blindsim.presets import calibrate_source_rate, realized_click_rate
 from blindsim.units import MAX_STIMULI, to_ps, to_seconds
 from reference_kernel import reference_clicks
 
@@ -494,10 +494,11 @@ class TestDeterminismAndDeadTime:
         # rate far above 1/dead_time the output rate approaches the
         # renewal limit 1/(mean cycle) and lands within 10% of the
         # reference value
+        max_rate = 5.0e5
         params = DetectorParams(
             efficiency=1.0,
             dark_rate=0.0,
-            dead_time=1.0 / MAX_RATE,
+            dead_time=1.0 / max_rate,
             afterpulse_prob=0.4,
         )
         duration = 0.05
@@ -505,7 +506,7 @@ class TestDeterminismAndDeadTime:
         timeline = gen_signal_photons(rate, duration, stream(33, "ph"))
         clicks = process_timeline(params, timeline, stream(33, "det"))
         out_rate = len(clicks) / duration
-        assert out_rate == pytest.approx(MAX_RATE, rel=0.10)
+        assert out_rate == pytest.approx(max_rate, rel=0.10)
         # and the renewal prediction itself is matched tightly
         predicted = rate / (1.0 + rate * params.dead_time)
         assert out_rate == pytest.approx(predicted, rel=0.02)
@@ -1069,6 +1070,29 @@ class TestSourceRates:
         assert err.value.field == "target_click_rate"
         assert asked == [asked[0] * 2**k for k in range(len(asked))]
         assert asked[-1] * 0.5 <= MAX_STIMULI < asked[-1] * 2 * 0.5
+
+    def test_calibration_returns_the_last_bracket_midpoint_when_bisection_runs_out(
+        self, monkeypatch
+    ):
+        # at tolerance 0 no pilot meets the target, so after one bracket
+        # pilot all 30 bisection pilots run; the bracket is the highest
+        # rate that fell short and the lowest that reached the target
+        pilot, asked = presets.realized_click_rate, []
+
+        def counted(params, rate, duration, seed):
+            asked.append((rate, pilot(params, rate, duration, seed)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(presets, "realized_click_rate", counted)
+        target = presets.CLICK_RATE
+        rate = calibrate_source_rate(
+            presets.reference_detector(), target, duration=0.01, tolerance=0.0
+        )
+        assert len(asked) == 1 + 30
+        lo = max([r for r, got in asked if got < target], default=0.0)
+        hi = min(r for r, got in asked if got >= target)
+        assert lo < rate < hi
+        assert rate == 0.5 * (lo + hi)
 
     @pytest.mark.parametrize("dead_time", [4.8e-7, 1.32e-6])
     @pytest.mark.parametrize("photon_rate", [5e4, 5e5])

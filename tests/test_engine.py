@@ -172,6 +172,20 @@ class TestExpectedDecisions:
         }
 
 
+@pytest.mark.parametrize(
+    "builder,strategy",
+    [(salt_config, Strategy.SALT), (flag_pulse_config, Strategy.FLAG_PULSE)],
+    ids=["salt", "flag"],
+)
+def test_builder_rejects_recovery_as_preset_config_does(builder, strategy):
+    # a recovery run without self-blinding would bring no attacker
+    with pytest.raises(ConfigError) as expected:
+        preset_config(Scenario.RECOVERY_ATTACK, strategy, 20, 3)
+    with pytest.raises(ConfigError) as err:
+        builder(Scenario.RECOVERY_ATTACK, 20, 3)
+    assert str(err.value) == str(expected.value)
+
+
 def tally_at(cfg, path, value):
     """Decision counts and accuracy of ``cfg`` run with one leaf set."""
     return run_experiment(set_config_value(cfg, path, value)).tally()
