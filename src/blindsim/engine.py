@@ -40,7 +40,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import to_ps, to_seconds
+from .units import to_seconds
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,8 @@ class TrialResult:
     def to_record(self) -> dict[str, Any]:
         return {
             "index": self.index,
-            "verdicts": [
-                {
-                    "decision": v.decision.value,
-                    "observed_count": v.observed_count,
-                    "flag_seen": v.flag_seen,
-                    "in_blind_clicks": v.in_blind_clicks,
-                    "p_value": v.p_value,
-                }
-                for v in self.verdicts
-            ],
-            "cause_counts": {k: v for k, v in self.cause_counts},
+            "verdicts": [{**vars(v), "decision": v.decision.value} for v in self.verdicts],
+            "cause_counts": dict(self.cause_counts),
             "total_clicks": self.total_clicks,
             "response_offsets_ps": list(self.response_offsets_ps),
             "seed_token": self.seed_token,
@@ -78,10 +69,11 @@ _EVALUATORS = {
     Strategy.SELF_BLIND: evaluate_self_blind,
 }
 
-# Offsets are collected over this window after each test start for
-# time-resolved response histograms (10 ns bins downstream).
-_OFFSET_SPAN = 200e-9
-_OFFSET_SPAN_PS = to_ps(_OFFSET_SPAN)
+# Click offsets are collected over 200 ns after each test start and
+# binned into 10 ns bins for the time-resolved response histogram.
+_OFFSET_BIN_PS = 10_000
+_OFFSET_BINS = 20
+_OFFSET_SPAN_PS = _OFFSET_BIN_PS * _OFFSET_BINS
 
 
 def expected_decisions(scenario: Scenario, strategy: Strategy) -> frozenset[Decision]:
@@ -189,6 +181,7 @@ class ExperimentResult:
         )
 
     def summary(self) -> dict[str, Any]:
+        """The run's tally and the statistics read from its histograms."""
         counts, accuracy = self.tally()
         out: dict[str, Any] = {
             "scenario": self.config.scenario.value,
@@ -197,26 +190,22 @@ class ExperimentResult:
             "decisions": dict(counts),
             "accuracy": accuracy,
         }
-        if "test_counts" in self.histograms:
-            h = self.histograms["test_counts"]
-            out["test_count_mean"] = h.mean()
-            out["test_count_variance"] = h.variance()
-        verdicts = [v for tr in self.trials for v in tr.verdicts]
-        if self.config.plan.strategy in (Strategy.FLAG_PULSE, Strategy.SELF_BLIND):
-            flags = [v.flag_seen for v in verdicts if v.flag_seen is not None]
-            if flags:
-                out["response_fraction"] = sum(flags) / len(flags)
-        if self.config.plan.strategy == Strategy.SELF_BLIND:
-            blinds = [v.in_blind_clicks for v in verdicts if v.in_blind_clicks is not None]
-            if blinds:
-                out["in_blind_total"] = int(sum(blinds))
-                out["in_blind_nonzero_fraction"] = sum(
-                    1 for b in blinds if b > 0
-                ) / len(blinds)
+        hists = self.histograms
+        if "test_counts" in hists:
+            out["test_count_mean"] = hists["test_counts"].mean()
+            out["test_count_variance"] = hists["test_counts"].variance()
+        if "onset_responses" in hists:
+            out["response_fraction"] = hists["onset_responses"].mean()
+        if "in_blind_counts" in hists:
+            h = hists["in_blind_counts"]
+            bins = list(zip(h.bin_edges, h.counts))
+            out["in_blind_total"] = sum(int(low) * n for low, n in bins)
+            out["in_blind_nonzero_fraction"] = sum(n for low, n in bins if low > 0) / h.n_samples
         return out
 
 
 def _build_histograms(config: ExperimentConfig, trials: tuple[TrialResult, ...]):
+    """The run's histograms; the only reader of each protocol's verdict fields."""
     hists: dict[str, Histogram] = {
         "clicks_per_trial": Histogram.from_event_counts(t.total_clicks for t in trials)
     }
@@ -226,11 +215,13 @@ def _build_histograms(config: ExperimentConfig, trials: tuple[TrialResult, ...])
             v.observed_count for v in verdicts
         )
     if config.plan.strategy in (Strategy.FLAG_PULSE, Strategy.SELF_BLIND):
-        offsets = [
-            to_seconds(o) for t in trials for o in t.response_offsets_ps
-        ]
-        hists["response_offsets"] = Histogram.from_times(
-            offsets, bin_width=10e-9, t0=0.0, t1=_OFFSET_SPAN
+        # Bin the integer offsets, so that one of exactly 30 ns lands in bin 3;
+        # an offset outside the span would fail Histogram's sum check.
+        per_bin = Counter(o // _OFFSET_BIN_PS for t in trials for o in t.response_offsets_ps)
+        hists["response_offsets"] = Histogram(
+            bin_edges=tuple(k * 10e-9 for k in range(_OFFSET_BINS + 1)),
+            counts=tuple(per_bin[k] for k in range(_OFFSET_BINS)),
+            n_samples=per_bin.total(),
         )
         hists["onset_responses"] = Histogram.from_event_counts(
             int(bool(v.flag_seen)) for v in verdicts

@@ -237,19 +237,6 @@ class Histogram:
         return cls(bin_edges=edges, counts=tuple(int(c) for c in counts),
                    n_samples=int(vals.size))
 
-    @classmethod
-    def from_times(cls, values, bin_width: float, t0: float, t1: float) -> "Histogram":
-        """Fixed-width time bins over [t0, t1); out-of-range values rejected."""
-        vals = np.asarray(list(values), dtype=float)
-        n_bins = max(1, int(round((t1 - t0) / bin_width)))
-        edges = t0 + bin_width * np.arange(n_bins + 1)
-        if vals.size and (vals.min() < t0 or vals.max() >= edges[-1]):
-            raise ValidationError("values", "outside histogram range")
-        counts, _ = np.histogram(vals, bins=edges)
-        return cls(bin_edges=tuple(float(e) for e in edges),
-                   counts=tuple(int(c) for c in counts),
-                   n_samples=int(vals.size))
-
     def mean(self) -> float:
         if self.n_samples == 0:
             return math.nan

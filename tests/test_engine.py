@@ -9,6 +9,7 @@ import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +43,7 @@ from blindsim.config import (
     config_to_flat,
     set_config_value,
 )
-from blindsim.engine import _run_trials, build_trial_timeline, expected_decisions
+from blindsim.engine import TrialResult, _run_trials, build_trial_timeline, expected_decisions
 from blindsim.errors import BlindsimError, ConfigError, require_finite
 from blindsim.optics import flag_pulse
 from blindsim.presets import (
@@ -51,6 +52,7 @@ from blindsim.presets import (
     salt_config,
     self_blind_config,
 )
+from blindsim.selftest import Verdict
 from blindsim.units import MAX_SECONDS, Range, to_ps, to_seconds
 
 PICOSECOND = to_seconds(1)
@@ -687,6 +689,52 @@ def test_trials_construct_no_plan(scenario, strategy, monkeypatch):
     run_experiment(cfg)
     assert built == []
 
+
+
+def offset_histogram(offsets_ps):
+    """The response-offset histogram of one flag trial with the given click offsets."""
+    cfg = flag_pulse_config(Scenario.NORMAL, trials=1, seed=1)
+    verdict = Verdict(Decision.NORMAL, 1, flag_seen=True)
+    trial = TrialResult(0, (verdict,), (), 0, tuple(offsets_ps), "1/0")
+    return engine._build_histograms(cfg, (trial,))["response_offsets"]
+
+
+def test_response_offsets_land_in_their_integer_bin():
+    # the float edges 0.0 + 10e-9 * k round up past 30, 60, 120 and 170 ns,
+    # so binning the offsets in seconds put those four one bin low
+    h = offset_histogram([0, 30_000, 60_000, 120_000, 170_000, 199_999])
+    assert h.bin_edges == tuple(0.0 + 10e-9 * np.arange(21))
+    assert [k for k, n in enumerate(h.counts) for _ in range(n)] == [0, 3, 6, 12, 17, 19]
+    assert h.n_samples == 6
+
+
+@pytest.mark.parametrize("offset", [-1, 200_000])
+def test_response_offset_outside_the_span_rejected(offset):
+    with pytest.raises(ValidationError) as err:
+        offset_histogram([5_000, offset])
+    assert err.value.field == "counts"
+
+
+@pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)
+def test_summary_reads_what_the_verdicts_say(scenario, strategy):
+    # summary() reads the histograms; these are the formulas it used to
+    # compute from the verdicts, compared by type and value
+    result = run_experiment(preset_config(scenario, strategy, trials=60, seed=29))
+    verdicts = [v for t in result.trials for v in t.verdicts]
+    flags = [v.flag_seen for v in verdicts if v.flag_seen is not None]
+    blinds = [v.in_blind_clicks for v in verdicts if v.in_blind_clicks is not None]
+    expected = {}
+    if flags:
+        expected["response_fraction"] = sum(flags) / len(flags)
+    if blinds:
+        expected["in_blind_total"] = int(sum(blinds))
+        expected["in_blind_nonzero_fraction"] = sum(1 for b in blinds if b > 0) / len(blinds)
+    summary = result.summary()
+    tallied = {"scenario", "strategy", "trials", "decisions", "accuracy"}
+    counted = {"test_count_mean", "test_count_variance"}
+    got = {k: summary[k] for k in summary.keys() - tallied - counted}
+    assert got == expected
+    assert [type(got[k]) for k in expected] == [type(v) for v in expected.values()]
 
 def trial_fragments(cfg, index):
     """One trial's timeline fragments, rebuilt with the public generators."""
