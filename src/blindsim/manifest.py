@@ -75,7 +75,8 @@ def sha256_file(path: Path) -> str:
 
 def write_histogram_csv(path: Path, hist: Histogram) -> None:
     rows = ["bin_low,bin_high,count"]
-    rows.extend(f"{low!r},{high!r},{count}" for low, high, count in hist.to_csv_rows())
+    edges = hist.bin_edges
+    rows.extend(f"{low!r},{high!r},{n}" for low, high, n in zip(edges, edges[1:], hist.counts))
     path.write_text("\n".join(rows) + "\n")
 
 

@@ -261,8 +261,3 @@ class Histogram:
             if low <= k:
                 total += c
         return total / self.n_samples
-
-    def to_csv_rows(self):
-        for low, high, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            yield (low, high, c)
-
