@@ -267,8 +267,8 @@ def calibrate_dead_time(target_armed_fraction: float, rate: float = 5.0e4) -> fl
         raise ValidationError(
             "target_armed_fraction", "must lie strictly between 0 and 1"
         )
-    if rate < 0:
-        raise ValidationError("rate", "must be >= 0")
+    if not 0 <= rate <= PS_PER_SECOND:  # also false for nan
+        raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
     smallest = to_seconds(1)
     if rate == 0:
         # Idle detector is always armed; any positive dead time works.

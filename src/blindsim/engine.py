@@ -113,8 +113,10 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     Exposed separately from run_trial so callers can inspect the exact
     stimuli and detector output behind a verdict.
     """
-    if trial_index < 0 or trial_index >= config.trials:
-        raise ValidationError("trial_index", "outside configured trial range")
+    if type(trial_index) is not int or not 0 <= trial_index < config.trials:
+        raise ValidationError(
+            "trial_index", f"must be an integer in [0, {config.trials}), got {trial_index!r}"
+        )
     seed = config.seed
     plan = config.plan
     starts = schedule_tests(
@@ -315,8 +317,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     children (POSIX only) run the rest.  Trials come back in index order
     and are identical for any worker count.
     """
-    if threads < 1:
-        raise ValidationError("threads", "must be >= 1")
+    if type(threads) is not int or threads < 1:
+        raise ValidationError("threads", f"must be an integer >= 1, got {threads!r}")
     workers = min(threads, config.trials, os.cpu_count() or 1)
     with _all_trials(config, workers) as trials:
         return ExperimentResult(

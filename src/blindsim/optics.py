@@ -223,6 +223,8 @@ def gen_attack(
     Fake pulses are emitted while the attack is active, i.e. over
     [0, stop_blind_at) when the attacker ceases early.
     """
+    if not 0 <= duration <= MAX_SECONDS:  # also false for nan
+        raise ValidationError("duration", f"must lie in [0, {MAX_SECONDS:g}] s")
     duration_ps = to_ps(duration)
     stop_ps = duration_ps
     if scenario.stop_blind_at is not None:

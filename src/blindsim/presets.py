@@ -169,8 +169,8 @@ def count_distribution_oracle(
         raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
     if not 0 <= window <= MAX_SECONDS:
         raise ValidationError("window", f"must lie in [0, {MAX_SECONDS:g}] s")
-    if n_trials < 1:
-        raise ValidationError("n_trials", "must be >= 1")
+    if type(n_trials) is not int or n_trials < 1:
+        raise ValidationError("n_trials", "must be an integer >= 1")
     counts = []
     for _ in range(n_trials):
         timeline = gen_signal_photons(rate, window, rng)

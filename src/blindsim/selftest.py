@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError, require_finite
 from .stats import Histogram, poisson_tail
 from .units import Count, NonNegative, Positive, PositiveCount, PositiveDuration, Probability
-from .units import Rate, to_ps
+from .units import MAX_SECONDS, Rate, to_ps
 
 if TYPE_CHECKING:
     from .detector import ClickRecord
@@ -128,10 +128,10 @@ def schedule_tests(
     scalar, which gives the value and leaves the generator state that a
     ``size=1`` draw would, at a fraction of the cost.
     """
-    if duty_cycle < 0 or duty_cycle >= 1:
+    if not 0 <= duty_cycle < 1:  # also false for nan
         raise ValidationError("duty_cycle", "must lie in [0, 1)")
-    if trial_duration < 0:
-        raise ValidationError("trial_duration", "must be >= 0")
+    if not 0 <= trial_duration <= MAX_SECONDS:
+        raise ValidationError("trial_duration", f"must lie in [0, {MAX_SECONDS:g}] s")
     n, occupancy = fit_tests(trial_duration, duty_cycle, plan)
     if n == 0:
         return []

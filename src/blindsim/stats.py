@@ -125,8 +125,8 @@ def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, ratio_for) -
 @lru_cache(maxsize=1024)  # a salt verdict asks for the same few hundred tails
 def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
     """Exact Poisson tail: P(X <= k) for side="lower", P(X >= k) for "upper"."""
-    if mean < 0:
-        raise ValidationError("mean", "must be >= 0")
+    if not 0 <= mean < math.inf:  # also false for nan
+        raise ValidationError("mean", "must be finite and >= 0")
     if k < 0 or int(k) != k:
         raise ValidationError("k", "must be a nonnegative integer")
     if side not in ("lower", "upper"):

@@ -24,8 +24,10 @@ from blindsim import (
     ValidationError,
     calibrate_dead_time,
     count_distribution_oracle,
+    gen_attack,
     gen_signal_photons,
     merge_timelines,
+    poisson_tail,
     process_timeline,
     stream,
 )
@@ -972,6 +974,13 @@ def salt_preset():
         (lambda p: count_distribution_oracle(p, 1e4, math.nan, 10, stream(1)), "window"),
         (lambda p: count_distribution_oracle(p, 1e4, math.inf, 10, stream(1)), "window"),
         (lambda p: calibrate_dead_time(0.9, rate=-1), "rate"),
+        (lambda p: calibrate_dead_time(0.9, rate=math.nan), "rate"),
+        (lambda p: calibrate_dead_time(0.9, rate=math.inf), "rate"),
+        (lambda p: gen_attack(salt_preset().attack, math.nan, stream(1)), "duration"),
+        (lambda p: gen_attack(salt_preset().attack, -1.0, stream(1)), "duration"),
+        (lambda p: poisson_tail(math.nan, 3), "mean"),
+        (lambda p: poisson_tail(math.inf, 3), "mean"),
+        (lambda p: count_distribution_oracle(p, 1e4, 1e-4, 2.5, stream(1)), "n_trials"),
     ],
     ids=[
         "click_rate-zero-duration", "click_rate-nan-duration",
@@ -980,6 +989,9 @@ def salt_preset():
         "photons-nan-rate", "photons-inf-rate", "photons-nan-duration", "photons-inf-duration",
         "oracle-nan-rate", "calibrate-nan-duration", "oracle-negative-rate",
         "oracle-nan-window", "oracle-inf-window", "dead_time-negative-rate",
+        "dead_time-nan-rate", "dead_time-inf-rate",
+        "attack-nan-duration", "attack-negative-duration",
+        "poisson-nan-mean", "poisson-inf-mean", "oracle-fractional-trials",
     ],
 )
 def test_library_call_names_its_bad_argument(call, field):

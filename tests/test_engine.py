@@ -100,6 +100,15 @@ class TestRunTrial:
         with pytest.raises(ValidationError):
             run_trial(cfg, 5)
 
+    @pytest.mark.parametrize("index", [1.5, math.nan, True])
+    def test_non_integer_index_rejected(self, index):
+        # an index that is not an int would key the trial's streams by its text
+        cfg = salt_config(Scenario.NORMAL, trials=5, seed=6)
+        for call in (run_trial, build_trial_timeline):
+            with pytest.raises(ValidationError) as err:
+                call(cfg, index)
+            assert err.value.field == "trial_index"
+
 
 class TestScenarioOutcomes:
     def test_normal_salt_trials_pass(self, normal_salt_result):
@@ -666,7 +675,7 @@ class TestWorkerInvariance:
         assert run_experiment(cfg, threads=2).trials == run_experiment(cfg).trials
         assert_no_child_left()
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, math.nan, 2.5, True])
     def test_fewer_than_one_worker_rejected(self, threads):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=2, seed=19)
         with pytest.raises(ValidationError) as err:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -394,6 +396,9 @@ def test_flag_photon_number_stays_an_int64():
         (1.0, 1.0, "duty_cycle"),
         (1.0, 1.5, "duty_cycle"),
         (-1e-3, 0.5, "trial_duration"),
+        (1.0, math.nan, "duty_cycle"),
+        (math.nan, 0.5, "trial_duration"),
+        (math.inf, 0.5, "trial_duration"),
     ],
 )
 def test_schedule_tests_names_its_bad_argument(trial_duration, duty_cycle, field):
