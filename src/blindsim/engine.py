@@ -221,7 +221,7 @@ def _build_histograms(config: ExperimentConfig, trials: tuple[TrialResult, ...])
         # an offset outside the span would fail Histogram's sum check.
         per_bin = Counter(o // _OFFSET_BIN_PS for t in trials for o in t.response_offsets_ps)
         hists["response_offsets"] = Histogram(
-            bin_edges=tuple(k * 10e-9 for k in range(_OFFSET_BINS + 1)),
+            bin_edges=tuple(k * to_seconds(_OFFSET_BIN_PS) for k in range(_OFFSET_BINS + 1)),
             counts=tuple(per_bin[k] for k in range(_OFFSET_BINS)),
             n_samples=per_bin.total(),
         )

@@ -710,7 +710,7 @@ def offset_histogram(offsets_ps):
 
 def test_response_offsets_land_in_their_integer_bin():
     # the float edges 0.0 + 10e-9 * k round up past 30, 60, 120 and 170 ns,
-    # so binning the offsets in seconds put those four one bin low
+    # so only the integer offsets put those four in their own bin
     h = offset_histogram([0, 30_000, 60_000, 120_000, 170_000, 199_999])
     assert h.bin_edges == tuple(0.0 + 10e-9 * np.arange(21))
     assert [k for k, n in enumerate(h.counts) for _ in range(n)] == [0, 3, 6, 12, 17, 19]
