@@ -207,7 +207,7 @@ class ExperimentResult:
 
 
 def _build_histograms(config: ExperimentConfig, trials: tuple[TrialResult, ...]):
-    """The run's histograms; the only reader of each protocol's verdict fields."""
+    """The run's histograms; ``summary`` reads its per-protocol statistics from these."""
     hists: dict[str, Histogram] = {
         "clicks_per_trial": Histogram.from_event_counts(t.total_clicks for t in trials)
     }

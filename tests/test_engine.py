@@ -699,7 +699,6 @@ def test_trials_construct_no_plan(scenario, strategy, monkeypatch):
     assert built == []
 
 
-
 def offset_histogram(offsets_ps):
     """The response-offset histogram of one flag trial with the given click offsets."""
     cfg = flag_pulse_config(Scenario.NORMAL, trials=1, seed=1)
@@ -726,8 +725,8 @@ def test_response_offset_outside_the_span_rejected(offset):
 
 @pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)
 def test_summary_reads_what_the_verdicts_say(scenario, strategy):
-    # summary() reads the histograms; these are the formulas it used to
-    # compute from the verdicts, compared by type and value
+    # summary() reads the histograms, and must equal these formulas on
+    # the verdicts, by type and value
     result = run_experiment(preset_config(scenario, strategy, trials=60, seed=29))
     verdicts = [v for t in result.trials for v in t.verdicts]
     flags = [v.flag_seen for v in verdicts if v.flag_seen is not None]
@@ -744,6 +743,7 @@ def test_summary_reads_what_the_verdicts_say(scenario, strategy):
     got = {k: summary[k] for k in summary.keys() - tallied - counted}
     assert got == expected
     assert [type(got[k]) for k in expected] == [type(v) for v in expected.values()]
+
 
 def trial_fragments(cfg, index):
     """One trial's timeline fragments, rebuilt with the public generators."""
