@@ -23,7 +23,7 @@ from . import __version__
 from .config import ExperimentConfig, Scenario, config_from_flat, config_to_flat
 from .config import flat_config_text
 from .engine import run_experiment, tally_verdicts
-from .errors import BlindsimError, ConfigError
+from .errors import BlindsimError, ConfigError, require
 from .manifest import (
     manifest_text,
     read_trial_records,
@@ -44,7 +44,7 @@ from .presets import (
 from .rng import stream
 from .selftest import Strategy
 from .stats import clopper_pearson_interval
-from .units import MAX_TRIALS
+from .units import TrialCount
 
 _SCENARIOS = {
     "normal": Scenario.NORMAL,
@@ -236,8 +236,8 @@ def figure(name, outdir, seed, trials, threads):
         raise click.ClickException(
             f"unknown figure {name!r}; choose from {', '.join(sorted(FIGURE_TRIALS))}"
         )
-    if trials is not None and not 1 <= trials <= MAX_TRIALS:
-        raise click.ClickException(f"trials: must lie in [1, {MAX_TRIALS}]")
+    if trials is not None:
+        require("trials", trials, TrialCount)
     seed = _resolve_seed(seed, default=1)
     out = Path(outdir)
     try:

@@ -43,10 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import require, require_finite
 from .optics import PHOTON_SOURCES, OpticalTimeline, PulseSource, _poisson_arrival_ps
 from .units import PS_PER_SECOND, to_ps, to_seconds
-from .units import Duration, Fraction, Positive, PositiveDuration, Probability, Rate
+from .units import Duration, Fraction, OpenUnit, Positive, PositiveDuration, Probability, Rate
 
 
 class ClickCause(str, Enum):
@@ -254,7 +254,7 @@ def process_timeline(
     return clicks
 
 
-def calibrate_dead_time(target_armed_fraction: float, rate: float = 5.0e4) -> float:
+def calibrate_dead_time(target_armed_fraction: OpenUnit, rate: Rate = 5.0e4) -> float:
     """Dead time for which the detector is armed the target fraction of time.
 
     ``rate`` is the steady-state click rate the detector sustains.  Every
@@ -263,12 +263,8 @@ def calibrate_dead_time(target_armed_fraction: float, rate: float = 5.0e4) -> fl
     rate * dead_time for any afterpulse configuration, and the dead time
     is the closed form (1 - target_armed_fraction) / rate.
     """
-    if not 0 < target_armed_fraction < 1:
-        raise ValidationError(
-            "target_armed_fraction", "must lie strictly between 0 and 1"
-        )
-    if not 0 <= rate <= PS_PER_SECOND:  # also false for nan
-        raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
+    require("target_armed_fraction", target_armed_fraction, OpenUnit)
+    require("rate", rate, Rate)
     smallest = to_seconds(1)
     if rate == 0:
         # Idle detector is always armed; any positive dead time works.

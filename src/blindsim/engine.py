@@ -26,7 +26,7 @@ from typing import Any
 
 from .config import ExperimentConfig, Scenario
 from .detector import process_timeline
-from .errors import BlindsimError, ValidationError
+from .errors import BlindsimError, ValidationError, require
 from .optics import gen_attack, gen_le_schedule, gen_signal_photons, merge_timelines
 from .rng import trial_stream as stream  # perfbench traces engine.stream
 from .selftest import (
@@ -40,7 +40,7 @@ from .selftest import (
     schedule_tests,
 )
 from .stats import Histogram
-from .units import to_seconds
+from .units import Count, PositiveCount, to_seconds
 
 
 @dataclass(frozen=True)
@@ -107,16 +107,15 @@ def tally_verdicts(decisions, scenario: Scenario, strategy: Strategy) -> tuple[C
     return counts, good / total
 
 
-def build_trial_timeline(config: ExperimentConfig, trial_index: int):
+def build_trial_timeline(config: ExperimentConfig, trial_index: Count):
     """Scheduled test starts in picoseconds and the merged optical timeline of one trial.
 
     Exposed separately from run_trial so callers can inspect the exact
     stimuli and detector output behind a verdict.
     """
-    if type(trial_index) is not int or not 0 <= trial_index < config.trials:
-        raise ValidationError(
-            "trial_index", f"must be an integer in [0, {config.trials}), got {trial_index!r}"
-        )
+    require("trial_index", trial_index, Count)
+    if trial_index >= config.trials:
+        raise ValidationError("trial_index", f"must be below trials = {config.trials}")
     seed = config.seed
     plan = config.plan
     starts = schedule_tests(
@@ -142,7 +141,7 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: int):
     return starts, merge_timelines(*fragments)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
+def run_trial(config: ExperimentConfig, trial_index: Count) -> TrialResult:
     """One deterministic trial; reproducible from (config, trial_index)."""
     starts, timeline = build_trial_timeline(config, trial_index)
     seed = config.seed
@@ -308,7 +307,7 @@ def _all_trials(config: ExperimentConfig, workers: int) -> Iterator[tuple[TrialR
                 os.waitpid(pid, 0)
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, threads: PositiveCount = 1) -> ExperimentResult:
     """Run all trials and aggregate summary histograms.
 
     ``threads`` is the number of worker processes, capped at the trial
@@ -317,8 +316,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     children (POSIX only) run the rest.  Trials come back in index order
     and are identical for any worker count.
     """
-    if type(threads) is not int or threads < 1:
-        raise ValidationError("threads", f"must be an integer >= 1, got {threads!r}")
+    require("threads", threads, PositiveCount)
     workers = min(threads, config.trials, os.cpu_count() or 1)
     with _all_trials(config, workers) as trials:
         return ExperimentResult(

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require, require_finite
 from .selftest import SelfTestPlan, Strategy
-from .units import MAX_SECONDS, PS_PER_SECOND, Duration, NonNegative, PositiveDuration, Rate
+from .units import Count, Duration, NonNegative, PositiveDuration, Rate
 from .units import to_ps, to_seconds
 
 
@@ -202,13 +202,11 @@ def _poisson_arrival_ps(
 
 
 def gen_signal_photons(
-    rate: float, duration: float, rng: np.random.Generator
+    rate: Rate, duration: Duration, rng: np.random.Generator
 ) -> OpticalTimeline:
     """Poissonian signal photon arrivals at the given rate over the horizon."""
-    if not (0 <= rate <= PS_PER_SECOND and 0 <= duration <= MAX_SECONDS):  # false for nan
-        if not 0 <= rate <= PS_PER_SECOND:
-            raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
-        raise ValidationError("duration", f"must lie in [0, {MAX_SECONDS:g}] s")
+    require("rate", rate, Rate)
+    require("duration", duration, Duration)
     duration_ps = to_ps(duration)
     times = _frozen(_poisson_arrival_ps(rate, duration_ps, rng))
     codes = _frozen(np.full(times.size, PHOTON_CODE[PhotonSource.SIGNAL], dtype=np.uint8))
@@ -216,15 +214,14 @@ def gen_signal_photons(
 
 
 def gen_attack(
-    scenario: AttackScenario, duration: float, rng: np.random.Generator
+    scenario: AttackScenario, duration: Duration, rng: np.random.Generator
 ) -> OpticalTimeline:
     """Attacker timeline fragment: blinding segment plus fake pulses.
 
     Fake pulses are emitted while the attack is active, i.e. over
     [0, stop_blind_at) when the attacker ceases early.
     """
-    if not 0 <= duration <= MAX_SECONDS:  # also false for nan
-        raise ValidationError("duration", f"must lie in [0, {MAX_SECONDS:g}] s")
+    require("duration", duration, Duration)
     duration_ps = to_ps(duration)
     stop_ps = duration_ps
     if scenario.stop_blind_at is not None:
@@ -264,8 +261,8 @@ def flag_pulse(plan: SelfTestPlan, start_ps: int) -> BrightPulse:
 
 def gen_le_schedule(
     plan: SelfTestPlan,
-    start_ps: int,
-    duration: float,
+    start_ps: Count,
+    duration: Duration,
     rng: np.random.Generator,
 ) -> OpticalTimeline:
     """Light-emitter schedule of one self-test starting at ``start_ps``.
@@ -275,9 +272,11 @@ def gen_le_schedule(
     CW blinding segment covering the test interval, whose onset fires
     ``flag_pulse`` as a deterministic flag.
     """
-    if start_ps < 0:
-        raise ValidationError("test_start", "must be >= 0")
+    require("start_ps", start_ps, Count)
+    require("duration", duration, Duration)
     duration_ps = to_ps(duration)
+    if start_ps >= duration_ps:
+        raise ValidationError("start_ps", "must lie before the end of the duration")
     stop_ps = min(duration_ps, start_ps + to_ps(plan.test_duration))
 
     if plan.strategy == Strategy.SALT:

@@ -22,16 +22,15 @@ detector is calibrated by calling the same functions.
 
 from __future__ import annotations
 
-import math
-
 from .config import ExperimentConfig, Scenario, require_stimulus_budget
 from .detector import DetectorParams, calibrate_dead_time, process_timeline
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require
 from .optics import AttackScenario, gen_signal_photons
 from .rng import RandomStream, stream
 from .selftest import SelfTestPlan, Strategy
 from .stats import Histogram
-from .units import MAX_SECONDS, MAX_STIMULI, PS_PER_SECOND
+from .units import MAX_STIMULI, Duration, NonNegative, OpenUnit, Positive
+from .units import PositiveDuration, Rate, TrialCount
 
 CLICK_RATE = 5.0e4  # operating event rate, events/second
 SALT_TEST_RATE = 5.0e5  # event rate during a salt test (mean 100 per window)
@@ -72,13 +71,14 @@ SALT_NULL = Histogram(
 
 
 def reference_detector(
-    armed_fraction: float = FLAG_ARMED_FRACTION, noise_rate: float = 0.0
+    armed_fraction: OpenUnit = FLAG_ARMED_FRACTION, noise_rate: Rate = 0.0
 ) -> DetectorParams:
     """Detector at the reference operating point.
 
     ``armed_fraction`` fixes the dead time via the renewal identity at
     the 5e4/s click rate.
     """
+    require("armed_fraction", armed_fraction, OpenUnit)
     return DetectorParams(
         dead_time=calibrate_dead_time(armed_fraction, rate=CLICK_RATE),
         noise_rate=noise_rate,
@@ -87,13 +87,14 @@ def reference_detector(
 
 def realized_click_rate(
     params: DetectorParams,
-    arrival_rate: float,
-    duration: float = 0.5,
+    arrival_rate: Rate,
+    duration: PositiveDuration = 0.5,
     seed: int = CALIBRATION_SEED,
 ) -> float:
     """Observed total click rate for a Poissonian source, by pilot simulation."""
-    if not 0 < duration <= MAX_SECONDS:  # also false for nan
-        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
+    require("arrival_rate", arrival_rate, Rate)
+    require("duration", duration, PositiveDuration)
+    require("seed", seed, int)
     timeline = gen_signal_photons(arrival_rate, duration, stream(seed, "pilot-src"))
     clicks = process_timeline(params, timeline, stream(seed, "pilot-det"))
     return len(clicks) / duration
@@ -101,9 +102,9 @@ def realized_click_rate(
 
 def calibrate_source_rate(
     params: DetectorParams,
-    target_click_rate: float,
-    duration: float = 0.5,
-    tolerance: float = 0.01,
+    target_click_rate: Positive,
+    duration: PositiveDuration = 0.5,
+    tolerance: NonNegative = 0.01,
     seed: int = CALIBRATION_SEED,
 ) -> float:
     """Photon arrival rate that yields the target total click rate.
@@ -116,16 +117,13 @@ def calibrate_source_rate(
     before any pilot runs, and the upper bracket stops doubling before a
     pilot would expect more than ``MAX_STIMULI`` photons.
     """
-    if not 0 < target_click_rate < math.inf:  # also false for nan
-        raise ValidationError("target_click_rate", "must be finite and > 0")
+    require("target_click_rate", target_click_rate, Positive)
+    require("duration", duration, PositiveDuration)  # before the bracket reads it
+    require("tolerance", tolerance, NonNegative)
     if target_click_rate >= 1 / params.dead_time:
         raise ValidationError(
             "target_click_rate", "must stay below the dead-time saturation rate 1/dead_time"
         )
-    if not 0 <= tolerance < math.inf:
-        raise ValidationError("tolerance", "must be finite and >= 0")
-    if not 0 < duration <= MAX_SECONDS:  # before the bracket reads it
-        raise ValidationError("duration", f"must lie in (0, {MAX_SECONDS:g}] s")
     lo = 0.0
     hi = max(target_click_rate / max(params.efficiency, 1e-9), 1.0)
     # a pilot holds every photon in memory: it may expect at most MAX_STIMULI
@@ -151,9 +149,9 @@ def calibrate_source_rate(
 
 def count_distribution_oracle(
     params: DetectorParams,
-    rate: float,
-    window: float,
-    n_trials: int,
+    rate: Rate,
+    window: Duration,
+    n_trials: TrialCount,
     rng: RandomStream,
 ) -> Histogram:
     """Empirical click-count distribution in a window, by brute force.
@@ -165,12 +163,9 @@ def count_distribution_oracle(
     data for the reference detector), and ``figure fig3b`` draws the
     normal-operation count distribution with it.
     """
-    if not 0 <= rate <= PS_PER_SECOND:  # also false for nan
-        raise ValidationError("rate", f"must lie in [0, {PS_PER_SECOND:g}] per s")
-    if not 0 <= window <= MAX_SECONDS:
-        raise ValidationError("window", f"must lie in [0, {MAX_SECONDS:g}] s")
-    if type(n_trials) is not int or n_trials < 1:
-        raise ValidationError("n_trials", "must be an integer >= 1")
+    require("rate", rate, Rate)
+    require("window", window, Duration)
+    require("n_trials", n_trials, TrialCount)
     counts = []
     for _ in range(n_trials):
         timeline = gen_signal_photons(rate, window, rng)
@@ -212,7 +207,7 @@ def salt_null(config: ExperimentConfig) -> Histogram:
 
 
 def preset_config(
-    scenario: Scenario, strategy: Strategy, trials: int, seed: int
+    scenario: Scenario, strategy: Strategy, trials: TrialCount, seed: int
 ) -> ExperimentConfig:
     """The bundled experiment of one protocol under one scenario.
 
@@ -280,15 +275,15 @@ def preset_config(
     )
 
 
-def salt_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
+def salt_config(scenario: Scenario, trials: TrialCount, seed: int) -> ExperimentConfig:
     return preset_config(scenario, Strategy.SALT, trials, seed)
 
 
-def flag_pulse_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
+def flag_pulse_config(scenario: Scenario, trials: TrialCount, seed: int) -> ExperimentConfig:
     return preset_config(scenario, Strategy.FLAG_PULSE, trials, seed)
 
 
-def self_blind_config(scenario: Scenario, trials: int, seed: int) -> ExperimentConfig:
+def self_blind_config(scenario: Scenario, trials: TrialCount, seed: int) -> ExperimentConfig:
     return preset_config(scenario, Strategy.SELF_BLIND, trials, seed)
 
 

@@ -37,6 +37,8 @@ import threading
 
 import numpy as np
 
+from .errors import require
+
 RandomStream = np.random.Generator
 
 _KEY_WORDS = struct.Struct("=2Q")
@@ -58,6 +60,7 @@ def _key(master_seed: int, path: tuple[int | str, ...]) -> tuple[int, int]:
 
 def stream(master_seed: int, *path: int | str) -> RandomStream:
     """Derive an independent generator for (master_seed, *path)."""
+    require("master_seed", master_seed, int)
     key = np.array(_key(master_seed, path), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

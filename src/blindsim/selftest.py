@@ -29,10 +29,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, require_finite
+from .errors import ConfigError, ValidationError, require, require_finite
 from .stats import Histogram, poisson_tail
-from .units import Count, NonNegative, Positive, PositiveCount, PositiveDuration, Probability
-from .units import MAX_SECONDS, Rate, to_ps
+from .units import Count, Duration, Fraction, NonNegative, Positive, PositiveCount
+from .units import PositiveDuration, Probability, Rate, to_ps
 
 if TYPE_CHECKING:
     from .detector import ClickRecord
@@ -115,8 +115,8 @@ def fit_tests(trial_duration: float, duty_cycle: float, plan: SelfTestPlan) -> t
 
 
 def schedule_tests(
-    trial_duration: float,
-    duty_cycle: float,
+    trial_duration: Duration,
+    duty_cycle: Fraction,
     plan: SelfTestPlan,
     rng: np.random.Generator,
 ) -> list[int]:
@@ -128,10 +128,8 @@ def schedule_tests(
     scalar, which gives the value and leaves the generator state that a
     ``size=1`` draw would, at a fraction of the cost.
     """
-    if not 0 <= duty_cycle < 1:  # also false for nan
-        raise ValidationError("duty_cycle", "must lie in [0, 1)")
-    if not 0 <= trial_duration <= MAX_SECONDS:
-        raise ValidationError("trial_duration", f"must lie in [0, {MAX_SECONDS:g}] s")
+    require("trial_duration", trial_duration, Duration)
+    require("duty_cycle", duty_cycle, Fraction)
     n, occupancy = fit_tests(trial_duration, duty_cycle, plan)
     if n == 0:
         return []
@@ -142,8 +140,15 @@ def schedule_tests(
     return [s + i * occupancy for i, s in enumerate(starts)]
 
 
+def _require_test(plan: SelfTestPlan, strategy: Strategy, start_ps: Count, evaluator: str) -> None:
+    """Reject a plan of another strategy, and a start that is not a ``Count``."""
+    if plan.strategy != strategy:
+        raise ConfigError(f"{evaluator} needs a {strategy.value} plan, got {plan.strategy}")
+    require("start_ps", start_ps, Count)
+
+
 def evaluate_salt(
-    plan: SelfTestPlan, start_ps: int, clicks: Sequence[ClickRecord]
+    plan: SelfTestPlan, start_ps: Count, clicks: Sequence[ClickRecord]
 ) -> Verdict:
     """Count clicks in the test interval and compare with the threshold.
 
@@ -153,8 +158,7 @@ def evaluate_salt(
     count distribution at the observed count (empirical when available,
     else Poisson at the calibrated mean).
     """
-    if plan.strategy != Strategy.SALT:
-        raise ConfigError(f"evaluate_salt needs a SALT plan, got {plan.strategy}")
+    _require_test(plan, Strategy.SALT, start_ps, "evaluate_salt")
     lo, hi = _click_span(clicks, start_ps, start_ps + to_ps(plan.test_duration))
     count = hi - lo
     if plan.salt_rate <= 0:
@@ -174,13 +178,10 @@ def evaluate_salt(
 
 
 def evaluate_flag_pulse(
-    plan: SelfTestPlan, start_ps: int, clicks: Sequence[ClickRecord]
+    plan: SelfTestPlan, start_ps: Count, clicks: Sequence[ClickRecord]
 ) -> Verdict:
     """Single flag pulse: any click inside the response window passes."""
-    if plan.strategy != Strategy.FLAG_PULSE:
-        raise ConfigError(
-            f"evaluate_flag_pulse needs a FLAG_PULSE plan, got {plan.strategy}"
-        )
+    _require_test(plan, Strategy.FLAG_PULSE, start_ps, "evaluate_flag_pulse")
     lo, hi = _click_span(clicks, start_ps, start_ps + to_ps(plan.response_window))
     count = hi - lo
     seen = count > 0
@@ -190,7 +191,7 @@ def evaluate_flag_pulse(
 
 
 def evaluate_self_blind(
-    plan: SelfTestPlan, start_ps: int, clicks: Sequence[ClickRecord]
+    plan: SelfTestPlan, start_ps: Count, clicks: Sequence[ClickRecord]
 ) -> Verdict:
     """Combined onset-flag and silence check during self-blinding.
 
@@ -200,10 +201,7 @@ def evaluate_self_blind(
     flag and later clicks   -> POSITIVE_MANIPULATION (fake states)
     no flag and later clicks-> BOTH
     """
-    if plan.strategy != Strategy.SELF_BLIND:
-        raise ConfigError(
-            f"evaluate_self_blind needs a SELF_BLIND plan, got {plan.strategy}"
-        )
+    _require_test(plan, Strategy.SELF_BLIND, start_ps, "evaluate_self_blind")
     w = start_ps + to_ps(plan.response_window)
     lo, mid = _click_span(clicks, start_ps, w)
     flag_seen = mid > lo
@@ -248,7 +246,7 @@ class DecisionCalibration:
 
 
 def decision_error_rates(
-    calibration: DecisionCalibration | None, threshold: int
+    calibration: DecisionCalibration | None, threshold: Count
 ) -> tuple[float, float]:
     """Exact error probabilities of the "count >= threshold" rule.
 
@@ -260,8 +258,7 @@ def decision_error_rates(
     """
     if calibration is None:
         raise ValidationError("calibration", "decision distributions not calibrated")
-    if threshold < 0:
-        raise ValidationError("threshold", "must be >= 0")
+    require("threshold", threshold, Count)
     false_alarm = calibration.manipulated.tail_geq(threshold)
     miss = calibration.normal.tail_lt(threshold)
     return false_alarm, miss

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
+from .units import Count, NonNegative, OpenUnit, Probability
 
 _REL_CUTOFF = 1e-22  # stop summing once terms are this small vs the anchor
 _MAX_TERMS = 2_000_000
@@ -122,16 +123,15 @@ def _tail(k: int, side: str, mean: float, top: int | None, log_pmf, ratio_for) -
     return min(1.0, max(0.0, 1.0 - far)) if near else far
 
 
-@lru_cache(maxsize=1024)  # a salt verdict asks for the same few hundred tails
-def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
+# a salt verdict asks for the same few hundred tails; typed, so that
+# neither True nor 3.0 finds the tail of 1 or 3
+@lru_cache(maxsize=1024, typed=True)
+def poisson_tail(mean: NonNegative, k: Count, side: str = "lower") -> float:
     """Exact Poisson tail: P(X <= k) for side="lower", P(X >= k) for "upper"."""
-    if not 0 <= mean < math.inf:  # also false for nan
-        raise ValidationError("mean", "must be finite and >= 0")
-    if k < 0 or int(k) != k:
-        raise ValidationError("k", "must be a nonnegative integer")
+    require("mean", mean, NonNegative)
+    require("k", k, Count)
     if side not in ("lower", "upper"):
         raise ValidationError("side", "must be 'lower' or 'upper'")
-    k = int(k)
     if mean == 0:
         return _point_mass(0, k, side)
     return _tail(
@@ -141,17 +141,15 @@ def poisson_tail(mean: float, k: int, side: str = "lower") -> float:
     )
 
 
-def binomial_tail(n: int, p: float, k: int, side: str = "lower") -> float:
+def binomial_tail(n: Count, p: Probability, k: Count, side: str = "lower") -> float:
     """Exact binomial tail: P(X <= k) or P(X >= k) for X ~ Binomial(n, p)."""
-    if n < 0 or int(n) != n:
-        raise ValidationError("n", "must be a nonnegative integer")
-    if not 0 <= p <= 1:
-        raise ValidationError("p", "must lie in [0, 1]")
-    if k < 0 or k > n or int(k) != k:
+    require("n", n, Count)
+    require("p", p, Probability)
+    require("k", k, Count)
+    if k > n:
         raise ValidationError("k", "must lie in [0, n]")
     if side not in ("lower", "upper"):
         raise ValidationError("side", "must be 'lower' or 'upper'")
-    n, k = int(n), int(k)
     if p == 0 or p == 1:
         return _point_mass(n * int(p), k, side)
     logit = math.log(p) - math.log1p(-p)
@@ -171,17 +169,18 @@ def binomial_tail(n: int, p: float, k: int, side: str = "lower") -> float:
 
 
 def clopper_pearson_interval(
-    successes: int, trials: int, confidence: float = 0.95
+    successes: Count, trials: Count, confidence: OpenUnit = 0.95
 ) -> tuple[float, float]:
     """Exact binomial confidence interval for a success probability.
 
     Each bound solves its defining tail equation by bisection on
     ``binomial_tail``: P(X >= s | low) = alpha/2 and P(X <= s | high) = alpha/2.
     """
-    if trials < 0 or successes < 0 or successes > trials:
+    require("successes", successes, Count)
+    require("trials", trials, Count)
+    require("confidence", confidence, OpenUnit)
+    if successes > trials:
         raise ValidationError("successes", "need 0 <= successes <= trials")
-    if not 0 < confidence < 1:
-        raise ValidationError("confidence", "must lie in (0, 1)")
     tail = (1.0 - confidence) / 2
 
     def root(rising) -> float:

@@ -9,13 +9,15 @@ makes 12 such calls across its layers, each giving the same picoseconds
 for the same seconds.  Test start times are drawn as picoseconds and
 stay so from ``schedule_tests`` to the verdicts.
 
-A numeric config leaf declares its legal values by annotating it with
-one of the ``Annotated`` kinds below; ``errors.require_finite`` checks.
+A numeric config leaf or library argument declares its legal values by
+annotating it with one of the ``Annotated`` kinds below; ``errors.require``
+checks both.  A float kind's bounds are finite, so they reject infinities.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Annotated, NamedTuple
 
 PS_PER_SECOND = 10**12
@@ -61,8 +63,9 @@ Duration = Annotated[float, Range(0, MAX_SECONDS, f"must lie in [0, {MAX_SECONDS
 PositiveDuration = Annotated[
     float, Range(1e-12, MAX_SECONDS, f"must lie in (0, {MAX_SECONDS:g}] s", "must be at least 1 ps")
 ]
-Positive = Annotated[float, Range(math.nextafter(0, 1), math.inf, "must be > 0")]
-NonNegative = Annotated[float, Range(0, math.inf, "must be >= 0")]
+OpenUnit = Annotated[float, Range(math.nextafter(0, 1), math.nextafter(1, 0), "must lie in (0, 1)")]
+Positive = Annotated[float, Range(math.nextafter(0, 1), sys.float_info.max, "must be > 0")]
+NonNegative = Annotated[float, Range(0, sys.float_info.max, "must be >= 0")]
 Count = Annotated[int, Range(0, math.inf, "must be >= 0")]
 # at most an int64, so that a photon number converts to a float exponent
 PositiveCount = Annotated[int, Range(1, 2**63 - 1, "must lie in [1, 2**63 - 1]")]

@@ -798,6 +798,21 @@ def test_config_layer_imports_no_run_machinery():
         assert not imported & banned, (module, imported & banned)
 
 
+def test_only_units_names_the_longest_duration():
+    # a legal duration is decided in one module: every other module checks
+    # a duration through its units kind, never against MAX_SECONDS itself
+    package = Path(blindsim.__file__).parent
+    naming = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "MAX_SECONDS"
+        or isinstance(node, ast.Attribute) and node.attr == "MAX_SECONDS"
+        or isinstance(node, ast.alias) and node.name == "MAX_SECONDS"
+    }
+    assert naming == {"units.py"}
+
+
 def test_no_module_imports_the_package_inside_a_function():
     # an import in a function body hides a dependency from the layering
     # check above; a stdlib import there is allowed

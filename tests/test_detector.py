@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,27 +15,45 @@ from blindsim import (
     ClickRecord,
     CwSegment,
     CwSource,
+    DecisionCalibration,
     DetectorParams,
     OpticalTimeline,
     PHOTON_CODE,
     PHOTON_SOURCES,
     PhotonSource,
+    PoissonCounts,
     PulseSource,
     Scenario,
+    SelfTestPlan,
+    Strategy,
     ValidationError,
+    binomial_tail,
+    build_trial_timeline,
     calibrate_dead_time,
+    clopper_pearson_interval,
     count_distribution_oracle,
+    decision_error_rates,
+    evaluate_flag_pulse,
+    evaluate_salt,
+    evaluate_self_blind,
     gen_attack,
+    gen_le_schedule,
     gen_signal_photons,
     merge_timelines,
     poisson_tail,
     process_timeline,
+    run_experiment,
+    run_trial,
+    schedule_tests,
+    set_config_value,
     stream,
 )
+import blindsim
 from blindsim import presets
+from blindsim.errors import require_finite
 from blindsim.optics import _poisson_arrival_ps
 from blindsim.presets import calibrate_source_rate, realized_click_rate
-from blindsim.units import MAX_STIMULI, to_ps, to_seconds
+from blindsim.units import MAX_STIMULI, Rate, to_ps, to_seconds
 from reference_kernel import reference_clicks
 
 
@@ -955,49 +974,131 @@ def salt_preset():
     return presets.salt_config(Scenario.NORMAL, trials=1, seed=1)
 
 
-@pytest.mark.parametrize(
-    "call,field",
-    [
-        (lambda p: realized_click_rate(p, 1e4, duration=0.0), "duration"),
-        (lambda p: realized_click_rate(p, 1e4, duration=math.nan), "duration"),
-        (lambda p: calibrate_source_rate(p, math.nan), "target_click_rate"),
-        (lambda p: calibrate_source_rate(p, math.inf), "target_click_rate"),
-        (lambda p: calibrate_source_rate(p, 1e4, tolerance=-1), "tolerance"),
-        (lambda p: calibrate_source_rate(p, 1e4, tolerance=math.nan), "tolerance"),
-        (lambda p: gen_signal_photons(math.nan, 1e-3, stream(1)), "rate"),
-        (lambda p: gen_signal_photons(math.inf, 1e-3, stream(1)), "rate"),
-        (lambda p: gen_signal_photons(1e4, math.nan, stream(1)), "duration"),
-        (lambda p: gen_signal_photons(1e4, math.inf, stream(1)), "duration"),
-        (lambda p: count_distribution_oracle(p, math.nan, 1e-4, 10, stream(1)), "rate"),
-        (lambda p: calibrate_source_rate(p, 1e4, duration=math.nan), "duration"),
-        (lambda p: count_distribution_oracle(p, -1.0, 1e-4, 10, stream(1)), "rate"),
-        (lambda p: count_distribution_oracle(p, 1e4, math.nan, 10, stream(1)), "window"),
-        (lambda p: count_distribution_oracle(p, 1e4, math.inf, 10, stream(1)), "window"),
-        (lambda p: calibrate_dead_time(0.9, rate=-1), "rate"),
-        (lambda p: calibrate_dead_time(0.9, rate=math.nan), "rate"),
-        (lambda p: calibrate_dead_time(0.9, rate=math.inf), "rate"),
-        (lambda p: gen_attack(salt_preset().attack, math.nan, stream(1)), "duration"),
-        (lambda p: gen_attack(salt_preset().attack, -1.0, stream(1)), "duration"),
-        (lambda p: poisson_tail(math.nan, 3), "mean"),
-        (lambda p: poisson_tail(math.inf, 3), "mean"),
-        (lambda p: count_distribution_oracle(p, 1e4, 1e-4, 2.5, stream(1)), "n_trials"),
-    ],
-    ids=[
-        "click_rate-zero-duration", "click_rate-nan-duration",
-        "calibrate-nan-target", "calibrate-inf-target",
-        "calibrate-negative-tolerance", "calibrate-nan-tolerance",
-        "photons-nan-rate", "photons-inf-rate", "photons-nan-duration", "photons-inf-duration",
-        "oracle-nan-rate", "calibrate-nan-duration", "oracle-negative-rate",
-        "oracle-nan-window", "oracle-inf-window", "dead_time-negative-rate",
-        "dead_time-nan-rate", "dead_time-inf-rate",
-        "attack-nan-duration", "attack-negative-duration",
-        "poisson-nan-mean", "poisson-inf-mean", "oracle-fractional-trials",
-    ],
-)
-def test_library_call_names_its_bad_argument(call, field):
-    with pytest.raises(ValidationError) as err:
-        call(quiet_params())
-    assert err.value.field == field
+def _library_calls() -> dict[str, tuple]:
+    """One valid call of each library function, by case name: (function, arguments, leaves).
+
+    The arguments are bound to the function's parameters, defaults
+    included.  ``leaves`` maps an argument that sets a config leaf to the
+    leaf's (name, kind), which its error names and whose message it gives.
+    """
+    params = quiet_params()
+    config = replace(salt_preset(), trials=2)
+    salt = SelfTestPlan(strategy=Strategy.SALT, salt_rate=1e5)
+    clicks = [ClickRecord(10, ClickCause.SIGNAL)]
+    calibration = DecisionCalibration(PoissonCounts(2.0), PoissonCounts(20.0))
+    empty = OpticalTimeline(duration_ps=1000)
+
+    def call(fn, *args, leaves=None, **kwargs):
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        return fn, bound, leaves or {}
+
+    return {
+        "dead_time": call(calibrate_dead_time, 0.9),
+        "detector": call(process_timeline, params, empty, stream(1)),
+        "set": call(set_config_value, config, "signal_rate", 1e4,
+                    leaves={"value": ("signal_rate", Rate)}),
+        "timeline": call(build_trial_timeline, config, 0),
+        "trial": call(run_trial, config, 0),
+        "experiment": call(run_experiment, config),
+        "photons": call(gen_signal_photons, 1e4, 1e-3, stream(1)),
+        "attack": call(gen_attack, config.attack, 1e-3, stream(1)),
+        "le": call(gen_le_schedule, salt, 0, 1e-3, stream(1)),
+        "merge": call(merge_timelines, empty),
+        "stream": call(stream, 1, "x"),
+        "error_rates": call(decision_error_rates, calibration, 3),
+        "salt": call(evaluate_salt, salt, 0, clicks),
+        "flag": call(evaluate_flag_pulse, SelfTestPlan(strategy=Strategy.FLAG_PULSE), 0, clicks),
+        "self_blind": call(
+            evaluate_self_blind, SelfTestPlan(strategy=Strategy.SELF_BLIND), 0, clicks
+        ),
+        "schedule": call(schedule_tests, 4e-4, 0.5, salt, stream(1)),
+        "binomial": call(binomial_tail, 10, 0.5, 3),
+        "interval": call(clopper_pearson_interval, 3, 10),
+        "poisson": call(poisson_tail, 10.0, 3),
+        "reference": call(presets.reference_detector),
+        "click_rate": call(realized_click_rate, params, 1e4, duration=1e-3),
+        "calibrate": call(calibrate_source_rate, params, 1e3, duration=1e-2),
+        "oracle": call(count_distribution_oracle, params, 1e4, 1e-4, 10, stream(1)),
+        "null": call(presets.salt_null, config),
+        "preset": call(presets.preset_config, Scenario.NORMAL, Strategy.SALT, 1, 1),
+        "salt_config": call(presets.salt_config, Scenario.NORMAL, 1, 1),
+        "flag_config": call(presets.flag_pulse_config, Scenario.NORMAL, 1, 1),
+        "self_blind_config": call(presets.self_blind_config, Scenario.NORMAL, 1, 1),
+    }
+
+
+def _library_functions() -> set:
+    """The functions that ``blindsim`` exports, the public ones of ``presets``, and ``stream``."""
+    exported = [f for f in vars(blindsim).values() if callable(f) and not isinstance(f, type)]
+    own = [
+        f for name, f in vars(presets).items()
+        if callable(f) and not isinstance(f, type) and not name.startswith("_")
+        and getattr(f, "__module__", None) == presets.__name__
+    ]
+    return {*exported, *own, stream}
+
+
+# Each bad value by case label.  0.0 is tried only where the argument's
+# kind excludes it: where the kind takes 0, a relation to another
+# argument may still reject it, naming that argument.
+BAD_VALUES = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -1, "fractional": 1.5,
+    "true": True, "2**64": 2**64, "zero": 0.0,
+}
+
+
+def _kind_message(kind, value) -> str | None:
+    """The message that a dataclass field of ``kind`` gives ``value``, or None if it takes it."""
+    probe = make_dataclass("Probe", [("x", kind)], namespace={"__post_init__": require_finite})
+    try:
+        probe(value)
+    except ValidationError as e:
+        return e.message
+    return None
+
+
+def _argument(fn, arg: str, leaves: dict) -> tuple[str, object]:
+    """The field that a bad ``arg`` must name, and the kind that decides its message."""
+    if arg in leaves:
+        return leaves[arg]
+    fn = inspect.unwrap(fn)  # the annotations are text, read in the function's module
+    return arg, eval(fn.__annotations__[arg], fn.__globals__)
+
+
+def _fuzz_cases():
+    for name, (fn, bound, leaves) in _library_calls().items():
+        for arg, value in bound.arguments.items():
+            if type(value) not in (int, float):
+                continue
+            kind = _argument(fn, arg, leaves)[1]
+            for label in BAD_VALUES:
+                if label != "zero" or _kind_message(kind, 0.0) is not None:
+                    yield pytest.param(name, arg, label, id=f"{name}-{label}-{arg}")
+
+
+@pytest.mark.parametrize("name,arg,label", _fuzz_cases())
+def test_library_call_names_its_bad_argument(name, arg, label):
+    # every numeric argument of a library function takes a units kind, or
+    # any int for a seed, and rejects a value that its kind rejects with
+    # the message that a config field of that kind gives
+    calls = _library_calls()
+    missing = _library_functions() - {fn for fn, _, _ in calls.values()}
+    assert not missing, sorted(f.__name__ for f in missing)
+    fn, bound, leaves = calls[name]
+    field, kind = _argument(fn, arg, leaves)
+    assert kind is int or getattr(kind, "__origin__", None) in (int, float), (arg, kind)
+    expected = _kind_message(kind, BAD_VALUES[label])
+    bound.arguments[arg] = BAD_VALUES[label]
+    if expected is None:  # the kind takes it: a normal return, or a relation naming it
+        try:
+            fn(*bound.args, **bound.kwargs)
+        except ValidationError as e:
+            assert e.field == field
+    else:
+        with pytest.raises(ValidationError) as err:
+            fn(*bound.args, **bound.kwargs)
+        assert (err.value.field, err.value.message) == (field, expected)
 
 
 class TestSourceRates:

@@ -53,7 +53,7 @@ from blindsim.presets import (
     self_blind_config,
 )
 from blindsim.selftest import Verdict
-from blindsim.units import MAX_SECONDS, Range, to_ps, to_seconds
+from blindsim.units import MAX_SECONDS, Positive, Range, to_ps, to_seconds
 
 PICOSECOND = to_seconds(1)
 
@@ -519,6 +519,7 @@ class _Annotated:
     n: int = 1
     m: int | None = 1
     flag: bool = False
+    positive: Positive = 1.0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -535,6 +536,7 @@ class _Annotated:
         ("n", 2.5),
         ("flag", "unchecked"),
         ("flag", 0),
+        ("positive", math.inf),  # past the one-comparison fast path too
     ],
 )
 def test_require_finite_reads_the_annotations(field, bad):

@@ -171,7 +171,7 @@ class TestLeSchedule:
         plan = SelfTestPlan(strategy=Strategy.SALT, salt_rate=450e3)
         with pytest.raises(ValidationError) as err:
             gen_le_schedule(plan, to_ps(-1e-6), 1e-3, stream(14))
-        assert err.value.field == "test_start"
+        assert err.value.field == "start_ps"
 
 
 class TestMergeTimelines:
