@@ -12,9 +12,9 @@ from .config import ExperimentConfig, Scenario, set_config_value
 from .engine import (
     ExperimentResult,
     TrialResult,
-    build_trial_timeline,
     run_experiment,
     run_trial,
+    trial_anatomy,
 )
 from .errors import BlindsimError, ConfigError, ValidationError
 from .optics import (

@@ -44,7 +44,7 @@ from .presets import (
 from .rng import stream
 from .selftest import Strategy
 from .stats import clopper_pearson_interval
-from .units import TrialCount
+from .units import PositiveCount, TrialCount
 
 _SCENARIOS = {
     "normal": Scenario.NORMAL,
@@ -157,8 +157,7 @@ def _write_run(outdir: Path, run: dict[str, str], timings, config, result, extra
 
 
 def _check_threads(ctx, param, threads: int) -> int:
-    if threads < 1:
-        raise click.ClickException("threads: must be >= 1")
+    require("threads", threads, PositiveCount)
     return threads
 
 

@@ -1,8 +1,9 @@
 """Deterministic experiment composition.
 
-run_trial builds one trial end to end: schedule the self-tests, generate
-legitimate light, attacker light, and light-emitter schedules, merge the
-fragments, run the detector, and evaluate every scheduled test.  Each
+trial_anatomy builds one trial end to end: schedule the self-tests,
+generate legitimate light, attacker light, and light-emitter schedules,
+merge the fragments, run the detector, and evaluate every scheduled
+test.  run_trial folds that into a TrialResult.  Each
 trial derives its own random streams from (master seed, trial index,
 module tag), so trials are reproducible in isolation and independent of
 execution order.  run_experiment can therefore split the trial range
@@ -108,11 +109,7 @@ def tally_verdicts(decisions, scenario: Scenario, strategy: Strategy) -> tuple[C
 
 
 def build_trial_timeline(config: ExperimentConfig, trial_index: Count):
-    """Scheduled test starts in picoseconds and the merged optical timeline of one trial.
-
-    Exposed separately from run_trial so callers can inspect the exact
-    stimuli and detector output behind a verdict.
-    """
+    """Scheduled test starts in picoseconds and the merged optical timeline of one trial."""
     require("trial_index", trial_index, Count)
     if trial_index >= config.trials:
         raise ValidationError("trial_index", f"must be below trials = {config.trials}")
@@ -141,16 +138,24 @@ def build_trial_timeline(config: ExperimentConfig, trial_index: Count):
     return starts, merge_timelines(*fragments)
 
 
-def run_trial(config: ExperimentConfig, trial_index: Count) -> TrialResult:
-    """One deterministic trial; reproducible from (config, trial_index)."""
-    starts, timeline = build_trial_timeline(config, trial_index)
-    seed = config.seed
-    clicks = process_timeline(
-        config.detector, timeline, stream(seed, trial_index, "detector")
-    )
+def trial_anatomy(config: ExperimentConfig, trial_index: Count):
+    """Test starts in picoseconds, optical timeline, clicks and verdicts of one trial.
 
+    Everything behind the trial's verdicts, as run_trial draws it: each
+    verdict is read from the clicks alone.
+    """
+    starts, timeline = build_trial_timeline(config, trial_index)
+    clicks = process_timeline(
+        config.detector, timeline, stream(config.seed, trial_index, "detector")
+    )
     evaluator = _EVALUATORS[config.plan.strategy]
     verdicts = tuple(evaluator(config.plan, start, clicks) for start in starts)
+    return starts, timeline, clicks, verdicts
+
+
+def run_trial(config: ExperimentConfig, trial_index: Count) -> TrialResult:
+    """One deterministic trial; reproducible from (config, trial_index)."""
+    starts, _, clicks, verdicts = trial_anatomy(config, trial_index)
     offsets: list[int] = []
     for start in starts:
         # clicks come in time order from process_timeline
@@ -163,7 +168,7 @@ def run_trial(config: ExperimentConfig, trial_index: Count) -> TrialResult:
         cause_counts=tuple(sorted((cause.value, n) for cause, n in causes.items())),
         total_clicks=len(clicks),
         response_offsets_ps=tuple(offsets),
-        seed_token=f"{seed}/{trial_index}",
+        seed_token=f"{config.seed}/{trial_index}",
     )
 
 

@@ -31,13 +31,11 @@ class ValidationError(BlindsimError, ValueError):
 
 
 @cache
-def checked_fields(cls) -> tuple[tuple[str, Any, bool, Any, Any, Any], ...]:
-    """(name, kind, may be None, annotation, least, most) of each checked field of ``cls``.
+def checked_fields(cls) -> tuple[tuple[str, Any, bool, Any], ...]:
+    """(name, kind, may be None, annotation) of each checked field of ``cls``.
 
     A field is checked if it holds an int, float, bool, Enum or dataclass.
-    A number of its own type from ``least`` to ``most``, the range its
-    ``units`` kind declares, passes at once.  The config leaves are read
-    from this table too.
+    The config leaves are read from this table too.
     """
     hints = get_type_hints(cls, include_extras=True)
     out = []
@@ -46,11 +44,9 @@ def checked_fields(cls) -> tuple[tuple[str, Any, bool, Any, Any, Any], ...]:
         args = [a for a in get_args(hint) if a is not type(None)]
         optional = len(args) < len(get_args(hint))
         hint = args[0] if optional and len(args) == 1 else hint
-        kind, least, most = hint, None, None
-        if get_origin(hint) is Annotated:
-            kind, (least, most, *_) = get_args(hint)
+        kind = get_args(hint)[0] if get_origin(hint) is Annotated else hint
         if kind in (int, float, bool) or is_dataclass(kind) or isinstance(kind, EnumMeta):
-            out.append((f.name, kind, optional, hint, least, most))
+            out.append((f.name, kind, optional, hint))
     return tuple(out)
 
 
@@ -100,13 +96,10 @@ def require_finite(obj) -> None:
 
     A ``| None`` field may also be None.
     """
-    for name, kind, optional, hint, least, most in checked_fields(type(obj)):
+    for name, _, optional, hint in checked_fields(type(obj)):
         value = getattr(obj, name)
-        if least is not None and type(value) is kind and least <= value <= most:
-            continue  # the common case, decided at once
-        if value is None and optional:
-            continue
-        require(name, value, hint)
+        if value is not None or not optional:
+            require(name, value, hint)
 
 
 class ConfigError(BlindsimError, ValueError):

@@ -110,8 +110,7 @@ class OpticalTimeline:
 
     def validate(self) -> None:
         dur = self.duration_ps
-        if dur < 0:
-            raise ValidationError("duration", "must be >= 0")
+        require("duration", dur, Count)
         times, codes = self.photons, self.photon_sources
         if not (isinstance(times, np.ndarray) and times.dtype == np.int64 and times.ndim == 1):
             raise ValidationError("photons", "must be a 1-D int64 array")

@@ -218,8 +218,9 @@ class Histogram:
         for a, b in zip(self.bin_edges, self.bin_edges[1:]):
             if not b > a:
                 raise ValidationError("bin_edges", "must be strictly increasing")
-        if any(c < 0 for c in self.counts):
-            raise ValidationError("counts", "must be >= 0")
+        for c in self.counts:
+            require("counts", c, Count)
+        require("n_samples", self.n_samples, Count)
         if sum(self.counts) != self.n_samples:
             raise ValidationError("counts", "must sum to n_samples")
 

@@ -32,7 +32,7 @@ from blindsim import (
 )
 from blindsim.cli import main
 from blindsim.detector import ClickRecord
-from blindsim.engine import build_trial_timeline
+from blindsim.engine import trial_anatomy
 from blindsim.presets import (
     FIGURE_TRIALS,
     WINDOW,
@@ -130,10 +130,7 @@ def test_criterion_5_recovery_attack():
     assert cfg.detector.recovery_click_prob == 1.0
     result = run_experiment(cfg)
     for trial in result.trials:
-        starts, timeline = build_trial_timeline(cfg, trial.index)
-        clicks = process_timeline(
-            cfg.detector, timeline, stream(cfg.seed, trial.index, "detector")
-        )
+        starts, _, clicks, _ = trial_anatomy(cfg, trial.index)
         a = starts[0]
         b = a + to_ps(cfg.plan.test_duration)
         # the local blinding light holds the power above threshold when
@@ -249,10 +246,7 @@ def test_criterion_8d_label_shuffle_invariance():
     cfg = salt_config(Scenario.MANIPULATED, trials=50, seed=2037)
     rng = stream(2037, "shuffle")
     for index in range(cfg.trials):
-        starts, timeline = build_trial_timeline(cfg, index)
-        clicks = process_timeline(
-            cfg.detector, timeline, stream(cfg.seed, index, "detector")
-        )
+        starts, _, clicks, _ = trial_anatomy(cfg, index)
         causes = [c.cause for c in clicks]
         rng.shuffle(causes)
         shuffled = [

@@ -28,7 +28,6 @@ from blindsim import (
     Strategy,
     ValidationError,
     binomial_tail,
-    build_trial_timeline,
     calibrate_dead_time,
     clopper_pearson_interval,
     count_distribution_oracle,
@@ -47,6 +46,7 @@ from blindsim import (
     schedule_tests,
     set_config_value,
     stream,
+    trial_anatomy,
 )
 import blindsim
 from blindsim import presets
@@ -889,6 +889,10 @@ class TestValidation:
         "timeline,field",
         [
             (OpticalTimeline(duration_ps=-1), "duration"),
+            (OpticalTimeline(duration_ps=1500.5), "duration"),
+            (OpticalTimeline(duration_ps=True), "duration"),
+            (OpticalTimeline(duration_ps=math.inf), "duration"),
+            (OpticalTimeline(duration_ps=math.nan), "duration"),
             (OpticalTimeline(duration_ps=1000, **photon_arrays([1000])), "photons"),
             (
                 OpticalTimeline(duration_ps=1000, pulses=(
@@ -898,7 +902,10 @@ class TestValidation:
                 "pulses",
             ),
         ],
-        ids=["negative-duration", "photon-at-horizon", "pulses-out-of-order"],
+        ids=[
+            "negative-duration", "fractional-duration", "true-duration", "inf-duration",
+            "nan-duration", "photon-at-horizon", "pulses-out-of-order",
+        ],
     )
     def test_timeline_out_of_bounds_names_its_field(self, ref_detector, timeline, field):
         with pytest.raises(ValidationError) as err:
@@ -998,7 +1005,7 @@ def _library_calls() -> dict[str, tuple]:
         "detector": call(process_timeline, params, empty, stream(1)),
         "set": call(set_config_value, config, "signal_rate", 1e4,
                     leaves={"value": ("signal_rate", Rate)}),
-        "timeline": call(build_trial_timeline, config, 0),
+        "timeline": call(trial_anatomy, config, 0),
         "trial": call(run_trial, config, 0),
         "experiment": call(run_experiment, config),
         "photons": call(gen_signal_photons, 1e4, 1e-3, stream(1)),

@@ -6,6 +6,7 @@ import os
 import pickle
 import signal
 import time
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -43,7 +44,13 @@ from blindsim.config import (
     config_to_flat,
     set_config_value,
 )
-from blindsim.engine import TrialResult, _run_trials, build_trial_timeline, expected_decisions
+from blindsim.engine import (
+    TrialResult,
+    _run_trials,
+    build_trial_timeline,
+    expected_decisions,
+    trial_anatomy,
+)
 from blindsim.errors import BlindsimError, ConfigError, require_finite
 from blindsim.optics import flag_pulse
 from blindsim.presets import (
@@ -133,8 +140,7 @@ class TestScenarioOutcomes:
             )
 
     def test_recovery_attack_detected_and_recovery_click_suppressed(self):
-        from blindsim import ClickCause, process_timeline, stream
-        from blindsim.engine import build_trial_timeline
+        from blindsim import ClickCause
         from blindsim.units import to_ps
 
         cfg = self_blind_config(Scenario.RECOVERY_ATTACK, 200, seed=10)
@@ -143,10 +149,7 @@ class TestScenarioOutcomes:
             # the attacker's release happens mid-test; any recovery click
             # there would betray the model failing to superpose the local
             # blinding light (the local release at test end is legitimate)
-            starts, timeline = build_trial_timeline(cfg, trial.index)
-            clicks = process_timeline(
-                cfg.detector, timeline, stream(cfg.seed, trial.index, "detector")
-            )
+            starts, _, clicks, _ = trial_anatomy(cfg, trial.index)
             a = starts[0]
             b = a + to_ps(cfg.plan.test_duration)
             assert not any(
@@ -747,6 +750,18 @@ def test_summary_reads_what_the_verdicts_say(scenario, strategy):
     assert [type(got[k]) for k in expected] == [type(v) for v in expected.values()]
 
 
+@pytest.mark.parametrize("scenario,strategy", PRESET_ARMS)
+def test_anatomy_is_the_trial(scenario, strategy):
+    # trial_anatomy's clicks and verdicts are the ones run_trial folds
+    cfg = preset_config(scenario, strategy, trials=30, seed=31)
+    for index in range(cfg.trials):
+        trial = run_trial(cfg, index)
+        _, _, clicks, verdicts = trial_anatomy(cfg, index)
+        assert verdicts == trial.verdicts
+        assert len(clicks) == trial.total_clicks
+        assert Counter(c.cause.value for c in clicks) == dict(trial.cause_counts)
+
+
 def trial_fragments(cfg, index):
     """One trial's timeline fragments, rebuilt with the public generators."""
     starts = schedule_tests(
@@ -807,11 +822,9 @@ def test_dead_time_is_one_full_window_per_click(scenario, strategy):
         assert len(process_timeline(quiet, pair, stream(23, "pair"))) == clicks
     total_clicks = 0
     for index in range(cfg.trials):
-        _, timeline = build_trial_timeline(cfg, index)
+        _, timeline, clicks, _ = trial_anatomy(cfg, index)
         horizon = timeline.duration_ps
-        times = [c.time_ps for c in process_timeline(
-            cfg.detector, timeline, stream(cfg.seed, index, "detector")
-        )]
+        times = [c.time_ps for c in clicks]
         assert all(b - a >= dead_ps for a, b in zip(times, times[1:]))
         dead = reach = 0  # union of the dead windows, swept in time order
         for t in times:

@@ -263,8 +263,12 @@ class TestHistogram:
             (lambda: Histogram(bin_edges=(0.0,), counts=(1,), n_samples=1), "bin_edges"),
             (lambda: Histogram(bin_edges=(0.0, 1.0, 2.0), counts=(-1, 2), n_samples=1),
              "counts"),
+            (lambda: Histogram(bin_edges=(0.0, 1.0), counts=(1.5,), n_samples=1.5), "counts"),
+            (lambda: Histogram(bin_edges=(0.0, 1.0), counts=(True,), n_samples=1), "counts"),
+            (lambda: Histogram(bin_edges=(0.0, 1.0), counts=(1,), n_samples=1.0), "n_samples"),
         ],
-        ids=["too-few-edges", "negative-count"],
+        ids=["too-few-edges", "negative-count", "fractional-count", "true-count",
+             "float-n-samples"],
     )
     def test_rejection_names_its_field(self, build, field):
         with pytest.raises(ValidationError) as err:
