@@ -35,8 +35,6 @@ from .optics import (
 from .rng import stream
 from .selftest import (
     Decision,
-    DecisionCalibration,
-    PoissonCounts,
     SelfTestPlan,
     Strategy,
     Verdict,

@@ -168,11 +168,14 @@ _threads_option = click.option(
 
 
 class _Commands(click.Group):
-    """The command group: a library error from any command exits 1 with its message."""
+    """The command group: a usage or library error from any command exits 1 with its message."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
         except BlindsimError as e:
             raise click.ClickException(str(e)) from e
 

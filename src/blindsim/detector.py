@@ -101,10 +101,9 @@ def _drop_held(times: list[int], spans: list[tuple[int, int]], *parallel: list) 
     for a, b in reversed(spans):
         lo = bisect_right(times, a)
         hi = bisect_right(times, b, lo)
-        if lo < hi:
-            del times[lo:hi]
-            for values in parallel:
-                del values[lo:hi]
+        del times[lo:hi]
+        for values in parallel:
+            del values[lo:hi]
 
 
 def process_timeline(
@@ -123,6 +122,9 @@ def process_timeline(
     before it, so one in a held span (a, b], from an edge that blinds to
     the next edge that releases (or the horizon), can never click.  Such
     candidates are dropped before the walk; they draw nothing in it.
+    The walk's only power events are each span's start and, for a span
+    that closes before the horizon, its end; an edge that leaves the
+    held state as it was changes no click.
     """
     timeline.validate()
     clicks: list[ClickRecord] = []
@@ -136,8 +138,6 @@ def process_timeline(
 
     pulses = timeline.pulses
     segments = timeline.cw_segments
-    edge_times: list[int] = []
-    held: list[bool] = []  # whether the power after each edge holds the detector blind
     spans: list[tuple[int, int]] = []  # held spans (a, b]: blinding edge to releasing edge
     n_crossings = 0
     if segments:
@@ -153,7 +153,6 @@ def process_timeline(
                 active.append(pending.pop())
             active = [s for s in active if t < s.stop_ps]
             h = math.fsum(s.power for s in active) >= params.blind_power
-            held.append(h)
             if h and onset is None:
                 onset = t
             elif not h and onset is not None:
@@ -181,13 +180,15 @@ def process_timeline(
         _drop_held(dark_times, spans)
 
     # (time, priority, code): the gated cause code, the pulse index, or
-    # the edge's held flag.  The photons come sorted on (time, code), so
-    # the codes order coincident photons as their indices would.
+    # 1 at a held span's start and 0 at its end.  The photons come sorted
+    # on (time, code), so the codes order coincident photons as their
+    # indices would.
     events: list[tuple[int, int, int]] = list(zip(photon_times, repeat(_GATED), photon_codes))
     events.extend((pu.time_ps, _PULSE, i) for i, pu in enumerate(pulses))
     events.extend(zip(dark_times, repeat(_GATED), repeat(_DARK_CODE)))
     events.extend(zip(noise_times, repeat(_NOISE), repeat(0)))
-    events.extend(zip(edge_times, repeat(_CW), held))
+    events.extend((a, _CW, 1) for a, _ in spans)
+    events.extend((b, _CW, 0) for _, b in spans[:n_crossings])
     events.sort()
     # the heap loop pops only afterpulses due before it, so those due at
     # or past the horizon never click
@@ -214,7 +215,7 @@ def process_timeline(
                 continue
             clicks_append(new_click(ClickRecord, (a, ClickCause.AFTERPULSE)))
             dead_until = a + dead_ps
-            if ap_prob > 0.0 and draw_raw() < ap_cut:
+            if draw_raw() < ap_cut:
                 ap_t = dead_until + int(ap_tau * rng_exponential() * PS_PER_SECOND + 0.5)
                 heappush(ap_heap, ap_t)
         if prio == _GATED:  # never blinded: the held ones were dropped
@@ -238,9 +239,8 @@ def process_timeline(
                 continue
             cause = ClickCause.NOISE
         elif prio == _CW:
-            crossing = blinded and not code
             blinded = code
-            if not crossing or next(u_recovery) >= recovery_prob or t < dead_until:
+            if code or next(u_recovery) >= recovery_prob or t < dead_until:
                 continue
             cause = ClickCause.RECOVERY
         else:  # _END

@@ -215,51 +215,26 @@ def evaluate_self_blind(
     else:
         decision = Decision.BOTH
     p_flag = 1.0 if flag_seen else 1.0 - plan.null_onset_prob
-    p_blind = (
-        poisson_tail(plan.null_in_blind_mean, in_blind, "upper")
-        if in_blind > 0
-        else 1.0
-    )
-    p = min(1.0, p_flag * p_blind)
+    p = p_flag * poisson_tail(plan.null_in_blind_mean, in_blind, "upper")
     return Verdict(
         decision, in_blind, flag_seen=flag_seen, in_blind_clicks=in_blind, p_value=p
     )
 
 
-@dataclass(frozen=True)
-class PoissonCounts:
-    mean: float
-
-    def tail_geq(self, k: int) -> float:
-        return poisson_tail(self.mean, k, "upper") if k > 0 else 1.0
-
-    def tail_lt(self, k: int) -> float:
-        return poisson_tail(self.mean, k - 1, "lower") if k > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class DecisionCalibration:
-    """Calibrated statistic distributions under the two hypotheses."""
-
-    manipulated: PoissonCounts
-    normal: PoissonCounts
-
-
 def decision_error_rates(
-    calibration: DecisionCalibration | None, threshold: Count
+    manipulated_mean: NonNegative, normal_mean: NonNegative, threshold: Count
 ) -> tuple[float, float]:
-    """Exact error probabilities of the "count >= threshold" rule.
+    """Exact error probabilities of the "count >= threshold" rule on Poisson counts.
 
     The salt or flag stimulus is the signal being detected; seeing it
     certifies the detector.  ``false_alarm`` is the probability that a
-    manipulated detector nevertheless reaches the threshold (the stimulus
-    is falsely reported seen); ``miss`` is the probability that a healthy
-    detector falls short of it (the stimulus is missed).
+    manipulated detector (mean ``manipulated_mean``) nevertheless reaches
+    the threshold (the stimulus is falsely reported seen); ``miss`` is the
+    probability that a healthy one (``normal_mean``) falls short of it.
     """
-    if calibration is None:
-        raise ValidationError("calibration", "decision distributions not calibrated")
+    require("manipulated_mean", manipulated_mean, NonNegative)
+    require("normal_mean", normal_mean, NonNegative)
     require("threshold", threshold, Count)
-    false_alarm = calibration.manipulated.tail_geq(threshold)
-    miss = calibration.normal.tail_lt(threshold)
+    false_alarm = poisson_tail(manipulated_mean, threshold, "upper")
+    miss = poisson_tail(normal_mean, threshold - 1, "lower") if threshold > 0 else 0.0
     return false_alarm, miss
-

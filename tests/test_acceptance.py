@@ -17,9 +17,7 @@ from click.testing import CliRunner
 from blindsim import (
     ClickCause,
     Decision,
-    DecisionCalibration,
     DetectorParams,
-    PoissonCounts,
     Scenario,
     Strategy,
     count_distribution_oracle,
@@ -148,10 +146,7 @@ def test_criterion_5_recovery_attack():
 
 @criterion("6: decision-error mathematics vs arbitrary-precision oracle")
 def test_criterion_6_decision_error_mathematics():
-    calibration = DecisionCalibration(
-        manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
-    )
-    false_alarm, miss = decision_error_rates(calibration, 50)
+    false_alarm, miss = decision_error_rates(10.0, 100.0, 50)
     assert false_alarm < 1e-15
     assert miss < 1e-7
 

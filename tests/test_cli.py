@@ -645,20 +645,29 @@ def test_undecodable_config_exits_two(tmp_path, command):
 @pytest.mark.parametrize(
     "command,env,named",
     [
-        (["simulate"], {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
-        (["sweep", "--param", "seed", "--values", "1,2"], {"BLINDSIM_SEED": "abc"},
+        (["simulate", "--trials", "2"], {"BLINDSIM_SEED": "abc"},
          "BLINDSIM_SEED: expected an integer"),
-        (["figure", "fig3b"], {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
-        (["simulate", "--set", "foo"], None, "--set expects dotted.path=value"),
+        (["sweep", "--trials", "2", "--param", "seed", "--values", "1,2"],
+         {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
+        (["figure", "fig3b", "--trials", "2"], {"BLINDSIM_SEED": "abc"},
+         "BLINDSIM_SEED: expected an integer"),
+        (["simulate", "--trials", "2", "--set", "foo"], None, "--set expects dotted.path=value"),
+        (["simulate", "--trials", "abc"], None, "'--trials': 'abc' is not a valid integer"),
+        (["simulate", "--threads", "x"], None, "'--threads': 'x' is not a valid integer"),
+        (["simulate", "--protocol", "bogus"], None, "'--protocol': 'bogus' is not one of"),
+        (["figure", "fig4", "--seed", "x"], None, "'--seed': 'x' is not a valid integer"),
+        (["simulate", "--bogus"], None, "No such option '--bogus'"),
+        (["bogus"], None, "No such command 'bogus'"),
     ],
     ids=[
         "simulate-seed-variable", "sweep-seed-variable", "figure-seed-variable",
-        "set-without-equals",
+        "set-without-equals", "trials-not-an-integer", "threads-not-an-integer",
+        "unknown-protocol", "figure-seed-not-an-integer", "unknown-option", "unknown-command",
     ],
 )
 def test_bad_option_text_exits_one(tmp_path, command, env, named):
     out = tmp_path / "x"
-    result = run_cli(*command, "--trials", "2", "--out", str(out), env=env)
+    result = run_cli(*command, "--out", str(out), env=env)
     assert result.exit_code == 1
     assert named in result.output
     assert not out.exists()

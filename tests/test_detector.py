@@ -15,13 +15,11 @@ from blindsim import (
     ClickRecord,
     CwSegment,
     CwSource,
-    DecisionCalibration,
     DetectorParams,
     OpticalTimeline,
     PHOTON_CODE,
     PHOTON_SOURCES,
     PhotonSource,
-    PoissonCounts,
     PulseSource,
     Scenario,
     SelfTestPlan,
@@ -380,21 +378,34 @@ class TestRecoveryClicks:
         )
         assert process_timeline(params, timeline, stream(8, "d")) == []
 
-    def test_recovery_suppressed_while_dead(self):
-        # a forced fake click right before the crossing leaves the
-        # detector dead at the crossing; dead time applies universally
+    @staticmethod
+    def causes_after_fake(lead_ps):
+        # a forced fake click lead_ps before the crossing, with 1 us of dead time
         params = quiet_params(recovery_click_prob=1.0, dead_time=1e-6)
-        dur = to_ps(200e-6)
         t_stop = to_ps(100e-6)
         timeline = OpticalTimeline(
-            duration_ps=dur,
+            duration_ps=to_ps(200e-6),
             cw_segments=(CwSegment(0, t_stop, 1e-9, CwSource.ATTACK_BLIND),),
-            pulses=(
-                BrightPulse(t_stop - to_ps(0.5e-6), to_ps(2e-9), 3e-6, PulseSource.FAKE),
-            ),
+            pulses=(BrightPulse(t_stop - lead_ps, to_ps(2e-9), 3e-6, PulseSource.FAKE),),
         )
-        causes = [c.cause for c in process_timeline(params, timeline, stream(3, "d"))]
-        assert causes == [ClickCause.FAKE]
+        return [c.cause for c in process_timeline(params, timeline, stream(3, "d"))]
+
+    def test_recovery_suppressed_while_dead(self):
+        # the fake click leaves the detector dead at the crossing; dead
+        # time applies universally
+        assert self.causes_after_fake(to_ps(0.5e-6)) == [ClickCause.FAKE]
+
+    @pytest.mark.parametrize(
+        "lead_ps,expected",
+        [
+            (to_ps(1e-6) - 1, [ClickCause.FAKE]),
+            (to_ps(1e-6), [ClickCause.FAKE, ClickCause.RECOVERY]),
+        ],
+        ids=["one-ps-before-expiry", "at-expiry"],
+    )
+    def test_recovery_at_dead_time_expiry(self, lead_ps, expected):
+        # the detector is armed again exactly when its dead time ends
+        assert self.causes_after_fake(lead_ps) == expected
 
     @given(
         segments=st.lists(
@@ -992,7 +1003,6 @@ def _library_calls() -> dict[str, tuple]:
     config = replace(salt_preset(), trials=2)
     salt = SelfTestPlan(strategy=Strategy.SALT, salt_rate=1e5)
     clicks = [ClickRecord(10, ClickCause.SIGNAL)]
-    calibration = DecisionCalibration(PoissonCounts(2.0), PoissonCounts(20.0))
     empty = OpticalTimeline(duration_ps=1000)
 
     def call(fn, *args, leaves=None, **kwargs):
@@ -1013,7 +1023,7 @@ def _library_calls() -> dict[str, tuple]:
         "le": call(gen_le_schedule, salt, 0, 1e-3, stream(1)),
         "merge": call(merge_timelines, empty),
         "stream": call(stream, 1, "x"),
-        "error_rates": call(decision_error_rates, calibration, 3),
+        "error_rates": call(decision_error_rates, 2.0, 20.0, 3),
         "salt": call(evaluate_salt, salt, 0, clicks),
         "flag": call(evaluate_flag_pulse, SelfTestPlan(strategy=Strategy.FLAG_PULSE), 0, clicks),
         "self_blind": call(

@@ -12,9 +12,7 @@ from blindsim import (
     ClickRecord,
     ConfigError,
     Decision,
-    DecisionCalibration,
     Histogram,
-    PoissonCounts,
     SelfTestPlan,
     Strategy,
     ValidationError,
@@ -325,10 +323,7 @@ class TestThresholdMonotonicity:
 
 class TestDecisionErrorRates:
     def test_poisson_proxies_at_reference_threshold(self):
-        cal = DecisionCalibration(
-            manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
-        )
-        fa, miss = decision_error_rates(cal, 50)
+        fa, miss = decision_error_rates(10.0, 100.0, 50)
         # frozen 60-digit references
         assert fa == pytest.approx(1.8547268838697993006e-19, rel=1e-10)
         assert miss == pytest.approx(1.1784500720979422446e-8, rel=1e-10)
@@ -336,24 +331,27 @@ class TestDecisionErrorRates:
         assert miss < 1e-7
 
     def test_threshold_zero_always_passes(self):
-        cal = DecisionCalibration(
-            manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
-        )
-        fa, miss = decision_error_rates(cal, 0)
+        fa, miss = decision_error_rates(10.0, 100.0, 0)
         assert fa == 1.0
         assert miss == 0.0
 
     def test_uncalibrated_is_an_error(self):
         with pytest.raises(ValidationError):
-            decision_error_rates(None, 50)
+            decision_error_rates(None, 100.0, 50)
 
     def test_negative_threshold_is_rejected(self):
-        cal = DecisionCalibration(
-            manipulated=PoissonCounts(10.0), normal=PoissonCounts(100.0)
-        )
         with pytest.raises(ValidationError) as err:
-            decision_error_rates(cal, -1)
+            decision_error_rates(10.0, 100.0, -1)
         assert err.value.field == "threshold"
+
+    @pytest.mark.parametrize("threshold", [0, 50])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, None])
+    @pytest.mark.parametrize("field", ["manipulated_mean", "normal_mean"])
+    def test_bad_mean_is_named(self, field, bad, threshold):
+        means = {"manipulated_mean": 10.0, "normal_mean": 100.0, field: bad}
+        with pytest.raises(ValidationError) as err:
+            decision_error_rates(**means, threshold=threshold)
+        assert err.value.field == field
 
     def test_plan_threshold_must_sit_below_calibrated_mean(self):
         with pytest.raises(ValidationError):
