@@ -212,6 +212,7 @@ def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
 
 def parse_flat(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -219,7 +220,11 @@ def parse_flat(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value.strip()
     return out
 
 

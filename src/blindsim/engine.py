@@ -8,19 +8,24 @@ trial derives its own random streams from (master seed, trial index,
 module tag), so trials are reproducible in isolation and independent of
 execution order.  run_experiment can therefore split the trial range
 into contiguous shares and run them in worker processes: any split gives
-the same trials.  Each worker is an ``os.fork`` child that sends its
-pickled share back over a pipe.  The caller runs the first share, reads
-the others in share order, and reaps the children once the histograms
-are built, so that their exit overlaps that work.
+the same trials.  Each worker is an ``os.fork`` child that the first
+parallel run of a process forks and every later one reuses.  It reads
+pickled ``(config, lo, hi)`` requests from its own pipe and sends the
+pickled share back over another, so it runs the engine code of the
+moment it was forked.  The caller runs the first share and reads the
+others in share order.  A failed run kills and reaps the workers it
+used; close_workers, also run at exit, reaps the rest.  A worker exits
+when its request pipe reads EOF, so it cannot outlive its caller.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
+import threading
 from collections import Counter
-from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any
@@ -244,72 +249,152 @@ def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> list[TrialResult]
     return [run_trial(config, i) for i in range(lo, hi)]
 
 
-def _run_child(write_fd: int, config: ExperimentConfig, lo: int, hi: int) -> None:
-    """Body of a forked worker: write the pickled ``(ok, trials or the exception)``.
+@dataclass(frozen=True)
+class _Worker:
+    pid: int
+    requests: int  # write end of the worker's request pipe
+    results: int  # read end of its result pipe
 
-    The result is pickled before anything is written, so a result that
-    cannot be pickled sends nothing and reads as a worker that died.  The
-    child never returns: it leaves through ``os._exit``, skipping the
-    parent's exit handlers and buffered output.
+
+_workers: list[_Worker] = []  # every live worker of this process, idle between runs
+_lock = threading.Lock()  # one parallel run at a time
+
+
+def _serve(requests: int, results: int) -> None:
+    """Body of a forked worker: answer each pickled ``(config, lo, hi)`` request.
+
+    Each answer is the pickled ``(ok, trials or the exception)``, pickled
+    before anything is written, so that a result that cannot be pickled
+    sends nothing and reads as a worker that died.  The worker ignores
+    SIGINT, which the caller handles, and exits 0 when its request pipe
+    reads EOF: when the caller closes it, or exits.  It never returns: it
+    leaves through ``os._exit``, skipping the caller's exit handlers and
+    buffered output.
     """
     status = 1
     try:
-        try:
-            out = (True, _run_trials(config, lo, hi))
-        except Exception as e:
-            out = (False, e)
-        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with open(requests, "rb") as inp, open(results, "wb") as out:
+            while True:
+                try:
+                    config, lo, hi = pickle.load(inp)
+                except EOFError:
+                    break
+                try:
+                    reply = (True, _run_trials(config, lo, hi))
+                except Exception as e:
+                    reply = (False, e)
+                out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                out.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-@contextmanager
-def _all_trials(config: ExperimentConfig, workers: int) -> Iterator[tuple[TrialResult, ...]]:
+def _fork_worker() -> _Worker:
+    requests_r, requests_w = os.pipe()
+    results_r, results_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(requests_w)  # else the worker would never read EOF
+        os.close(results_r)
+        _serve(requests_r, results_w)
+    os.close(requests_r)
+    os.close(results_w)
+    return _Worker(pid, requests_w, results_r)
+
+
+def _drop(worker: _Worker) -> None:
+    """Forget ``worker`` and close its pipes, with ``os.close`` so that nothing is flushed."""
+    _workers.remove(worker)
+    os.close(worker.requests)
+    os.close(worker.results)
+
+
+def _stop(workers: list[_Worker], kill: bool) -> None:
+    """Close the pipes of ``workers``, SIGKILL them if ``kill``, and reap them."""
+    import signal  # about 1 ms of import time, paid only when workers stop
+
+    for w in workers:
+        _drop(w)  # an idle worker reads EOF and exits
+        if kill:
+            with suppress(ProcessLookupError):
+                os.kill(w.pid, signal.SIGKILL)
+    for w in workers:
+        with suppress(ChildProcessError):
+            os.waitpid(w.pid, 0)
+
+
+def _ready_workers(k: int) -> list[_Worker]:
+    """``k`` idle workers: the dead are reaped and dropped, the missing forked."""
+    for w in list(_workers):
+        try:
+            alive = os.waitpid(w.pid, os.WNOHANG) == (0, 0)
+        except ChildProcessError:  # reaped by someone else
+            alive = False
+        if not alive:
+            _drop(w)
+    while len(_workers) < k:
+        _workers.append(_fork_worker())
+    return _workers[:k]
+
+
+def close_workers() -> None:
+    """Close and reap every worker; the next parallel run forks new ones."""
+    with _lock:
+        _stop(list(_workers), kill=False)
+
+
+def _forget_workers() -> None:
+    """In a forked child: close the inherited pipes, so only the forking process holds them."""
+    global _lock
+    for w in list(_workers):
+        _drop(w)
+    _lock = threading.Lock()  # another thread may have held it at the fork
+
+
+atexit.register(close_workers)
+if hasattr(os, "register_at_fork"):  # POSIX only, as is a parallel run
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _all_trials(config: ExperimentConfig, workers: int) -> tuple[TrialResult, ...]:
     """All trials of a run, in index order, split into ``workers`` contiguous shares.
 
-    The first share runs here and each other one in a forked child, which
-    sends it over its own pipe.  The children are reaped when the block
-    exits, so that their exit overlaps the caller's work on the trials.
-    On any exception, an interrupt included, the children still running
-    are killed first.
+    The first share runs here and each other one in a worker, which sends
+    it back over its result pipe.  If the run fails for any reason, an
+    interrupt included, every worker it used is killed, reaped and
+    forgotten before the error propagates.
     """
     n = config.trials
     bounds = [n * j // workers for j in range(workers + 1)]
     shares = list(zip(bounds[1:-1], bounds[2:]))
-    pids: list[int] = []  # every forked child, reaped on the way out
-    pipes = []  # read ends, in share order
-    try:
-        for lo, hi in shares:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _run_child(write_fd, config, lo, hi)
-            pids.append(pid)
-            os.close(write_fd)  # the child holds the only write end: its exit reads as EOF
-            pipes.append(open(read_fd, "rb"))
-        trials = _run_trials(config, 0, bounds[1])
-        for pipe, (lo, hi) in zip(pipes, shares):
-            data = pipe.read()
-            if not data:
-                raise BlindsimError(f"worker for trials {lo}..{hi - 1} exited without a result")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            trials.extend(payload)
-        yield tuple(trials)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if pids:
-            import signal  # about 1 ms of import time, paid only when a run forks
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)  # one whose share was read is exiting anyway
-                os.waitpid(pid, 0)
+    if not shares:
+        return tuple(_run_trials(config, 0, n))
+    with _lock:
+        used = _ready_workers(len(shares))
+        try:
+            for w, (lo, hi) in zip(used, shares):
+                with suppress(BrokenPipeError), open(w.requests, "wb", closefd=False) as pipe:
+                    pipe.write(pickle.dumps((config, lo, hi), pickle.HIGHEST_PROTOCOL))
+            trials = _run_trials(config, 0, bounds[1])
+            for w, (lo, hi) in zip(used, shares):
+                try:  # a worker that died mid-answer left a truncated pickle
+                    with open(w.results, "rb", closefd=False) as pipe:
+                        ok, payload = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise BlindsimError(
+                        f"worker for trials {lo}..{hi - 1} exited without a result"
+                    ) from None
+                if not ok:
+                    raise payload
+                trials.extend(payload)
+        except BaseException:
+            _stop(used, kill=True)
+            raise
+    return tuple(trials)
 
 
 def run_experiment(config: ExperimentConfig, threads: PositiveCount = 1) -> ExperimentResult:
@@ -318,13 +403,12 @@ def run_experiment(config: ExperimentConfig, threads: PositiveCount = 1) -> Expe
     ``threads`` is the number of worker processes, capped at the trial
     count and the CPU count.  With more than one, the trial range is
     split into contiguous shares: this process runs the first and forked
-    children (POSIX only) run the rest.  Trials come back in index order
+    workers (POSIX only) run the rest.  Trials come back in index order
     and are identical for any worker count.
     """
     require("threads", threads, PositiveCount)
     workers = min(threads, config.trials, os.cpu_count() or 1)
-    with _all_trials(config, workers) as trials:
-        return ExperimentResult(
-            config=config, trials=trials, histograms=_build_histograms(config, trials)
-        )
-
+    trials = _all_trials(config, workers)
+    return ExperimentResult(
+        config=config, trials=trials, histograms=_build_histograms(config, trials)
+    )

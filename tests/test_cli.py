@@ -32,7 +32,7 @@ from blindsim.config import (
 from blindsim.engine import run_experiment
 from blindsim.manifest import manifest_text, read_histogram_csv
 from blindsim.presets import salt_config
-from blindsim import Scenario, Histogram
+from blindsim import ConfigError, Scenario, Histogram
 
 
 def run_cli(*args, env=None):
@@ -113,6 +113,28 @@ class TestConfigRoundTrip:
         assert flat == {"seed": "5", "trials": "2"}
         config = config_from_flat(flat_config_text(text))
         assert config.seed == 5 and config.trials == 2
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 4: trials already set on line 2"):
+            parse_flat("seed = 5\ntrials = 5\n# comment\ntrials = 7\n")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["sweep", "--param", "seed", "--values", "1,2"]],
+        ids=["simulate", "sweep"],
+    )
+    def test_repeated_key_in_config_exits_one(self, tmp_path, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("trials = 5\ntrials = 7\n")
+        out = tmp_path / "x"
+        result = run_cli(*command, "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        assert "line 2: trials already set on line 1" in result.output
+        assert not out.exists()
+
+    def test_repeated_set_keeps_the_last(self):
+        flat = _build_flat(None, None, None, None, None, ("trials=5", "trials=7"))
+        assert flat["trials"] == "7"
 
 
 class TestSimulateCommand:

@@ -5,9 +5,14 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -582,6 +587,22 @@ def bounded_wait():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def fresh_workers():
+    """Close the workers before and after the test.
+
+    A worker runs the engine code of the moment it was forked, so it sees
+    a ``monkeypatch`` of ``engine.run_trial`` only if forked after it.
+    """
+    engine.close_workers()
+    yield
+    engine.close_workers()
+
+
+def worker_pids() -> list[int]:
+    return [w.pid for w in engine._workers]
+
+
 def assert_no_child_left():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -607,7 +628,7 @@ class TestWorkerInvariance:
             assert [t for lo, _ in shares for t in runs[lo]] == serial, workers
 
     def test_trial_raising_in_a_worker_reaches_the_caller(
-        self, forking, bounded_wait, monkeypatch
+        self, forking, bounded_wait, fresh_workers, monkeypatch
     ):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
         caller = os.getpid()
@@ -625,7 +646,7 @@ class TestWorkerInvariance:
         assert_no_child_left()
 
     def test_worker_dying_without_a_result_names_its_trials(
-        self, forking, bounded_wait, monkeypatch
+        self, forking, bounded_wait, fresh_workers, monkeypatch
     ):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
 
@@ -640,7 +661,7 @@ class TestWorkerInvariance:
         assert_no_child_left()
 
     def test_worker_result_that_cannot_be_pickled_reads_as_no_result(
-        self, forking, bounded_wait, monkeypatch
+        self, forking, bounded_wait, fresh_workers, monkeypatch
     ):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
 
@@ -658,7 +679,7 @@ class TestWorkerInvariance:
 
     @pytest.mark.parametrize("error", [ValidationError("trial_index", "boom"), KeyboardInterrupt()])
     def test_caller_raising_kills_and_reaps_its_workers(
-        self, forking, bounded_wait, monkeypatch, error
+        self, forking, bounded_wait, fresh_workers, monkeypatch, error
     ):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
         caller = os.getpid()
@@ -675,10 +696,90 @@ class TestWorkerInvariance:
         assert time.monotonic() - started < 30
         assert_no_child_left()
 
-    def test_no_worker_outlives_the_run(self, forking, bounded_wait):
+    def test_successive_runs_reuse_one_worker(self, forking, bounded_wait, fresh_workers):
         cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
-        assert run_experiment(cfg, threads=2).trials == run_experiment(cfg).trials
+        serial = run_experiment(cfg).trials
+        assert run_experiment(cfg, threads=2).trials == serial
+        pids = worker_pids()
+        assert len(pids) == 1
+        assert run_experiment(cfg, threads=2).trials == serial
+        assert worker_pids() == pids
+
+    def test_closing_the_workers_reaps_them(self, forking, bounded_wait, fresh_workers):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+        run_experiment(cfg, threads=3)
+        assert len(worker_pids()) == 2
+        engine.close_workers()
+        assert worker_pids() == []
         assert_no_child_left()
+
+    def test_worker_ends_with_a_caller_that_never_closes_it(self, bounded_wait):
+        src = str(Path(engine.__file__).resolve().parents[1])
+        code = textwrap.dedent("""
+            import os
+            os.cpu_count = lambda: 8
+            from blindsim import Scenario, engine, run_experiment
+            from blindsim.presets import flag_pulse_config
+            run_experiment(flag_pulse_config(Scenario.NORMAL, trials=4, seed=19), threads=2)
+            print(engine._workers[0].pid)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        pid = int(proc.stdout)
+        while True:  # bounded_wait fails the test if the worker lives on
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+
+    def test_failed_or_dead_worker_is_replaced(
+        self, forking, bounded_wait, fresh_workers, monkeypatch
+    ):
+        cfg = flag_pulse_config(Scenario.NORMAL, trials=10, seed=19)
+        serial = run_experiment(cfg).trials
+        assert run_experiment(cfg, threads=2).trials == serial
+        [first] = worker_pids()
+        caller = os.getpid()
+
+        def run_trial_failing_here(config, i):
+            if os.getpid() == caller:
+                raise ValidationError("trial_index", "boom")
+            return run_trial(config, i)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_trial", run_trial_failing_here)
+            with pytest.raises(ValidationError):
+                run_experiment(cfg, threads=2)
+        assert worker_pids() == []
+        assert run_experiment(cfg, threads=2).trials == serial
+        [second] = worker_pids()
+        assert second != first
+        os.kill(second, signal.SIGKILL)
+        os.waitid(os.P_PID, second, os.WEXITED | os.WNOWAIT)  # dead, left unreaped
+        assert run_experiment(cfg, threads=2).trials == serial
+        [third] = worker_pids()
+        assert third != second
+
+    def test_concurrent_runs_each_get_their_own_trials(
+        self, forking, bounded_wait, fresh_workers
+    ):
+        cfgs = [flag_pulse_config(Scenario.NORMAL, trials=40, seed=s) for s in (21, 22)]
+        serial = [run_experiment(cfg).trials for cfg in cfgs]
+        run_experiment(cfgs[0], threads=2)  # fork before any thread starts
+        got = [None, None]
+
+        def run(k):
+            got[k] = [run_experiment(cfgs[k], threads=2).trials for _ in range(5)]
+
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == [[serial[0]] * 5, [serial[1]] * 5]
 
     @pytest.mark.parametrize("threads", [0, -3, math.nan, 2.5, True])
     def test_fewer_than_one_worker_rejected(self, threads):
