@@ -21,7 +21,7 @@ import click
 
 from . import __version__
 from .config import ExperimentConfig, Scenario, config_from_flat, config_to_flat
-from .config import flat_config_text
+from .config import flat_config_text, parse_flat
 from .engine import run_experiment, tally_verdicts
 from .errors import BlindsimError, ConfigError, require
 from .manifest import (
@@ -120,40 +120,50 @@ def _build_flat(
     return flat
 
 
-def _attach_salt_null(config: ExperimentConfig):
-    """Attach the salt-test null of the config's detector to the plan.
+def _run(outdir: Path, config: ExperimentConfig, threads: int, started: str, config_s: float):
+    """Run ``config``, write its trials, histograms and manifest (last) and return its summary.
 
-    The null comes from ``presets.salt_null``: the frozen
+    A salt run's plan gets the null of ``presets.salt_null``: the frozen
     ``presets.SALT_NULL`` for the reference detector, rate and window,
     otherwise simulated at a fixed seed, never at ``config.seed``.
     """
-    if config.plan.strategy != Strategy.SALT:
-        return config, None
-    null = salt_null(config)
-    plan = replace(config.plan, null_distribution=null, null_mean=None)
-    return replace(config, plan=plan), null
-
-
-def _write_run(outdir: Path, run: dict[str, str], timings, config, result, extra_hists):
-    """Write trials, histograms and the manifest, with digests, write time and finish time."""
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
+    null, run_config = None, config
+    if config.plan.strategy == Strategy.SALT:
+        null = salt_null(config)
+        plan = replace(config.plan, null_distribution=null, null_mean=None)
+        run_config = replace(config, plan=plan)
+    t2 = time.perf_counter()
+    result = run_experiment(run_config, threads=threads)
+    t3 = time.perf_counter()
+    hists = dict(result.histograms)
+    if null is not None:
+        hists["salt_null"] = null
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        digests: dict[str, str] = {}
         trials_path = outdir / "trials.jsonl"
         write_trials_jsonl(trials_path, result.trials)
-        digests["trials.jsonl"] = sha256_file(trials_path)
-        hists = dict(result.histograms)
-        hists.update(extra_hists)
+        digests = {"trials.jsonl": sha256_file(trials_path)}
         for name, hist in sorted(hists.items()):
             path = outdir / f"hist_{name}.csv"
             write_histogram_csv(path, hist)
             digests[path.name] = sha256_file(path)
-        timings = {**timings, "write_s": time.perf_counter() - t0}
-        text = manifest_text({**run, "finished_utc": _now()}, timings, config, digests)
-        (outdir / "manifest.txt").write_text(text)
+        timings = {"config_s": config_s, "salt_null_s": t2 - t1, "trials_s": t3 - t2,
+                   "write_s": time.perf_counter() - t3}
+        run = {
+            "started_utc": started,
+            "finished_utc": _now(),
+            "threads": str(threads),
+            "salt_null": (
+                "none" if null is None
+                else "reference" if null is SALT_NULL
+                else "simulated"
+            ),
+        }
+        (outdir / "manifest.txt").write_text(manifest_text(run, timings, config, digests))
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
+    return result.summary()
 
 
 def _check_threads(ctx, param, threads: int) -> int:
@@ -203,24 +213,7 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
     started = _now()
     t0 = time.perf_counter()
     config = config_from_flat(_build_flat(config_path, scenario, protocol, trials, seed, overrides))
-    t1 = time.perf_counter()
-    run_config, null_hist = _attach_salt_null(config)
-    t2 = time.perf_counter()
-    result = run_experiment(run_config, threads=threads)
-    t3 = time.perf_counter()
-    run = {
-        "started_utc": started,
-        "threads": str(threads),
-        "salt_null": (
-            "none" if null_hist is None
-            else "reference" if null_hist is SALT_NULL
-            else "simulated"
-        ),
-    }
-    timings = {"config_s": t1 - t0, "salt_null_s": t2 - t1, "trials_s": t3 - t2}
-    extra = {"salt_null": null_hist} if null_hist is not None else {}
-    _write_run(Path(outdir), run, timings, config, result, extra)
-    summary = result.summary()
+    summary = _run(Path(outdir), config, threads, started, time.perf_counter() - t0)
     for key in sorted(summary):
         click.echo(f"{key} = {summary[key]}")
 
@@ -233,7 +226,7 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
               help="Override the preset trial counts (all arms).")
 @_threads_option
 def figure(name, outdir, seed, trials, threads):
-    """Reproduce a bundled demonstration data set (fig3b, fig4, fig5, fig6)."""
+    """Reproduce a bundled data set: fig3b, or fig4-fig6 as a run per arm in <out>/<name>_<arm>/."""
     if name not in FIGURE_TRIALS:
         raise click.ClickException(
             f"unknown figure {name!r}; choose from {', '.join(sorted(FIGURE_TRIALS))}"
@@ -242,41 +235,37 @@ def figure(name, outdir, seed, trials, threads):
         require("trials", trials, TrialCount)
     seed = _resolve_seed(seed, default=1)
     out = Path(outdir)
+    if name != "fig3b":
+        protocol = {"fig4": "salt", "fig5": "flag", "fig6": "self-blind"}[name]
+        arms = {}  # every arm is validated before any runs
+        for arm, n in zip(("normal", "manipulated"), FIGURE_TRIALS[name]):
+            t0 = time.perf_counter()
+            flat = _build_flat(None, arm, protocol, n if trials is None else trials, seed, ())
+            arms[arm] = (config_from_flat(flat), time.perf_counter() - t0)
+        for arm, (config, config_s) in arms.items():
+            summary = _run(out / f"{name}_{arm}", config, threads, _now(), config_s)
+            for key in sorted(summary):
+                click.echo(f"{arm}.{key} = {summary[key]}")
+        return
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise _IOFailure(f"cannot create output directory: {e}") from e
+    n = FIGURE_TRIALS[name][0] if trials is None else trials
+    hist = count_distribution_oracle(
+        reference_detector(),
+        SIGNAL_RATE,
+        WINDOW,
+        n_trials=n,
+        rng=stream(seed, "fig3b"),
+    )
     try:
-        if name == "fig3b":
-            n = FIGURE_TRIALS[name][0] if trials is None else trials
-            hist = count_distribution_oracle(
-                reference_detector(),
-                SIGNAL_RATE,
-                WINDOW,
-                n_trials=n,
-                rng=stream(seed, "fig3b"),
-            )
-            write_histogram_csv(out / "hist_fig3b_counts.csv", hist)
-            click.echo(f"trials = {n}")
-            click.echo(f"mean = {hist.mean():.4f}")
-            click.echo(f"variance = {hist.variance():.4f}")
-            return
-        strategy = {"fig4": Strategy.SALT, "fig5": Strategy.FLAG_PULSE,
-                    "fig6": Strategy.SELF_BLIND}[name]
-        n_normal, n_manip = FIGURE_TRIALS[name]
-        for scenario, n, label in (
-            (Scenario.NORMAL, n_normal if trials is None else trials, "normal"),
-            (Scenario.MANIPULATED, n_manip if trials is None else trials, "manipulated"),
-        ):
-            config = preset_config(scenario, strategy, trials=n, seed=seed)
-            result = run_experiment(config, threads=threads)
-            for hist_name, hist in sorted(result.histograms.items()):
-                write_histogram_csv(out / f"hist_{name}_{label}_{hist_name}.csv", hist)
-            summary = result.summary()
-            for key in sorted(summary):
-                click.echo(f"{label}.{key} = {summary[key]}")
+        write_histogram_csv(out / "hist_fig3b_counts.csv", hist)
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
+    click.echo(f"trials = {n}")
+    click.echo(f"mean = {hist.mean():.4f}")
+    click.echo(f"variance = {hist.variance():.4f}")
 
 
 @main.command()
@@ -288,17 +277,25 @@ def analyze(results_dir):
     if not manifest_path.exists():
         raise _IOFailure(f"missing manifest: {manifest_path}")
     try:
-        flat = flat_config_text(manifest_path.read_text())
+        text = manifest_path.read_text()
+        flat = flat_config_text(text)
         if not flat:  # else it would read as the default config
             raise ConfigError("manifest carries no config snapshot")
         config = config_from_flat(flat)
+        for key, digest in parse_flat(text).items():
+            if key.startswith("digest."):
+                name = key.removeprefix("digest.")
+                if sha256_file(root / name) != digest:
+                    raise ValueError(f"{name} does not match its digest in the manifest")
         records = read_trial_records(root / "trials.jsonl")
+        if len(records) != config.trials:
+            raise ValueError(f"trials.jsonl holds {len(records)} records, not {config.trials}")
         decisions, accuracy = tally_verdicts(
             (v["decision"] for rec in records for v in rec["verdicts"]),
             config.scenario,
             config.plan.strategy,
         )
-    except (OSError, BlindsimError, ValueError, KeyError) as e:
+    except (OSError, BlindsimError, ValueError, KeyError, TypeError) as e:
         raise _IOFailure(f"corrupt results directory: {e}") from e
 
     total = sum(decisions.values())

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blindsim
-from blindsim import presets
+from blindsim import cli, presets
 from blindsim.cli import _build_flat, main
 from blindsim.config import (
     CONFIG_LEAVES,
@@ -451,10 +451,44 @@ class TestFigureCommand:
             "figure", "fig4", "--trials", "60", "--seed", "2", "--out", str(tmp_path),
         )
         assert result.exit_code == 0
-        normal = read_histogram_csv(tmp_path / "hist_fig4_normal_test_counts.csv")
-        manip = read_histogram_csv(tmp_path / "hist_fig4_manipulated_test_counts.csv")
+        normal = read_histogram_csv(tmp_path / "fig4_normal" / "hist_test_counts.csv")
+        manip = read_histogram_csv(tmp_path / "fig4_manipulated" / "hist_test_counts.csv")
         # from_event_counts occupies its first and last bins
         assert normal.bin_edges[0] > manip.bin_edges[-2]
+
+    @pytest.mark.parametrize("name,protocol", [
+        ("fig4", "salt"), ("fig5", "flag"), ("fig6", "self-blind"),
+    ])
+    def test_each_arm_is_a_simulate_run(self, tmp_path, name, protocol):
+        result = run_cli("figure", name, "--trials", "8", "--seed", "4", "--out", str(tmp_path))
+        assert result.exit_code == 0, result.output
+        for arm in ("normal", "manipulated"):
+            run = tmp_path / f"{arm}_run"
+            simulated = run_cli(
+                "simulate", "--protocol", protocol, "--scenario", arm,
+                "--trials", "8", "--seed", "4", "--out", str(run),
+            )
+            assert simulated.exit_code == 0, simulated.output
+            figure_arm = tmp_path / f"{name}_{arm}"
+            digests = digest_dir(run)
+            assert "trials.jsonl" in digests and "hist_clicks_per_trial.csv" in digests
+            assert digest_dir(figure_arm) == digests
+            analyzed = run_cli("analyze", str(figure_arm))
+            assert analyzed.exit_code == 0, analyzed.output
+            assert analyzed.output == run_cli("analyze", str(run)).output
+
+    def test_a_bad_second_arm_writes_no_arm(self, tmp_path, monkeypatch):
+        # both arm configs are validated before either arm runs
+        def from_flat(flat):
+            if flat["scenario"] == Scenario.MANIPULATED.value:
+                raise ConfigError("attack.blind_power_level: bad")
+            return config_from_flat(flat)
+
+        monkeypatch.setattr(cli, "config_from_flat", from_flat)
+        result = run_cli("figure", "fig5", "--trials", "2", "--out", str(tmp_path / "x"))
+        assert result.exit_code == 1
+        assert "attack.blind_power_level" in result.output
+        assert not (tmp_path / "x").exists()
 
 
 class TestAnalyzeCommand:
@@ -475,6 +509,66 @@ class TestAnalyzeCommand:
         result = run_cli("analyze", str(tmp_path))
         assert result.exit_code == 2
         assert "no config" in result.output
+
+    @pytest.mark.parametrize("record", [
+        "[1,2]", '"x"', '{"verdicts": 5}', '{"verdicts": [5]}', "{}", "not json",
+        '{"verdicts": [{"decision": "BOGUS"}]}',
+    ])
+    def test_record_of_the_wrong_shape_exits_two(self, tmp_path, record):
+        out = tmp_path / "run"
+        run_cli("simulate", "--protocol", "flag", "--trials", "1", "--out", str(out))
+        manifest = out / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(True) if line.startswith("config.")
+        ))
+        (out / "trials.jsonl").write_text(record + "\n")
+        result = run_cli("analyze", str(out))
+        assert result.exit_code == 2
+        assert "corrupt results directory" in result.output
+
+    @pytest.fixture
+    def salt_run(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(
+            "simulate", "--scenario", "manipulated", "--protocol", "salt",
+            "--trials", "20", "--seed", "5", "--out", str(out),
+        )
+        return out
+
+    def _cut_trials(self, out: Path) -> None:
+        path = out / "trials.jsonl"
+        path.write_text("".join(path.read_text().splitlines(True)[:5]))
+
+    def test_truncated_trials_exit_two_naming_the_file(self, salt_run):
+        self._cut_trials(salt_run)
+        result = run_cli("analyze", str(salt_run))
+        assert result.exit_code == 2
+        assert "trials.jsonl does not match its digest" in result.output
+
+    def test_too_few_records_exit_two_without_a_digest_line(self, salt_run):
+        manifest = salt_run / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(True)
+            if not line.startswith("digest.trials.jsonl")
+        ))
+        assert run_cli("analyze", str(salt_run)).exit_code == 0
+        self._cut_trials(salt_run)
+        result = run_cli("analyze", str(salt_run))
+        assert result.exit_code == 2
+        assert "trials.jsonl holds 5 records, not 20" in result.output
+
+    def test_edited_histogram_exits_two_naming_the_file(self, salt_run):
+        path = salt_run / "hist_test_counts.csv"
+        path.write_text(path.read_text().replace(",", ";", 1))
+        result = run_cli("analyze", str(salt_run))
+        assert result.exit_code == 2
+        assert "hist_test_counts.csv does not match its digest" in result.output
+
+    def test_missing_histogram_exits_two_naming_the_file(self, salt_run):
+        (salt_run / "hist_salt_null.csv").unlink()
+        result = run_cli("analyze", str(salt_run))
+        assert result.exit_code == 2
+        assert "hist_salt_null.csv" in result.output
 
     def test_manifest_of_config_lines_only_analyzes_the_same(self, tmp_path):
         out = tmp_path / "run"

@@ -7,9 +7,17 @@ its ``trials.jsonl`` and ``hist_*.csv`` (written with the
 The file is only read here; ``perfbench/freeze_golden.py`` writes it.
 
 ``CLI_DIGESTS`` covers what ``run_experiment`` does not: the salt null
-that ``simulate`` attaches (its p-values and ``hist_salt_null.csv``) and
-``figure fig3b``.  Those runs go through the command line, and every
-output but ``manifest.txt`` must hash to the values frozen here.
+that ``simulate`` attaches (its p-values and ``hist_salt_null.csv``),
+``figure fig3b`` and the layout of a figure's arm directories.  Those
+runs go through the command line, and every output but a
+``manifest.txt``, keyed by its posix path below ``--out``, must hash to
+the values frozen here.
+
+The fig5 arms moved from flat ``hist_fig5_<arm>_<name>.csv`` files to
+``fig5_<arm>/hist_<name>.csv`` run directories without a byte moving:
+each histogram's value is the digest that its flat file had.  The arms'
+``trials.jsonl`` values are those of ``simulate --protocol flag`` at the
+same scenario, trials and seed.
 
 The salt command's ``hist_salt_null.csv`` and ``trials.jsonl`` were
 re-frozen once, when the null became the frozen ``presets.SALT_NULL``
@@ -84,6 +92,16 @@ CLI_DIGESTS = {
     "figure fig3b --trials 500 --seed 5": {
         "hist_fig3b_counts.csv": "ff76b522edf4e4517214486ee41eb505fec0b6f618de6d5e3d473bd2614ac4d5",
     },
+    "figure fig5 --trials 20 --seed 5": {
+        "fig5_manipulated/hist_clicks_per_trial.csv": "f3520d2ce5c1db5ec26cd20d713566414283b1be40102f1134ec47890e48ecb6",
+        "fig5_manipulated/hist_onset_responses.csv": "81a1e2fd45309210cc7a3501233db84b69f3039abaccff73bbb92352e8445b34",
+        "fig5_manipulated/hist_response_offsets.csv": "f3a583c1b0a36191d54a862fa3fba8818580a3a5eae273329f1c67b91dd0aea9",
+        "fig5_manipulated/trials.jsonl": "06beb8fa1b900db6a6818798f4726d3f58f1443834df9452162d4733ccf76850",
+        "fig5_normal/hist_clicks_per_trial.csv": "df204a1cd93def7b6e79d80085321a105c4a3383d2bafea960f3b65999c6b33f",
+        "fig5_normal/hist_onset_responses.csv": "8ba91064531dc42cd2c032d417ef3f165200be74c50e4188297d50cf014c2537",
+        "fig5_normal/hist_response_offsets.csv": "872a9200a3d31de8ca71035a9b224476f7350a50d093d96c29aa71443a794eb2",
+        "fig5_normal/trials.jsonl": "ab9a30b13c508cbba41602a1ea78708a3cb8cf67d42a6ae7fa302b9d2dfc70fc",
+    },
 }
 
 
@@ -94,8 +112,8 @@ def test_cli_run_matches_golden_digests(command, tmp_path):
     )
     assert result.exit_code == 0, result.output
     digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
-        if p.name != "manifest.txt"  # carries wall-clock timestamps
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file() and p.name != "manifest.txt"  # carries wall-clock timestamps
     }
     assert digests == CLI_DIGESTS[command]
