@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage or configuration problem (the message
 names the offending field), 2 I/O failure.  The command group maps every
 library error (``BlindsimError``) to exit 1, so no command catches one.
-The environment variable BLINDSIM_SEED overrides the config seed; --seed
-overrides both.
+--trials, --seed and the environment variable BLINDSIM_SEED are config
+text, like --set: BLINDSIM_SEED overrides the config seed, --seed
+overrides both and --set overrides all, and ``config.parse_leaf`` parses
+each as it is applied.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import click
 
 from . import __version__
 from .config import ExperimentConfig, Scenario, config_from_flat, config_to_flat
-from .config import flat_config_text, parse_flat
+from .config import flat_config_text, parse_leaf
 from .engine import run_experiment, tally_verdicts
 from .errors import BlindsimError, ConfigError, require
 from .manifest import (
+    manifest_digests,
     manifest_text,
     read_trial_records,
     sha256_file,
@@ -44,7 +47,7 @@ from .presets import (
 from .rng import stream
 from .selftest import Strategy
 from .stats import clopper_pearson_interval
-from .units import PositiveCount, TrialCount
+from .units import PositiveCount
 
 _SCENARIOS = {
     "normal": Scenario.NORMAL,
@@ -68,25 +71,12 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _resolve_seed(cli_seed: int | None, default: int | None = None) -> int | None:
-    """The --seed value, else BLINDSIM_SEED, else ``default``."""
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("BLINDSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise click.ClickException(f"BLINDSIM_SEED: expected an integer, got {env!r}") from e
-    return default
-
-
 def _build_flat(
     config_path: str | None,
     scenario: str | None,
     protocol: str | None,
-    trials: int | None,
-    seed: int | None,
+    trials: str | None,
+    seed: str | None,
     overrides: tuple[str, ...],
 ) -> dict[str, str]:
     """The config text of a config file, manifest or preset, with every override applied."""
@@ -107,22 +97,24 @@ def _build_flat(
         flat["scenario"] = _SCENARIOS[scenario].value
     if protocol is not None:
         flat["plan.strategy"] = _PROTOCOLS[protocol].value
-    if trials is not None:
-        flat["trials"] = str(trials)
-    resolved_seed = _resolve_seed(seed)
-    if resolved_seed is not None:
-        flat["seed"] = str(resolved_seed)
+    texts = [("trials", trials), ("seed", os.environ.get("BLINDSIM_SEED")), ("seed", seed)]
     for item in overrides:
         if "=" not in item:
             raise click.ClickException(f"--set expects dotted.path=value, got {item!r}")
         path, _, value = item.partition("=")
-        flat[path.strip()] = value.strip()
+        texts.append((path.strip(), value.strip()))
+    for path, text in texts:
+        if text is not None:
+            parse_leaf(path, text)  # parsed now: a later text or sweep point may replace it
+            flat[path] = text
     return flat
 
 
 def _run(outdir: Path, config: ExperimentConfig, threads: int, started: str, config_s: float):
     """Run ``config``, write its trials, histograms and manifest (last) and return its summary.
 
+    First it deletes the files that ``outdir``'s previous manifest names
+    and this run will not write; an unreadable manifest deletes nothing.
     A salt run's plan gets the null of ``presets.salt_null``: the frozen
     ``presets.SALT_NULL`` for the reference detector, rate and window,
     otherwise simulated at a fixed seed, never at ``config.seed``.
@@ -136,18 +128,21 @@ def _run(outdir: Path, config: ExperimentConfig, threads: int, started: str, con
     t2 = time.perf_counter()
     result = run_experiment(run_config, threads=threads)
     t3 = time.perf_counter()
-    hists = dict(result.histograms)
+    hists = {f"hist_{name}.csv": hist for name, hist in result.histograms.items()}
     if null is not None:
-        hists["salt_null"] = null
+        hists["hist_salt_null.csv"] = null
+    try:
+        stale = manifest_digests((outdir / "manifest.txt").read_text()).keys()
+    except (OSError, ValueError, BlindsimError):
+        stale = set()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        trials_path = outdir / "trials.jsonl"
-        write_trials_jsonl(trials_path, result.trials)
-        digests = {"trials.jsonl": sha256_file(trials_path)}
-        for name, hist in sorted(hists.items()):
-            path = outdir / f"hist_{name}.csv"
-            write_histogram_csv(path, hist)
-            digests[path.name] = sha256_file(path)
+        for name in stale - {"trials.jsonl", *hists}:
+            (outdir / name).unlink(missing_ok=True)
+        write_trials_jsonl(outdir / "trials.jsonl", result.trials)
+        for name, hist in hists.items():
+            write_histogram_csv(outdir / name, hist)
+        digests = {name: sha256_file(outdir / name) for name in ("trials.jsonl", *hists)}
         timings = {"config_s": config_s, "salt_null_s": t2 - t1, "trials_s": t3 - t2,
                    "write_s": time.perf_counter() - t3}
         run = {
@@ -199,8 +194,8 @@ def main():
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Flat key=value config file (or a manifest to re-run).")
-@click.option("--seed", type=int, default=None, help="Master seed override.")
-@click.option("--trials", type=int, default=None, help="Trial count override.")
+@click.option("--seed", default=None, help="Master seed override.")
+@click.option("--trials", default=None, help="Trial count override.")
 @click.option("--scenario", type=click.Choice(sorted(_SCENARIOS)), default=None)
 @click.option("--protocol", type=click.Choice(sorted(_PROTOCOLS)), default=None)
 @click.option("--out", "outdir", type=click.Path(), default="out",
@@ -221,9 +216,8 @@ def simulate(config_path, seed, trials, scenario, protocol, outdir, threads, ove
 @main.command()
 @click.argument("name")
 @click.option("--out", "outdir", type=click.Path(), default="out")
-@click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=None,
-              help="Override the preset trial counts (all arms).")
+@click.option("--seed", default=None)
+@click.option("--trials", default=None, help="Override the preset trial counts (all arms).")
 @_threads_option
 def figure(name, outdir, seed, trials, threads):
     """Reproduce a bundled data set: fig3b, or fig4-fig6 as a run per arm in <out>/<name>_<arm>/."""
@@ -231,39 +225,38 @@ def figure(name, outdir, seed, trials, threads):
         raise click.ClickException(
             f"unknown figure {name!r}; choose from {', '.join(sorted(FIGURE_TRIALS))}"
         )
-    if trials is not None:
-        require("trials", trials, TrialCount)
-    seed = _resolve_seed(seed, default=1)
+    texts = [str(n) if trials is None else trials for n in FIGURE_TRIALS[name]]
     out = Path(outdir)
     if name != "fig3b":
         protocol = {"fig4": "salt", "fig5": "flag", "fig6": "self-blind"}[name]
         arms = {}  # every arm is validated before any runs
-        for arm, n in zip(("normal", "manipulated"), FIGURE_TRIALS[name]):
+        for arm, text in zip(("normal", "manipulated"), texts):
             t0 = time.perf_counter()
-            flat = _build_flat(None, arm, protocol, n if trials is None else trials, seed, ())
+            flat = _build_flat(None, arm, protocol, text, seed, ())
             arms[arm] = (config_from_flat(flat), time.perf_counter() - t0)
         for arm, (config, config_s) in arms.items():
             summary = _run(out / f"{name}_{arm}", config, threads, _now(), config_s)
             for key in sorted(summary):
                 click.echo(f"{arm}.{key} = {summary[key]}")
         return
+    # the salt preset's seed, 1, unless BLINDSIM_SEED or --seed sets it
+    config = config_from_flat(_build_flat(None, None, None, texts[0], seed, ()))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise _IOFailure(f"cannot create output directory: {e}") from e
-    n = FIGURE_TRIALS[name][0] if trials is None else trials
     hist = count_distribution_oracle(
         reference_detector(),
         SIGNAL_RATE,
         WINDOW,
-        n_trials=n,
-        rng=stream(seed, "fig3b"),
+        n_trials=config.trials,
+        rng=stream(config.seed, "fig3b"),
     )
     try:
         write_histogram_csv(out / "hist_fig3b_counts.csv", hist)
     except OSError as e:
         raise _IOFailure(f"cannot write results: {e}") from e
-    click.echo(f"trials = {n}")
+    click.echo(f"trials = {config.trials}")
     click.echo(f"mean = {hist.mean():.4f}")
     click.echo(f"variance = {hist.variance():.4f}")
 
@@ -282,11 +275,9 @@ def analyze(results_dir):
         if not flat:  # else it would read as the default config
             raise ConfigError("manifest carries no config snapshot")
         config = config_from_flat(flat)
-        for key, digest in parse_flat(text).items():
-            if key.startswith("digest."):
-                name = key.removeprefix("digest.")
-                if sha256_file(root / name) != digest:
-                    raise ValueError(f"{name} does not match its digest in the manifest")
+        for name, digest in manifest_digests(text).items():
+            if sha256_file(root / name) != digest:
+                raise ValueError(f"{name} does not match its digest in the manifest")
         records = read_trial_records(root / "trials.jsonl")
         if len(records) != config.trials:
             raise ValueError(f"trials.jsonl holds {len(records)} records, not {config.trials}")
@@ -320,8 +311,8 @@ def analyze(results_dir):
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--scenario", type=click.Choice(sorted(_SCENARIOS)), default=None)
 @click.option("--protocol", type=click.Choice(sorted(_PROTOCOLS)), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=None)
+@click.option("--seed", default=None)
+@click.option("--trials", default=None)
 @click.option("--param", required=True, help="Dotted path of the swept field.")
 @click.option("--values", required=True,
               help="Comma list (a,b,c) or range (start:stop:step).")

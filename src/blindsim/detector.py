@@ -88,11 +88,11 @@ class DetectorParams:
 # Processing priority of coincident events.  Stimuli come before power
 # edges so that they see the pre-edge power level.  _END marks the
 # horizon, after every event and every afterpulse that can click.
-_PULSE, _GATED, _NOISE, _AFTER, _CW, _END = range(6)
+_PULSE, _GATED, _AFTER, _CW, _END = range(5)
 
-# Cause of a gated click by code: the photon source codes, then dark.
-_GATED_CAUSE = (*(ClickCause(source.value) for source in PHOTON_SOURCES), ClickCause.DARK)
-_DARK_CODE = len(PHOTON_SOURCES)
+# Cause of a gated click by code: the photon source codes, then dark, then noise.
+_GATED_CAUSE = (*(ClickCause(s.value) for s in PHOTON_SOURCES), ClickCause.DARK, ClickCause.NOISE)
+_DARK_CODE, _NOISE_CODE = len(PHOTON_SOURCES), len(PHOTON_SOURCES) + 1
 _PULSE_CAUSE = {PulseSource.FAKE: ClickCause.FAKE, PulseSource.FLAG: ClickCause.FLAG}
 
 
@@ -186,7 +186,7 @@ def process_timeline(
     events: list[tuple[int, int, int]] = list(zip(photon_times, repeat(_GATED), photon_codes))
     events.extend((pu.time_ps, _PULSE, i) for i, pu in enumerate(pulses))
     events.extend(zip(dark_times, repeat(_GATED), repeat(_DARK_CODE)))
-    events.extend(zip(noise_times, repeat(_NOISE), repeat(0)))
+    events.extend(zip(noise_times, repeat(_GATED), repeat(_NOISE_CODE)))
     events.extend((a, _CW, 1) for a, _ in spans)
     events.extend((b, _CW, 0) for _, b in spans[:n_crossings])
     events.sort()
@@ -218,7 +218,7 @@ def process_timeline(
             if draw_raw() < ap_cut:
                 ap_t = dead_until + int(ap_tau * rng_exponential() * PS_PER_SECOND + 0.5)
                 heappush(ap_heap, ap_t)
-        if prio == _GATED:  # never blinded: the held ones were dropped
+        if prio == _GATED:  # held photons and darks were dropped; noise clicks while held
             if t < dead_until:
                 continue
             cause = _GATED_CAUSE[code]
@@ -234,10 +234,6 @@ def process_timeline(
             )):
                 continue
             cause = _PULSE_CAUSE[pu.source]
-        elif prio == _NOISE:
-            if t < dead_until:
-                continue
-            cause = ClickCause.NOISE
         elif prio == _CW:
             blinded = code
             if code or next(u_recovery) >= recovery_prob or t < dead_until:

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_to_flat
+from .config import ExperimentConfig, config_to_flat, parse_flat
 from .stats import Histogram
 
 
@@ -54,6 +54,18 @@ def manifest_text(
     lines.update((f"config.{k}", v) for k, v in config_to_flat(config).items())
     lines.update((f"digest.{name}", d) for name, d in sorted(digests.items()))
     return "".join(f"{k} = {v}\n" for k, v in lines.items())
+
+
+def manifest_digests(text: str) -> dict[str, str]:
+    """File name -> SHA-256 of each ``digest.*`` line; a name that is no plain file name raises."""
+    digests = {}
+    for key, digest in parse_flat(text).items():
+        if key.startswith("digest."):
+            name = key.removeprefix("digest.")
+            if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+                raise ValueError(f"{key}: not a plain file name")
+            digests[name] = digest
+    return digests
 
 
 def _source_sha256() -> str:

@@ -11,6 +11,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -281,6 +282,40 @@ class TestSimulateCommand:
         assert r2.exit_code == 0
         assert digest_dir(out1) == digest_dir(out2)
 
+    def test_a_replaced_run_leaves_no_stale_file(self, tmp_path):
+        out, flag = tmp_path / "run", tmp_path / "flag"
+        salt = run_cli("simulate", "--protocol", "salt", "--trials", "3", "--out", str(out))
+        assert salt.exit_code == 0, salt.output
+        (out / "notes.txt").write_text("no manifest names this file\n")
+        for target in (out, flag):
+            result = run_cli("simulate", "--protocol", "flag", "--trials", "3",
+                             "--out", str(target))
+            assert result.exit_code == 0, result.output
+        left = digest_dir(out)
+        assert left.pop("notes.txt") and left == digest_dir(flag)
+        assert run_cli("analyze", str(out)).exit_code == 0
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            "not a manifest\n",
+            "digest.hist_salt_null.csv = 0\ndigest.../outside.txt = 0\n",
+            "digest.hist_salt_null.csv = 0\ndigest. = 0\n",
+            "digest.hist_salt_null.csv = 0\ndigest.a\x00b = 0\n",
+        ],
+        ids=["unparsable", "name-outside-the-directory", "empty-name", "name-with-nul"],
+    )
+    def test_an_unreadable_previous_manifest_deletes_nothing(self, tmp_path, manifest):
+        out = tmp_path / "run"
+        out.mkdir()
+        for path in (tmp_path / "outside.txt", out / "hist_salt_null.csv"):
+            path.write_text("old\n")
+        (out / "manifest.txt").write_text(manifest)
+        result = run_cli("simulate", "--protocol", "flag", "--trials", "2", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "outside.txt").read_text() == "old\n"
+        assert (out / "hist_salt_null.csv").read_text() == "old\n"
+
     def test_seed_precedence_env_between_config_and_flag(self, tmp_path):
         config_text = "seed = 5\ntrials = 2\nscenario = NORMAL\n"
         cfg = tmp_path / "cfg.txt"
@@ -417,9 +452,11 @@ class TestSimulateCommand:
         ],
     )
     def test_set_own_text_round_trips_every_leaf(self, scenario, protocol):
-        config = config_from_flat(_build_flat(None, scenario, protocol, 7, 3, ()))
+        config = config_from_flat(_build_flat(None, scenario, protocol, "7", "3", ()))
         for path, text in config_to_flat(config).items():
-            rebuilt = config_from_flat(_build_flat(None, scenario, protocol, 7, 3, (f"{path}={text}",)))
+            rebuilt = config_from_flat(
+                _build_flat(None, scenario, protocol, "7", "3", (f"{path}={text}",))
+            )
             assert rebuilt == config, path
 
 
@@ -569,6 +606,19 @@ class TestAnalyzeCommand:
         result = run_cli("analyze", str(salt_run))
         assert result.exit_code == 2
         assert "hist_salt_null.csv" in result.output
+
+    @pytest.mark.parametrize("name", ["../outside.txt", "sub/x.csv", ".", "..", "", "a\x00b"])
+    def test_digest_name_that_is_no_plain_file_name_exits_two(self, salt_run, name):
+        # each file holds the bytes its digest line names: only the name is wrong
+        (salt_run.parent / "outside.txt").write_text("x\n")
+        (salt_run / "sub").mkdir()
+        (salt_run / "sub" / "x.csv").write_text("x\n")
+        digest = hashlib.sha256(b"x\n").hexdigest()
+        with (salt_run / "manifest.txt").open("a") as fh:
+            fh.write(f"digest.{name} = {digest}\n")
+        result = run_cli("analyze", str(salt_run))
+        assert result.exit_code == 2
+        assert f"corrupt results directory: digest.{name}: not a plain file name" in result.output
 
     def test_manifest_of_config_lines_only_analyzes_the_same(self, tmp_path):
         out = tmp_path / "run"
@@ -761,24 +811,31 @@ def test_undecodable_config_exits_two(tmp_path, command):
 @pytest.mark.parametrize(
     "command,env,named",
     [
+        # BLINDSIM_SEED, --seed and --trials are config text: parse_leaf names the leaf
         (["simulate", "--trials", "2"], {"BLINDSIM_SEED": "abc"},
-         "BLINDSIM_SEED: expected an integer"),
+         "seed: expected an integer, got 'abc'"),
         (["sweep", "--trials", "2", "--param", "seed", "--values", "1,2"],
-         {"BLINDSIM_SEED": "abc"}, "BLINDSIM_SEED: expected an integer"),
+         {"BLINDSIM_SEED": "abc"}, "seed: expected an integer, got 'abc'"),
         (["figure", "fig3b", "--trials", "2"], {"BLINDSIM_SEED": "abc"},
-         "BLINDSIM_SEED: expected an integer"),
+         "seed: expected an integer, got 'abc'"),
         (["simulate", "--trials", "2", "--set", "foo"], None, "--set expects dotted.path=value"),
-        (["simulate", "--trials", "abc"], None, "'--trials': 'abc' is not a valid integer"),
+        (["simulate", "--trials", "abc"], None, "trials: expected an integer, got 'abc'"),
         (["simulate", "--threads", "x"], None, "'--threads': 'x' is not a valid integer"),
         (["simulate", "--protocol", "bogus"], None, "'--protocol': 'bogus' is not one of"),
-        (["figure", "fig4", "--seed", "x"], None, "'--seed': 'x' is not a valid integer"),
+        (["figure", "fig4", "--seed", "x"], None, "seed: expected an integer, got 'x'"),
         (["simulate", "--bogus"], None, "No such option '--bogus'"),
         (["bogus"], None, "No such command 'bogus'"),
+        # a text is parsed even where a later text or sweep point replaces it
+        (["sweep", "--trials", "2", "--seed", "abc", "--param", "seed", "--values", "1,2"],
+         None, "seed: expected an integer, got 'abc'"),
+        (["simulate", "--set", "trials=abc", "--set", "trials=2"], None,
+         "trials: expected an integer, got 'abc'"),
     ],
     ids=[
         "simulate-seed-variable", "sweep-seed-variable", "figure-seed-variable",
         "set-without-equals", "trials-not-an-integer", "threads-not-an-integer",
         "unknown-protocol", "figure-seed-not-an-integer", "unknown-option", "unknown-command",
+        "sweep-seed-option-replaced", "set-replaced",
     ],
 )
 def test_bad_option_text_exits_one(tmp_path, command, env, named):
@@ -787,6 +844,88 @@ def test_bad_option_text_exits_one(tmp_path, command, env, named):
     assert result.exit_code == 1
     assert named in result.output
     assert not out.exists()
+
+
+# Texts of the seed and trials leaves.  The accepted trial counts are
+# small, so that each run stays cheap.
+_SEED_TEXTS = ["5", "1e1", "5.0", "-3", "2.5", "abc", "", "1e400"]
+_TRIALS_TEXTS = ["2", "2e0", "2.0", "-3", "2.5", "abc", "", "1e400"]
+_LEAF_COMMANDS = {
+    "simulate": ["simulate", "--protocol", "flag"],
+    "sweep": ["sweep", "--protocol", "flag", "--param", "duty_cycle", "--values", "0.5"],
+    "fig5": ["figure", "fig5"],
+    "fig3b": ["figure", "fig3b"],
+}
+
+
+def _leaf_outcome(out: Path, *args, env=None):
+    """The exit code and message of a failed command, else its stdout and files.
+
+    A manifest counts by its config lines alone: its clock lines differ
+    from run to run.
+    """
+    result = run_cli(*args, "--out", str(out), env=env)
+    if result.exit_code:
+        assert not out.exists()
+        return result.exit_code, result.output.splitlines()[-1]
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines = path.read_text().splitlines()
+        if path.name == "manifest.txt":
+            lines = [line for line in lines if line.startswith("config.")]
+        files[path.relative_to(out).as_posix()] = lines
+    return 0, result.output, files
+
+
+def _expected_outcome(tmp_path: Path, args: list[str], leaf: str, text: str, fixed: list[str]):
+    """``simulate --set leaf=text``'s failure, or ``args`` run at the value that it read."""
+    by_set = _leaf_outcome(tmp_path / "set", "simulate", "--protocol", "flag", *fixed,
+                           "--set", f"{leaf}={text}")
+    if by_set[0]:
+        return by_set
+    value = manifest_flat(tmp_path / "set")[f"config.{leaf}"]
+    return _leaf_outcome(tmp_path / "value", *args, f"--{leaf}", value)
+
+
+@pytest.mark.parametrize("text", _SEED_TEXTS)
+@pytest.mark.parametrize("command", sorted(_LEAF_COMMANDS))
+def test_seed_text_reads_alike_from_option_variable_and_set(tmp_path, command, text):
+    args = [*_LEAF_COMMANDS[command], "--trials", "2"]
+    expected = _expected_outcome(tmp_path, args, "seed", text, ["--trials", "2"])
+    outcomes = [
+        _leaf_outcome(tmp_path / "option", *args, "--seed", text),
+        _leaf_outcome(tmp_path / "variable", *args, env={"BLINDSIM_SEED": text}),
+    ]
+    if command == "simulate":
+        outcomes.append(_leaf_outcome(tmp_path / "by-set", *args, "--set", f"seed={text}"))
+    assert outcomes == [expected] * len(outcomes)
+
+
+@pytest.mark.parametrize("text", _TRIALS_TEXTS)
+@pytest.mark.parametrize("command", sorted(_LEAF_COMMANDS))
+def test_trials_text_reads_alike_from_option_and_set(tmp_path, command, text):
+    args = _LEAF_COMMANDS[command]
+    expected = _expected_outcome(tmp_path, args, "trials", text, [])
+    outcomes = [_leaf_outcome(tmp_path / "option", *args, "--trials", text)]
+    if command == "simulate":
+        outcomes.append(_leaf_outcome(tmp_path / "by-set", *args, "--set", f"trials={text}"))
+    assert outcomes == [expected] * len(outcomes)
+
+
+def test_no_option_parses_a_config_leaf_itself():
+    # An option named after a leaf hands its text to parse_leaf; a Choice
+    # hands on one of a fixed set of texts.  Any other click type would
+    # parse the leaf a second way.
+    named = set()
+    for command in cli.main.commands.values():
+        for param in command.params:
+            if isinstance(param, click.Option) and param.name in CONFIG_LEAVES:
+                named.add((command.name, param.name))
+                assert param.type is click.STRING or isinstance(param.type, click.Choice), (
+                    command.name, param.name, param.type,
+                )
+    commands = ("simulate", "figure", "sweep")
+    assert {(c, leaf) for c in commands for leaf in ("seed", "trials")} <= named
 
 
 @pytest.mark.parametrize(

@@ -762,6 +762,11 @@ class TestWorkerInvariance:
         assert run_experiment(cfg, threads=2).trials == serial
         [third] = worker_pids()
         assert third != second
+        os.kill(third, signal.SIGKILL)
+        os.waitpid(third, 0)  # reaped here, so the engine finds no such child
+        assert run_experiment(cfg, threads=2).trials == serial
+        [fourth] = worker_pids()
+        assert fourth != third
 
     def test_concurrent_runs_each_get_their_own_trials(
         self, forking, bounded_wait, fresh_workers
